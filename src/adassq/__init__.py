@@ -10,7 +10,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .windows import (  # noqa: F401
-    ChirpFactor,
     WindowKind,
     WindowModel,
     chirp_factor,
@@ -59,8 +58,6 @@ from .cwt import (  # noqa: F401
     ScaleGrid,
     compute_stack,
     time_derivative_residual,
-    stack_field_to_csv,
-    stack_meta_to_text,
 )
 
 from .sst import (  # noqa: F401

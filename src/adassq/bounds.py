@@ -18,7 +18,6 @@ evaluations of the other components.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from scipy.integrate import quad
 
 from .cwt import CwtStack
 from .separation import SigmaProfile, ZoneSet, spectral_distance
-from .signals import SignalSpec, class_params
+from .signals import SignalSpec, class_params, write_table
 from .sst import TfPlane, chirp_rate_estimate
 from .windows import (WindowModel, chirped_transform_G,
                       chirped_transform_Gj, gauss_hat)
@@ -52,38 +51,11 @@ class Normalizers:
     complex for a uniform interface).  c_k: per-component constant per
     (k, b), a complex quadrature of the chirp-distorted spectral window
     over the component's own scale zone; None when built without zones.
-    c_const: truncated constant-width diagnostic (None for varying width).
     """
 
     b: Array
     c_alpha: Array
     c_k: Array | None = None
-    c_const: complex | None = None
-
-
-def classical_normalizer(wm: WindowModel, sigma: float,
-                         tau_cut: float = 1e-8) -> float:
-    """Constant-width normalizer truncated where the window falls below tau_cut.
-
-    The untruncated integral of ghat(sigma*(mu - xi))/xi over xi > 0
-    diverges logarithmically for a Gaussian window because ghat never
-    reaches zero, so a cutoff is part of the definition here.  The result
-    is reported for the interval where ghat(sigma*(mu - xi)) > tau_cut;
-    tau_cut must be large enough that this interval stays clear of xi = 0.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if not 0.0 < tau_cut < 1.0:
-        raise ValueError("tau_cut must lie in (0, 1)")
-    half = math.sqrt(math.log(1.0 / tau_cut) / (2.0 * math.pi ** 2)) / sigma
-    lo = wm.mu - half
-    if lo <= 0.0:
-        raise ValueError(
-            "truncated support reaches xi <= 0 (divergent tail); increase "
-            "tau_cut or sigma")
-    val, _ = quad(lambda xi: gauss_hat(sigma * (wm.mu - xi)) / xi,
-                  lo, wm.mu + half, epsabs=QUAD_EPSABS, limit=QUAD_LIMIT)
-    return val
 
 
 def _band_normalizer(wm: WindowModel, sigma: float) -> float:
@@ -132,10 +104,7 @@ def normalizers(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
                                  epsabs=QUAD_EPSABS, limit=QUAD_LIMIT,
                                  complex_func=True)[0]
 
-    c_const = None
-    if profile.sigma.size and np.ptp(profile.sigma) == 0.0:
-        c_const = complex(classical_normalizer(wm, float(profile.sigma[0])))
-    return Normalizers(b=b, c_alpha=c_alpha, c_k=c_k, c_const=c_const)
+    return Normalizers(b=b, c_alpha=c_alpha, c_k=c_k)
 
 
 # ---------------------------------------------------------------- recovery
@@ -550,17 +519,6 @@ def residual_diagnostics(stack: CwtStack, spec: SignalSpec, wm: WindowModel,
 
 # ------------------------------------------------------------------ output
 
-def curve_to_csv(b: Array, values: Array, path) -> None:
-    """Write a per-component curve as b,k,value rows (17 digits)."""
-    values = np.atleast_2d(values)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b", "k", "value"])
-        for k in range(values.shape[0]):
-            for i in range(values.shape[1]):
-                w.writerow([f"{b[i]:.17g}", k + 1, f"{values[k, i]:.17g}"])
-
-
 def report_to_csv(result: RecoveryResult, bound: Array, path) -> None:
     """Write b,k,abs_error,bound,within_bound rows for a checked recovery."""
     if result.abs_error is None:
@@ -569,11 +527,5 @@ def report_to_csv(result: RecoveryResult, bound: Array, path) -> None:
     err = result.abs_error
     if bound.shape != err.shape:
         raise ValueError("bound and abs_error shapes differ")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b", "k", "abs_error", "bound", "within_bound"])
-        for k in range(err.shape[0]):
-            for i in range(err.shape[1]):
-                ok = 1 if err[k, i] <= bound[k, i] else 0
-                w.writerow([f"{result.b[i]:.17g}", k + 1,
-                            f"{err[k, i]:.17g}", f"{bound[k, i]:.17g}", ok])
+    write_table(path, "b,k,abs_error,bound,within_bound", result.b,
+                np.arange(1, len(err) + 1)[:, None], err, bound, err <= bound)

@@ -18,12 +18,12 @@ headers.  Every command-line flag mirrors one config key and takes
 precedence over the file.  Unknown sections or keys are rejected with the
 offending location spelled out.  All output files are deterministic: the
 same configuration produces byte-identical CSVs on every run.  Floats are
-written with 17 significant digits, ``.`` decimal separator, no locale.
+written with 17 significant digits, ``.`` decimal separator, no locale,
+and every line ends in LF.
 
-Exit codes: 0 success, 2 malformed configuration, 3 inadmissible
-window-width profile for the requested analysis, 4 recovery requested for a
-signal without ground truth.  ``SSQ_THREADS`` caps the worker threads used
-for the transform; everything else is single-process.
+Exit codes: 0 success, 2 malformed configuration (including a malformed
+sample file), 3 inadmissible window-width profile for the requested
+analysis, 4 recovery requested for a signal without ground truth.
 """
 from __future__ import annotations
 
@@ -44,9 +44,12 @@ from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
     example1_spec, example2_spec, linear_chirp, poly_phase, signal_from_csv,\
-    signal_to_csv, synthesize, tone
-from .sst import PhasePlane, SqueezeConfig, default_gamma2, phase_first, \
+    signal_to_csv, synthesize, tone, write_table
+from .sst import PhasePlane, SqueezeConfig, TfPlane, phase_first, \
     phase_second, squeeze, tf_to_csv, tf_to_pgm
+# Not called here (phase_second derives its own floor), but perfbench's
+# span recorder looks the name up on this module.
+from .sst import default_gamma2  # noqa: F401
 from .windows import WindowModel
 
 
@@ -409,7 +412,7 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything the analyze/recover commands share."""
+    """One run of the pipeline, shared by the analyze and recover outputs."""
 
     spec: SignalSpec | None
     sig: SampledSignal
@@ -418,8 +421,7 @@ class Analysis:
     zs: ZoneSet | None
     stack: CwtStack
     plane: PhasePlane
-    tf: "object"
-    gamma2: float
+    tf: TfPlane
 
 
 def run_analysis(cfg: RunConfig) -> Analysis:
@@ -444,12 +446,10 @@ def run_analysis(cfg: RunConfig) -> Analysis:
                                     cfg.mu * 1.25, voices=cfg.voices)
 
     stack = compute_stack(sig, profile, wm, grid)
-    gamma2 = cfg.gamma2 if cfg.gamma2 is not None \
-        else default_gamma2(stack, cfg.gamma1)
     if cfg.variant == "T1":
         plane = phase_first(stack, cfg.gamma1)
     else:
-        plane = phase_second(stack, cfg.gamma1, gamma2=gamma2,
+        plane = phase_second(stack, cfg.gamma1, gamma2=cfg.gamma2,
                              hybrid=(cfg.variant == "S2"))
 
     base = SqueezeConfig.for_stack(stack)
@@ -458,47 +458,13 @@ def run_analysis(cfg: RunConfig) -> Analysis:
                              dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
     tf = squeeze(stack, plane, base)
     return Analysis(spec=spec, sig=sig, wm=wm, profile=profile, zs=zs,
-                    stack=stack, plane=plane, tf=tf, gamma2=gamma2)
+                    stack=stack, plane=plane, tf=tf)
 
 
 def _omega_to_csv(stack: CwtStack, plane: PhasePlane, path) -> None:
     """Instantaneous-frequency lattice as a,b,omega (nan when masked)."""
-    omega = np.where(plane.valid, plane.omega, np.nan)
-    with open(path, "w", newline="") as fh:
-        fh.write("a,b,omega\n")
-        for j, a in enumerate(stack.a):
-            for i, b in enumerate(stack.b):
-                fh.write(f"{a:.17g},{b:.17g},{omega[j, i]:.17g}\n")
-
-
-_ZONES_HEADER = "b,k,lower,upper,valid\n"
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-def cmd_synth(cfg: RunConfig) -> int:
-    """Write the configured signal as <outdir>/signal.csv."""
-    _, sig = build_signal(cfg)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    signal_to_csv(sig, cfg.outdir / "signal.csv")
-    return 0
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
-    """Write tf.csv (+ tf.pgm), omega.csv, zones.csv, sigma.csv."""
-    res = run_analysis(cfg)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    tf_to_csv(res.tf, cfg.outdir / "tf.csv")
-    if cfg.pgm:
-        tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
-    _omega_to_csv(res.stack, res.plane, cfg.outdir / "omega.csv")
-    if res.zs is not None:
-        zones_to_csv(res.zs, cfg.outdir / "zones.csv")
-    else:
-        (cfg.outdir / "zones.csv").write_text(_ZONES_HEADER)
-    profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
-    return 0
+    write_table(path, "a,b,omega", stack.a[:, None], stack.b,
+                np.where(plane.valid, plane.omega, np.nan))
 
 
 def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,
@@ -517,13 +483,17 @@ def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,
     return float(np.min(ridge)) / 2.0
 
 
-def cmd_recover(cfg: RunConfig) -> int:
-    """Write report.csv: estimates vs. truth against the error bound."""
-    if cfg.file is not None:
-        raise MissingTruthError(
-            "recovery compares against ground truth, which a sample file "
-            "does not carry; define the signal by preset or components")
-    res = run_analysis(cfg)
+def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    tf_to_csv(res.tf, cfg.outdir / "tf.csv")
+    if cfg.pgm:
+        tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
+    _omega_to_csv(res.stack, res.plane, cfg.outdir / "omega.csv")
+    zones_to_csv(res.zs, cfg.outdir / "zones.csv")
+    profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
+
+
+def _write_report(cfg: RunConfig, res: Analysis) -> None:
     spec, t = res.spec, res.sig.t
     comps = sorted(spec.components,
                    key=lambda c: float(np.mean(c.dphase(t))))
@@ -550,7 +520,8 @@ def cmd_recover(cfg: RunConfig) -> int:
             bound = rep.recovery_bound
         else:
             rep = bounds_second(spec, res.wm, res.profile, res.zs,
-                                cfg.gamma1, res.gamma2, stack=res.stack)
+                                cfg.gamma1, res.plane.gamma2,
+                                stack=res.stack)
             bound = rep.recovery_bound_main / np.abs(norms.c_k)
         result = recover(res.tf, norms, ridge, eps3,
                          mode="first" if cfg.order == 1 else "second",
@@ -560,6 +531,32 @@ def cmd_recover(cfg: RunConfig) -> int:
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     report_to_csv(result, bound, cfg.outdir / "report.csv")
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+def cmd_synth(cfg: RunConfig) -> int:
+    """Write the configured signal as <outdir>/signal.csv."""
+    _, sig = build_signal(cfg)
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    signal_to_csv(sig, cfg.outdir / "signal.csv")
+    return 0
+
+
+def cmd_analyze(cfg: RunConfig) -> int:
+    """Write tf.csv (+ tf.pgm), omega.csv, zones.csv, sigma.csv."""
+    _write_analysis(cfg, run_analysis(cfg))
+    return 0
+
+
+def cmd_recover(cfg: RunConfig) -> int:
+    """Write report.csv: estimates vs. truth against the error bound."""
+    if cfg.file is not None:
+        raise MissingTruthError(
+            "recovery compares against ground truth, which a sample file "
+            "does not carry; define the signal by preset or components")
+    _write_report(cfg, run_analysis(cfg))
     return 0
 
 
@@ -574,11 +571,11 @@ _DEMO_OVERRIDES = {
 
 
 def cmd_demo(cfg: RunConfig) -> int:
-    """synth + analyze + recover with the canned settings."""
-    for step in (cmd_synth, cmd_analyze, cmd_recover):
-        code = step(cfg)
-        if code != 0:
-            return code
+    """synth + analyze + recover with the canned settings, analyzing once."""
+    res = run_analysis(cfg)
+    _write_analysis(cfg, res)
+    signal_to_csv(res.sig, cfg.outdir / "signal.csv")
+    _write_report(cfg, res)
     return 0
 
 

@@ -18,13 +18,12 @@ transform stack needs for its time-derivative lattice.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SignalSpec
+from .signals import SignalSpec, write_table
 from .windows import WindowModel
 
 Array = np.ndarray
@@ -337,20 +336,13 @@ def separation_report(spec: SignalSpec, wm: WindowModel,
 # ------------------------------------------------------------------ CSV I/O
 
 def profile_to_csv(profile: SigmaProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b", "sigma", "dsigma"])
-        for bi, si, di in zip(profile.b, profile.sigma, profile.dsigma):
-            w.writerow([f"{bi:.17g}", f"{si:.17g}", f"{di:.17g}"])
+    write_table(path, "b,sigma,dsigma", profile.b, profile.sigma,
+                profile.dsigma)
 
 
-def zones_to_csv(zs: ZoneSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b", "k", "lower", "upper", "valid"])
-        for k in range(zs.lower.shape[0]):
-            for i, bi in enumerate(zs.b):
-                w.writerow([f"{bi:.17g}", k + 1,
-                            f"{zs.lower[k, i]:.17g}",
-                            f"{zs.upper[k, i]:.17g}",
-                            int(zs.valid[k, i])])
+def zones_to_csv(zs: ZoneSet | None, path) -> None:
+    """b,k,lower,upper,valid rows, k-major; only the header without zones."""
+    cols = () if zs is None else (
+        zs.b, np.arange(1, len(zs.lower) + 1)[:, None], zs.lower, zs.upper,
+        zs.valid)
+    write_table(path, "b,k,lower,upper,valid", *cols)

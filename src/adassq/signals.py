@@ -12,7 +12,8 @@ oversampled grid.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,11 +138,10 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Samples plus (optionally) the SignalSpec they came from."""
+    """Sample times t and values x (real or complex)."""
 
     t: Array
     x: Array
-    spec: SignalSpec | None = None
 
     def __post_init__(self):
         if self.t.shape != self.x.shape:
@@ -155,7 +155,7 @@ def synthesize(spec: SignalSpec) -> SampledSignal:
     for comp in spec.components:
         term = comp.evaluate(t, analytic)
         x = x + (term if analytic else term.real)
-    return SampledSignal(t=t, x=x, spec=spec)
+    return SampledSignal(t=t, x=x)
 
 
 @dataclass(frozen=True)
@@ -212,31 +212,6 @@ def class_params(spec: SignalSpec, oversample: int = 8) -> ClassParams:
     return ClassParams(eps1=eps1, eps2=eps2, eps3=eps3, sep_ratio=sep)
 
 
-def validate_derivatives(spec: SignalSpec, probes: int = 32,
-                         rel_tol: float = 1e-6) -> None:
-    """Check each component's stated derivatives against central differences.
-
-    Raises ValueError if any probe point disagrees beyond rel_tol (relative
-    to the local frequency scale).  h is chosen near the cube root of machine
-    epsilon so FD truncation and rounding balance.
-    """
-    t = spec.t0 + (np.arange(probes) + 0.5) * spec.duration / probes
-    h = 6e-6 * max(1.0, spec.duration)
-    for comp in spec.components:
-        scale = np.maximum(np.abs(comp.dphase(t)), 1.0)
-        err = np.abs(_fd(comp.phase, t, h) - comp.dphase(t)) / scale
-        if np.max(err) > rel_tol:
-            raise ValueError(
-                f"component {comp.label!r}: dphase disagrees with "
-                f"finite-difference of phase (rel err {np.max(err):.3g})")
-        err2 = np.abs(_fd(comp.dphase, t, h) - comp.d2phase(t)) \
-            / np.maximum(np.abs(comp.d2phase(t)), scale)
-        if np.max(err2) > rel_tol:
-            raise ValueError(
-                f"component {comp.label!r}: d2phase disagrees with "
-                f"finite-difference of dphase (rel err {np.max(err2):.3g})")
-
-
 def example1_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
     """Two crossing-free linear chirps, 12+0.5t Hz and 26-0.5t Hz."""
     return SignalSpec(
@@ -261,29 +236,64 @@ def example2_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
 
 # ------------------------------------------------------------------ CSV I/O
 
+def write_table(path, header: str, *columns) -> None:
+    """Write broadcast columns as a CSV table under a header line.
+
+    The columns broadcast to one 2-D shape and are written row-major, one
+    row per cell: coordinates go in as xi[:, None] and b, not as repeated
+    copies.  Floats carry 17 significant digits ("nan" for NaN), int and
+    bool columns are written as integers, and every line ends in LF.
+    """
+    cols = np.broadcast_arrays(*map(np.atleast_2d, columns))
+    fmt = ",".join("{:d}" if c.dtype.kind in "biu" else "{:.17g}"
+                   for c in cols) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for block in zip(*cols):
+            fh.writelines(map(fmt.format, *(c.tolist() for c in block)))
+
+
 def signal_to_csv(sig: SampledSignal, path) -> None:
-    """Write samples as t,re,im rows with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "re", "im"])
-        xc = np.asarray(sig.x, dtype=complex)
-        for ti, xi in zip(sig.t, xc):
-            w.writerow([f"{ti:.17g}", f"{xi.real:.17g}", f"{xi.imag:.17g}"])
+    """Write samples as t,re,im rows."""
+    x = np.asarray(sig.x, dtype=complex)
+    write_table(path, "t,re,im", sig.t, x.real, x.imag)
 
 
-def signal_from_csv(path, spec: SignalSpec | None = None) -> SampledSignal:
-    """Read a t,re,im file back; attaches spec if the caller provides one."""
-    t, re, im = [], [], []
+def signal_from_csv(path) -> SampledSignal:
+    """Read a t,re,im file with at least two finite, uniformly spaced rows.
+
+    Raises ValueError naming the offending line on a short row, a value
+    that is not a finite number, fewer than two samples, or sample times
+    off the uniform grid t_0 + i*dt by more than 1e-9*dt.
+    """
+    rows = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         if [c.strip() for c in header[:3]] != ["t", "re", "im"]:
             raise ValueError(f"unexpected signal CSV header: {header!r}")
-        for row in rd:
-            t.append(float(row[0]))
-            re.append(float(row[1]))
-            im.append(float(row[2]))
-    tv = np.asarray(t)
-    imv = np.asarray(im)
-    xv = np.asarray(re) + 1j * imv if np.any(imv != 0.0) else np.asarray(re)
-    return SampledSignal(t=tv, x=xv, spec=spec)
+        for line, row in enumerate(rd, start=2):
+            if len(row) < 3:
+                raise ValueError(f"line {line}: expected t,re,im, got "
+                                 f"{len(row)} value(s)")
+            try:
+                vals = [float(v) for v in row[:3]]
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"line {line}: values must be finite, "
+                                 f"got {','.join(row[:3])}")
+            rows.append(vals)
+    if len(rows) < 2:
+        raise ValueError(f"line {len(rows) + 1}: need at least two samples, "
+                         f"got {len(rows)}")
+    tv, re, im = np.array(rows).T.copy()
+    dt = (tv[-1] - tv[0]) / (len(tv) - 1)
+    if dt > 0.0:
+        bad = np.abs(tv - (tv[0] + np.arange(len(tv)) * dt)) > 1e-9 * dt
+    else:                       # the first step that does not increase
+        bad = np.r_[False, np.diff(tv) <= 0.0]
+    if np.any(bad):
+        raise ValueError(f"line {int(np.argmax(bad)) + 2}: sample times "
+                         "must increase on a uniform grid")
+    return SampledSignal(t=tv, x=re + 1j * im if np.any(im != 0.0) else re)

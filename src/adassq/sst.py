@@ -15,13 +15,13 @@ conserves the masked coefficient mass column by column to rounding.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cwt import CwtStack
+from .signals import write_table
 
 Array = np.ndarray
 TWO_PI = 2.0 * math.pi
@@ -81,15 +81,18 @@ def chirp_rate_estimate(stack: CwtStack) -> tuple[Array, Array]:
     return r0, cond
 
 
-def default_gamma2(stack: CwtStack, gamma1: float) -> float:
-    """Median-based conditioning floor: 1e-4 of the typical |d/da(a*w_tg/w)|."""
-    _, cond = chirp_rate_estimate(stack)
-    mask = np.abs(stack.w) > gamma1
+def _gamma2_floor(cond: Array, mask: Array) -> float:
     vals = cond[mask]
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         return 1e-4
     return 1e-4 * float(np.median(vals))
+
+
+def default_gamma2(stack: CwtStack, gamma1: float) -> float:
+    """Median-based conditioning floor: 1e-4 of the typical |d/da(a*w_tg/w)|."""
+    _, cond = chirp_rate_estimate(stack)
+    return _gamma2_floor(cond, np.abs(stack.w) > gamma1)
 
 
 def phase_second(stack: CwtStack, gamma1: float,
@@ -106,13 +109,12 @@ def phase_second(stack: CwtStack, gamma1: float,
     """
     if gamma1 <= 0.0:
         raise ValueError(f"gamma1 must be positive, got {gamma1}")
-    if gamma2 is None:
-        gamma2 = default_gamma2(stack, gamma1)
-    if gamma2 < 0.0:
-        raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
-
     mask1 = np.abs(stack.w) > gamma1
     r0, cond = chirp_rate_estimate(stack)
+    if gamma2 is None:
+        gamma2 = _gamma2_floor(cond, mask1)
+    if gamma2 < 0.0:
+        raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
     with np.errstate(invalid="ignore"):
         mask2 = mask1 & np.isfinite(cond) & (cond > gamma2)
 
@@ -121,14 +123,10 @@ def phase_second(stack: CwtStack, gamma1: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         base = stack.db_w / (2j * np.pi * stack.w)
         drift = (dln / (2j * np.pi)) * (1.0 + stack.w_tgp / stack.w)
-        omega2 = (base + drift
-                  - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
-        omega1 = (base + (dln / (2j * np.pi))
-                  * (1.0 + stack.w_tgp / stack.w)).real
-    # note: the first-order estimate shares base + drift; written out to
-    # keep the fallback self-contained
+        first = base + drift                # the first-order estimate
+        omega2 = (first - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
     if hybrid:
-        omega = np.where(mask2, omega2, np.where(mask1, omega1, np.nan))
+        omega = np.where(mask2, omega2, np.where(mask1, first.real, np.nan))
         return PhasePlane(omega=omega, valid=mask1, variant="hybrid",
                           gamma1=gamma1, gamma2=gamma2)
     omega = np.where(mask2, omega2, np.nan)
@@ -263,22 +261,24 @@ def extract_ridge(tf: TfPlane, jump_penalty: float = 0.2) -> Array:
 # ------------------------------------------------------------------ output
 
 def tf_to_csv(tf: TfPlane, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi", "b", "re", "im", "abs"])
-        for l, xl in enumerate(tf.xi):
-            for i, bi in enumerate(tf.b):
-                v = tf.values[l, i]
-                w.writerow([f"{xl:.17g}", f"{bi:.17g}", f"{v.real:.17g}",
-                            f"{v.imag:.17g}", f"{abs(v):.17g}"])
+    v = tf.values
+    # np.hypot matches Python's abs(complex) bit for bit; np.abs does not
+    write_table(path, "xi,b,re,im,abs", tf.xi[:, None], tf.b, v.real, v.imag,
+                np.hypot(v.real, v.imag))
 
 
 def tf_to_pgm(tf: TfPlane, path) -> None:
     """8-bit grayscale heat map (high frequency at the top), binary PGM."""
     mag = np.abs(tf.values)[::-1, :]
     top = float(np.max(mag))
-    img = np.zeros_like(mag, dtype=np.uint8) if top == 0.0 else \
-        np.minimum(255, np.floor(256.0 * mag / top)).astype(np.uint8)
+    if top != 0.0:
+        # floor(256*mag/top) capped at 255, in place: no full-size
+        # temporaries on top of the plane at the run's memory peak
+        mag *= 256.0
+        mag /= top
+        np.floor(mag, out=mag)
+        np.minimum(mag, 255.0, out=mag)
+    img = mag.astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

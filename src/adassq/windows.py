@@ -5,10 +5,10 @@ The base window is the unit Gaussian
     g(t) = (2*pi)**-0.5 * exp(-t**2/2),    FT[g](xi) = exp(-2*pi**2*xi**2)
 
 with the Fourier convention FT[f](xi) = integral f(t) exp(-i*2*pi*xi*t) dt.
-Every derived kernel used by the transform stack (t*g, t**2*g, t*g', g',
-t**2*g', t*g'') has a spectrum of the form P(xi)*FT[g](xi) with P a small
-polynomial.  The polynomials are kept explicit so that spectral derivatives
-(needed for the scale/time derivative lattices) stay exact instead of being
+Every derived kernel used by the transform stack (t*g, t**2*g, t*g', g')
+has a spectrum of the form P(xi)*FT[g](xi) with P a small polynomial.  The
+polynomials are kept explicit so that spectral derivatives (needed for the
+scale/time derivative lattices) stay exact instead of being
 finite-differenced.
 
 The closed forms for the transform of a linearly chirped Gaussian,
@@ -48,8 +48,6 @@ class WindowKind(enum.Enum):
     T2G = "t2g"      # t**2 * g(t)
     TGP = "tgp"      # t * g'(t)
     GP = "gp"        # g'(t)
-    T2GP = "t2gp"    # t**2 * g'(t)
-    TGPP = "tgpp"    # t * g''(t)
 
 
 # Spectra as P(xi) * FT[g](xi), coefficients in ascending order.  Derived by
@@ -60,10 +58,6 @@ _HAT_POLY: dict[WindowKind, np.ndarray] = {
     WindowKind.T2G: np.array([1.0, 0.0, -FOUR_PI2], dtype=complex),
     WindowKind.TGP: np.array([-1.0, 0.0, FOUR_PI2], dtype=complex),
     WindowKind.GP: np.array([0.0, 1j * TWO_PI], dtype=complex),
-    WindowKind.T2GP: np.array(
-        [0.0, 6j * math.pi, 0.0, -8j * math.pi ** 3], dtype=complex),
-    WindowKind.TGPP: np.array(
-        [0.0, -4j * math.pi, 0.0, 8j * math.pi ** 3], dtype=complex),
 }
 
 
@@ -81,10 +75,6 @@ def window_eval(kind: WindowKind, t) -> np.ndarray:
         return -(t * t) * base
     if kind is WindowKind.GP:
         return -t * base
-    if kind is WindowKind.T2GP:
-        return -(t ** 3) * base
-    if kind is WindowKind.TGPP:               # g'' = (t**2 - 1)*g
-        return t * (t * t - 1.0) * base
     raise ValueError(f"unknown window kind: {kind!r}")
 
 
@@ -179,22 +169,6 @@ class WindowModel:
     def abs_moment_deriv(self, n: int) -> float:
         """Cached integral of |t**n * g'|, n = 1..5."""
         return self._dmoments[n - 1]
-
-
-@dataclass(frozen=True)
-class ChirpFactor:
-    """The dimensionless chirp strength lam = 2*pi*phi''*a**2*sigma**2.
-
-    Keeps the ingredients so diagnostics can report where a value came from.
-    """
-
-    phipp: float
-    a: float
-    sigma: float
-
-    @property
-    def lam(self) -> float:
-        return TWO_PI * self.phipp * self.a ** 2 * self.sigma ** 2
 
 
 def chirp_factor(phipp, a, sigma):

@@ -22,13 +22,15 @@ What is proven here
    error everywhere.
 5. Contract: exit codes 0/2/3/4 distinguish success, configuration
    failures, inadmissible window widths, and recovery without ground
-   truth; reruns of the same configuration are byte-identical, and the
-   worker-thread override does not change a single byte.
+   truth; a malformed sample file exits 2 naming its line, before any
+   output is written; reruns of the same configuration are
+   byte-identical.
+6. demo: one transform stack per run, and the same bytes as separate
+   synth, analyze and recover runs with the demo's settings.
 """
 from __future__ import annotations
 
 import csv
-import os
 from pathlib import Path
 
 import numpy as np
@@ -394,13 +396,49 @@ def test_reruns_are_byte_identical(demo1, tmp_path):
             name
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    argv = ["analyze", "--components", "chirp:5:3", "--fs", "64",
-            "--n", "64", "--mode", "complex", "--pgm", "no"]
-    monkeypatch.setenv("SSQ_THREADS", "1")
-    assert main(argv + ["--outdir", str(tmp_path / "one")]) == 0
-    monkeypatch.setenv("SSQ_THREADS", "4")
-    assert main(argv + ["--outdir", str(tmp_path / "four")]) == 0
-    for name in ("tf.csv", "omega.csv"):
-        assert (tmp_path / "one" / name).read_bytes() == \
-            (tmp_path / "four" / name).read_bytes()
+@pytest.mark.parametrize("body, line", [
+    ("0,1,0\n0.01,0\n0.02,1,0\n", 3),                  # short row
+    ("0,1,0\n0.5,nan,0\n1,0,0\n", 3),                  # NaN sample
+    ("0,1,0\n", 2),                                    # one sample
+    ("0,1,0\n0.25,0,0\n0.75,1,0\n1,0,0\n", 3),          # non-uniform t
+    ("1,1,0\n0.5,0,0\n0,1,0\n", 3),                    # decreasing t
+], ids=["short-row", "nan", "one-sample", "non-uniform", "decreasing"])
+def test_bad_sample_file_exits_2_naming_the_line(tmp_path, capsys, body,
+                                                  line):
+    src = tmp_path / "samples.csv"
+    src.write_text("t,re,im\n" + body)
+    out = tmp_path / "out"
+    assert run("analyze", "--signal-file", str(src), "--outdir",
+               str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "[signal] file" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# 6. demo
+
+def test_demo_computes_one_stack(tmp_path, monkeypatch):
+    from adassq import cli
+    calls = []
+    stack = cli.compute_stack
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stack(*args, **kwargs)
+    monkeypatch.setattr(cli, "compute_stack", counted)
+    assert run("demo", "example1", "--outdir", str(tmp_path)) == 0
+    assert len(calls) == 1
+
+
+def test_demo_matches_separate_commands(demo1, tmp_path):
+    flags = ("--preset", "example1", "--sigma", "sigma1", "--variant", "T1",
+             "--outdir", str(tmp_path))
+    for command in ("synth", "analyze", "recover"):
+        assert run(command, *flags) == 0
+    names = sorted(p.name for p in demo1.iterdir())
+    assert names == sorted(p.name for p in tmp_path.iterdir())
+    for name in names:
+        assert (demo1 / name).read_bytes() == \
+            (tmp_path / name).read_bytes(), name

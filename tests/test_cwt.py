@@ -8,8 +8,7 @@ Proof groups:
   3. derivative lattices match central finite differences of the value
      lattices in scale and time (including time-varying sigma)
   4. the exact time-derivative identity holds at rounding level
-  5. conventions -- real-mode folding, grid construction, threading
-     determinism, CSV output
+  5. conventions -- real-mode folding, grid construction
 """
 from __future__ import annotations
 
@@ -24,9 +23,6 @@ from adassq.cwt import (
     compute_stack,
     time_derivative_residual,
     spectral_coefficients,
-    stack_field_to_csv,
-    stack_meta_to_text,
-    variant_field,
 )
 from adassq.separation import SigmaProfile, constant_profile, sigma1, zones
 from adassq.signals import (
@@ -248,7 +244,7 @@ def test_time_derivative_identity_exact_for_noise(wm):
     t = np.arange(128) / 128.0
     sig_obj = synthesize(SignalSpec(components=(tone(20.0),),
                                     fs=128.0, n=128))
-    noisy = type(sig_obj)(t=t, x=rng.standard_normal(128), spec=None)
+    noisy = type(sig_obj)(t=t, x=rng.standard_normal(128))
     prof = SigmaProfile(b=t, sigma=1.0 + 0.1 * np.sin(TWO_PI * t),
                         dsigma=0.1 * TWO_PI * np.cos(TWO_PI * t),
                         kind="custom")
@@ -303,45 +299,3 @@ def test_scale_grid_covers_zones(wm):
     g = ScaleGrid.from_zones(zs, voices=16, margin=1.25)
     assert g.a[0] <= np.min(zs.lower[zs.valid])
     assert g.a[-1] >= np.max(zs.upper[zs.valid])
-
-
-def test_threaded_stack_identical_to_serial(wm):
-    spec = example1_spec()
-    sig = synthesize(spec)
-    prof = sigma1(spec, wm)
-    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 10.0, voices=8)
-    serial = compute_stack(sig, prof, wm, grid, threads=1)
-    threaded = compute_stack(sig, prof, wm, grid, threads=3)
-    for name in ("w", "w_tg", "w_t2g", "w_tgp", "w_gp", "da_w", "db_w",
-                 "da_w_tg", "da_w_tgp", "dadb_w"):
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), \
-            name
-
-
-def test_variant_field_gaussian_equals_stack(wm):
-    spec = example1_spec()
-    sig = synthesize(spec)
-    prof = sigma1(spec, wm)
-    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 10.0, voices=8)
-    st = compute_stack(sig, prof, wm, grid)
-    v = variant_field(sig, prof, wm, grid, WindowKind.G)
-    assert np.max(np.abs(v - st.w)) < 1e-13 * np.max(np.abs(st.w))
-
-
-def test_stack_csv_and_meta_deterministic(tmp_path, wm):
-    spec = SignalSpec(components=(tone(10.0),), fs=32.0, n=32)
-    sig = synthesize(spec)
-    prof = constant_profile(sig.t, 1.0)
-    grid = ScaleGrid.from_range(1.0 / 16.0, 1.0 / 4.0, voices=4)
-    st = compute_stack(sig, prof, wm, grid)
-    p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    stack_field_to_csv(st, "w", p1)
-    stack_field_to_csv(st, "w", p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    first = p1.read_text().splitlines()
-    assert first[0] == "a,b,re,im"
-    assert len(first) == 1 + len(grid.a) * 32
-    meta = tmp_path / "meta.txt"
-    stack_meta_to_text(st, meta)
-    text = meta.read_text()
-    assert "voices 4" in text and "sigma_kind const" in text

@@ -3,10 +3,14 @@
 Proof groups:
   1. synthesis matches the closed-form sample values
   2. class parameters extracted from ground truth are exact for the presets
-  3. derivative validation and admissibility guards catch bad truth
-  4. CSV round trip is lossless and byte-deterministic
+  3. admissibility guards catch bad truth
+  4. CSV round trip is lossless and byte-deterministic; the table writer
+     every output file goes through writes 17-digit floats, integer
+     int/bool columns, broadcast columns row-major, and LF line endings
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from adassq.signals import (
     signal_to_csv,
     synthesize,
     tone,
-    validate_derivatives,
+    write_table,
 )
 
 
@@ -108,23 +112,6 @@ def test_nonpositive_amplitude_rejected():
         class_params(spec)
 
 
-def test_validate_derivatives_accepts_presets():
-    validate_derivatives(example1_spec())
-    validate_derivatives(example2_spec())
-
-
-def test_validate_derivatives_catches_wrong_truth():
-    lying = ComponentTruth(
-        amp=lambda t: np.ones_like(np.asarray(t, float)),
-        phase=lambda t: 20.0 * np.asarray(t, float),
-        dphase=lambda t: np.full_like(np.asarray(t, float), 25.0),  # wrong
-        d2phase=lambda t: np.zeros_like(np.asarray(t, float)),
-    )
-    spec = SignalSpec(components=(lying,), fs=128.0, n=128)
-    with pytest.raises(ValueError, match="dphase"):
-        validate_derivatives(spec)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         SignalSpec(components=(), fs=256.0, n=256)
@@ -162,3 +149,31 @@ def test_csv_header_enforced(tmp_path):
     p.write_text("time,value\n0,1\n")
     with pytest.raises(ValueError, match="header"):
         signal_from_csv(p)
+
+
+def test_write_table_header_only_is_one_lf_line(tmp_path):
+    p = tmp_path / "h.csv"
+    write_table(p, "b,k,lower,upper,valid")
+    assert p.read_bytes() == b"b,k,lower,upper,valid\n"
+
+
+def test_write_table_digits_and_one_based_k(tmp_path):
+    b = np.array([0.0, 0.5, 1.0])
+    values = np.array([[0.25, math.pi, 1e-17], [np.nan, -2.0, 3.5]])
+    k = np.arange(1, 3)[:, None]            # (K, 1) against (n,) and (K, n)
+    p1, p2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
+    for p in (p1, p2):
+        write_table(p, "b,k,value,ok", b, k, values, values > 0.1)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert b"\r" not in p1.read_bytes()
+    lines = p1.read_text().splitlines()
+    assert lines == ["b,k,value,ok",
+                     "0,1,0.25,1",
+                     "0.5,1,3.1415926535897931,1",
+                     "1,1,1.0000000000000001e-17,0",
+                     "0,2,nan,0",
+                     "0.5,2,-2,0",
+                     "1,2,3.5,1"]
+    # 17 significant digits round-trip exactly
+    assert float(lines[2].split(",")[2]) == math.pi
+    assert float(lines[3].split(",")[2]) == 1e-17
