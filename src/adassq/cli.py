@@ -22,14 +22,13 @@ written with 17 significant digits, ``.`` decimal separator, no locale,
 and every line ends in LF.
 
 Exit codes: 0 success, 2 malformed configuration (including a malformed
-sample file), 3 inadmissible window-width profile for the requested
-analysis, 4 recovery requested for a signal without ground truth.
+sample file or width table), 3 inadmissible window-width profile for the
+requested analysis, 4 recovery requested for a signal without ground truth.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -43,8 +42,8 @@ from .cwt import CwtStack, ScaleGrid, compute_stack
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
-    example1_spec, example2_spec, linear_chirp, poly_phase, signal_from_csv,\
-    signal_to_csv, synthesize, tone, write_table
+    example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
+    signal_from_csv, signal_to_csv, synthesize, tone, write_table
 from .sst import PhasePlane, SqueezeConfig, TfPlane, phase_first, \
     phase_second, squeeze, tf_to_csv, tf_to_pgm
 # Not called here (phase_second derives its own floor), but perfbench's
@@ -252,8 +251,8 @@ def load_config(path: Path | None,
     fs = _positive(_float(raw[("signal", "fs")], "[signal] fs"),
                    "[signal] fs")
     n = _int(raw[("signal", "n")], "[signal] n")
-    if n < 1:
-        raise ConfigError(f"[signal] n: must be >= 1, got {n}")
+    if n < 2:
+        raise ConfigError(f"[signal] n: must be >= 2, got {n}")
     mode = raw[("signal", "mode")].strip().lower()
     if mode not in ("real", "complex"):
         raise ConfigError(f"[signal] mode: expected real or complex, "
@@ -363,14 +362,9 @@ def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
 
 def _read_sigma_table(path: Path, t: np.ndarray) -> SigmaProfile:
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        data = read_table(path, "b,sigma,dsigma")
     except OSError as exc:
         raise ConfigError(f"[sigma] table: cannot read: {exc}") from None
-    if not rows or rows[0][:3] != ["b", "sigma", "dsigma"]:
-        raise ConfigError("[sigma] table: expected header b,sigma,dsigma")
-    try:
-        data = np.array([[float(v) for v in row[:3]] for row in rows[1:]])
     except ValueError as exc:
         raise ConfigError(f"[sigma] table: {exc}") from None
     if data.shape[0] != t.size or np.max(np.abs(data[:, 0] - t)) > 1e-9:

@@ -259,6 +259,36 @@ def signal_to_csv(sig: SampledSignal, path) -> None:
     write_table(path, "t,re,im", sig.t, x.real, x.imag)
 
 
+def read_table(path, header: str) -> Array:
+    """Read a CSV table under the given header as a (rows, columns) array.
+
+    Each row must carry at least the header's columns, and each of those
+    must parse as a finite float; extra trailing columns are ignored.
+    Raises ValueError naming the offending file line otherwise.
+    """
+    names = header.split(",")
+    rows = []
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        got = next(rd, [])
+        if [c.strip() for c in got[:len(names)]] != names:
+            raise ValueError(f"line 1: expected header {header}, got "
+                             f"{','.join(got)!r}")
+        for line, row in enumerate(rd, start=2):
+            if len(row) < len(names):
+                raise ValueError(f"line {line}: expected {header}, got "
+                                 f"{len(row)} value(s)")
+            try:
+                vals = [float(v) for v in row[:len(names)]]
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"line {line}: values must be finite, "
+                                 f"got {','.join(row[:len(names)])}")
+            rows.append(vals)
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
 def signal_from_csv(path) -> SampledSignal:
     """Read a t,re,im file with at least two finite, uniformly spaced rows.
 
@@ -266,28 +296,11 @@ def signal_from_csv(path) -> SampledSignal:
     that is not a finite number, fewer than two samples, or sample times
     off the uniform grid t_0 + i*dt by more than 1e-9*dt.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, [])
-        if [c.strip() for c in header[:3]] != ["t", "re", "im"]:
-            raise ValueError(f"unexpected signal CSV header: {header!r}")
-        for line, row in enumerate(rd, start=2):
-            if len(row) < 3:
-                raise ValueError(f"line {line}: expected t,re,im, got "
-                                 f"{len(row)} value(s)")
-            try:
-                vals = [float(v) for v in row[:3]]
-            except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"line {line}: values must be finite, "
-                                 f"got {','.join(row[:3])}")
-            rows.append(vals)
-    if len(rows) < 2:
-        raise ValueError(f"line {len(rows) + 1}: need at least two samples, "
-                         f"got {len(rows)}")
-    tv, re, im = np.array(rows).T.copy()
+    data = read_table(path, "t,re,im")
+    if len(data) < 2:
+        raise ValueError(f"line {len(data) + 1}: need at least two samples, "
+                         f"got {len(data)}")
+    tv, re, im = data.T.copy()
     dt = (tv[-1] - tv[0]) / (len(tv) - 1)
     if dt > 0.0:
         bad = np.abs(tv - (tv[0] + np.arange(len(tv)) * dt)) > 1e-9 * dt

@@ -18,7 +18,8 @@ The closed forms for the transform of a linearly chirped Gaussian,
 
 and its t**j-weighted companions, are what make the per-component structured
 predictions cheap; they are cross-checked against direct quadrature in the
-test suite.
+test suite.  The absolute moments of g are closed forms too, so nothing in
+this module integrates numerically.
 """
 from __future__ import annotations
 
@@ -28,16 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = 4.0 * math.pi ** 2
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
-
-# |t| > 12 carries less than 1e-31 of Gaussian mass; all time-domain
-# quadratures run on this interval.
-QUAD_SUPPORT = 12.0
-QUAD_EPSABS = 1e-12
 
 
 class WindowKind(enum.Enum):
@@ -122,25 +117,20 @@ def essential_alpha(tau0: float) -> float:
 def moment(n: int, of_derivative: bool = False) -> float:
     """Absolute moment: integral of |t**n * g| (or |t**n * g'|) over t.
 
-    Computed by adaptive quadrature on [-QUAD_SUPPORT, QUAD_SUPPORT]; the
-    integrand has a kink at t=0, which is passed to the integrator as a
-    breakpoint.
+    The Gaussian absolute moment is 2**(n/2) * Gamma((n+1)/2) / sqrt(pi);
+    since g' = -t*g, the derivative moment of order n is the plain moment
+    of order n+1.
     """
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-
     if of_derivative:
-        f = lambda t: abs(t ** n * (-t) * window_eval(WindowKind.G, t))
-    else:
-        f = lambda t: abs(t) ** n * window_eval(WindowKind.G, t)
-    val, _ = quad(f, -QUAD_SUPPORT, QUAD_SUPPORT,
-                  epsabs=QUAD_EPSABS, limit=200, points=[0.0])
-    return val
+        n += 1
+    return 2.0 ** (n / 2) * math.gamma((n + 1) / 2) / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
 class WindowModel:
-    """Window configuration: center frequency, tail level, cached moments.
+    """Window configuration: center frequency, tail level, moments.
 
     mu    -- modulation frequency of the analysis wavelet (Hz)
     tau0  -- spectral tail level defining the essential support alpha
@@ -149,26 +139,19 @@ class WindowModel:
     mu: float = 1.0
     tau0: float = 0.05
     alpha: float = field(init=False)
-    _moments: tuple = field(init=False, repr=False)
-    _dmoments: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         object.__setattr__(self, "alpha", essential_alpha(self.tau0))
-        object.__setattr__(
-            self, "_moments", tuple(moment(n) for n in range(1, 6)))
-        object.__setattr__(
-            self, "_dmoments",
-            tuple(moment(n, of_derivative=True) for n in range(1, 6)))
 
     def abs_moment(self, n: int) -> float:
-        """Cached integral of |t**n * g|, n = 1..5."""
-        return self._moments[n - 1]
+        """Integral of |t**n * g|."""
+        return moment(n)
 
     def abs_moment_deriv(self, n: int) -> float:
-        """Cached integral of |t**n * g'|, n = 1..5."""
-        return self._dmoments[n - 1]
+        """Integral of |t**n * g'|."""
+        return moment(n, of_derivative=True)
 
 
 def chirp_factor(phipp, a, sigma):

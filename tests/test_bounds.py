@@ -2,8 +2,10 @@
 
 Proof groups:
   1. normalizers -- frozen quadrature anchors, an independent dense
-     Gauss-Legendre cross-check, the large-width asymptotic, tone
-     degeneracy, band shrinkage, and admissibility guards
+     Gauss-Legendre cross-check, the fixed log-scale rule against adaptive
+     quadrature (normalizers and leakage masses on both presets, bands
+     next to the pole, very wide windows), the large-width asymptotic,
+     tone degeneracy, band shrinkage, and admissibility guards
   2. mode recovery -- tone end-to-end accuracy, zero-signal and
      empty-window bookkeeping, exact agreement between the recovered line
      integral and the unsqueezed cells it came from, input validation
@@ -26,9 +28,11 @@ from functools import cache
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as adaptive_quad
 
 from adassq.bounds import (
     RecoveryResult,
+    _band_normalizer,
     bounds_first,
     bounds_second,
     expansion_envelopes,
@@ -57,7 +61,7 @@ from adassq.sst import (
     phase_first,
     squeeze,
 )
-from adassq.windows import WindowModel, essential_alpha, gauss_hat, moment
+from adassq.windows import WindowModel, chirped_transform_G, essential_alpha, gauss_hat, moment
 
 WM = WindowModel(mu=1.0, tau0=0.05)
 T = np.arange(256) / 256.0
@@ -139,6 +143,68 @@ def test_band_normalizer_matches_dense_quadrature():
         xi = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ref = 0.5 * (hi - lo) * np.sum(weights * gauss_hat(s * (WM.mu - xi)) / xi)
         assert norms.c_alpha[i].real == pytest.approx(ref, rel=1e-9)
+
+
+def oracle(h, lo, hi):
+    """Adaptive quadrature of h(a) da/a, real and imaginary parts apart.
+
+    The real part dominates every integral checked here, so the target
+    for the imaginary part is relative to it: roundoff in the chirped
+    integrand keeps the imaginary part of c_k from a target of its own.
+    """
+    re = adaptive_quad(lambda a: h(a).real / a, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    im = adaptive_quad(lambda a: h(a).imag / a, lo, hi, epsabs=1e-13 * abs(re), epsrel=1e-13, limit=200)[0]
+    return complex(re, im)
+
+
+def assert_oracle(got, h, lo, hi):
+    ref = oracle(h, lo, hi)
+    assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("make_spec", [example1_spec, example2_spec])
+def test_fixed_rule_matches_adaptive_quadrature(make_spec):
+    # every integral of bounds.py, cell by cell, against adaptive quadrature
+    spec = make_spec()
+    mu, alpha = WM.mu, WM.alpha
+    p1 = sigma1(spec, WM, T)
+    z1 = zones(spec, WM, p1, order=1)
+    p2 = sigma2(spec, WM, T)
+    z2 = zones(spec, WM, p2, order=2)
+    c_alpha = normalizers(spec, WM, p1).c_alpha
+    cross = bounds_first(spec, WM, p1, z1, 0.01).cross_mass
+    c_k = normalizers(spec, WM, p2, z2).c_k
+    strict = bounds_second(spec, WM, p2, z2, 0.01, 1e-3).cross_mass_strict
+    f = [c.dphase(T) for c in spec.components]
+    fpp = [c.d2phase(T) for c in spec.components]
+    for i in range(0, 256, 5):
+        s = p1.sigma[i]
+        band = (mu - alpha / s, mu + alpha / s)
+        assert_oracle(c_alpha[i], lambda xi: gauss_hat(s * (mu - xi)), *band)
+        for k, l in ((0, 1), (1, 0)):
+            r = f[l][i] / f[k][i]
+            assert_oracle(cross[l, k, i], lambda xi: gauss_hat(s * (mu - r * xi)), *band)
+        s = p2.sigma[i]
+        for k, l in ((0, 1), (1, 0)):
+            if not z2.valid[k, i]:
+                assert np.isnan(c_k[k, i]) and np.isnan(strict[l, k, i])
+                continue
+            zone = (z2.lower[k, i], z2.upper[k, i])
+
+            def window(a, m):
+                return chirped_transform_G(s * (mu - a * f[m][i]), 2.0 * math.pi * fpp[m][i] * a * a * s * s)
+            assert_oracle(c_k[k, i], lambda a: window(a, k), *zone)
+            assert_oracle(strict[l, k, i], lambda a: abs(window(a, l)), *zone)
+
+
+@pytest.mark.parametrize("sigma", [1.02 * WM.alpha / WM.mu, 1.001 * WM.alpha / WM.mu, 1000.0],
+                         ids=["ratio-1.02", "ratio-1.001", "sigma-1000"])
+def test_fixed_rule_next_to_the_pole_and_for_wide_windows(sigma):
+    # sigma*mu/alpha -> 1 pushes the band's lower edge onto the 1/xi pole;
+    # sigma = 1000 shrinks the band to a sliver around mu
+    half = WM.alpha / sigma
+    assert_oracle(_band_normalizer(WM, sigma), lambda xi: gauss_hat(sigma * (WM.mu - xi)),
+                  WM.mu - half, WM.mu + half)
 
 
 def test_large_width_normalizer_asymptotic():

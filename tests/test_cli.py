@@ -6,7 +6,8 @@ What is proven here
    sections/keys/presets are rejected with their location spelled out,
    numeric ranges are enforced, inline component specs parse to the right
    ground truth, presets lock their sampling parameters, and window-width
-   tables are validated against the signal's time grid.
+   tables are validated against the signal's time grid, with a short row
+   or a non-finite value reported by its file line.
 2. synth: the presets write the documented signal.csv files (256 rows for
    both running examples, zero-filled rows for the silent preset) and the
    bytes agree with the library's own writer.
@@ -24,18 +25,23 @@ What is proven here
    failures, inadmissible window widths, and recovery without ground
    truth; a malformed sample file exits 2 naming its line, before any
    output is written; reruns of the same configuration are
-   byte-identical.
+   byte-identical; importing the command loads no scipy module, since
+   numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
    synth, analyze and recover runs with the demo's settings.
 """
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adassq
 from adassq.cli import ConfigError, load_config, main, run_analysis
 from adassq.signals import example1_spec, example2_spec
 from adassq.sst import PhasePlane, SqueezeConfig, squeeze, tf_to_csv
@@ -127,6 +133,7 @@ def test_unknown_locations_are_spelled_out(tmp_path):
     (("signal", "mode"), "quaternion", "mode"),
     (("signal", "n"), "0", "n"),
     (("run", "pgm"), "maybe", "pgm"),
+    (("signal", "n"), "1", "n"),
 ])
 def test_value_validation(key, value, fragment):
     overrides = {("signal", "preset"): "empty", key: value}
@@ -177,7 +184,7 @@ def test_presets_lock_their_sampling():
     assert cfg.n == 64
 
 
-def test_sigma_table_validation(tmp_path):
+def test_sigma_table_validation(tmp_path, capsys):
     base = {("signal", "preset"): "empty", ("signal", "n"): "8",
             ("signal", "fs"): "8", ("sigma", "kind"): "table"}
     t = np.arange(8) / 8.0
@@ -204,6 +211,20 @@ def test_sigma_table_validation(tmp_path):
 
     with pytest.raises(ConfigError, match="required"):
         load_config(None, base)
+
+    # a non-finite sigma or dsigma, or a short row, exits 2 naming its line
+    for name, row in (("nan", "{x},nan,0"), ("inf", "{x},1,inf"),
+                      ("short", "{x},1")):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("b,sigma,dsigma\n" + "".join(
+            (row if i == 5 else "{x},1,0").format(x=x) + "\n"
+            for i, x in enumerate(t)))
+        assert run("analyze", "--preset", "empty", "--n", "8", "--fs", "8",
+                   "--sigma", "table", "--sigma-table", str(bad),
+                   "--outdir", str(tmp_path / name)) == 2
+        err = capsys.readouterr().err
+        assert "[sigma] table: line 7:" in err, err
+        assert not (tmp_path / name).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +435,16 @@ def test_bad_sample_file_exits_2_naming_the_line(tmp_path, capsys, body,
     assert f"line {line}:" in err and "[signal] file" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(adassq.__file__).resolve().parents[1]
+    code = ("import sys, adassq.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
