@@ -21,9 +21,13 @@ same configuration produces byte-identical CSVs on every run.  Floats are
 written with 17 significant digits, ``.`` decimal separator, no locale,
 and every line ends in LF.
 
+A sample file's rate comes from its t column; fs and n describe
+synthesized signals only.
+
 Exit codes: 0 success, 2 malformed configuration (including a malformed
-sample file or width table), 3 inadmissible window-width profile for the
-requested analysis, 4 recovery requested for a signal without ground truth.
+sample file or width table, or a rate too low to leave any band), 3
+inadmissible window-width profile for the requested analysis, 4 recovery
+requested for a signal without ground truth.
 """
 from __future__ import annotations
 
@@ -435,9 +439,16 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         grid = ScaleGrid.from_zones(zs, voices=cfg.voices, margin=1.25)
     else:
         # No usable zones (sample files, silent presets): cover the band
-        # from 1 Hz up to Nyquist with the same 25% margin.
-        grid = ScaleGrid.from_range(cfg.mu / (cfg.fs / 2.0) / 1.25,
-                                    cfg.mu * 1.25, voices=cfg.voices)
+        # from 1 Hz up to the signal's own Nyquist with a 25% margin.
+        fs = sig.fs
+        try:
+            grid = ScaleGrid.from_range(cfg.mu / (fs / 2.0) / 1.25,
+                                        cfg.mu * 1.25, voices=cfg.voices)
+        except ValueError:
+            where = "[signal] file" if cfg.file is not None else "[signal] fs"
+            raise ConfigError(
+                f"{where}: sampling rate {fs:.6g} Hz leaves no band "
+                "between 0.8 Hz and 1.25x Nyquist") from None
 
     stack = compute_stack(sig, profile, wm, grid)
     if cfg.variant == "T1":
@@ -583,8 +594,8 @@ _FLAGS: tuple[tuple[str, str, str, str], ...] = (
     ("--components", "signal", "components",
      "inline components, e.g. 'chirp:12:0.5; chirp:26:-0.5'"),
     ("--signal-file", "signal", "file", "read samples from a t,re,im CSV"),
-    ("--fs", "signal", "fs", "sampling rate in Hz"),
-    ("--n", "signal", "n", "number of samples"),
+    ("--fs", "signal", "fs", "sampling rate in Hz (synthesized signals)"),
+    ("--n", "signal", "n", "number of samples (synthesized signals)"),
     ("--mode", "signal", "mode", "real or complex synthesis"),
     ("--tau0", "window", "tau0", "spectral support cutoff in (0, 1)"),
     ("--mu", "window", "mu", "center frequency of the unit-scale wavelet"),

@@ -147,6 +147,12 @@ class SampledSignal:
         if self.t.shape != self.x.shape:
             raise ValueError("t and x must have matching shapes")
 
+    @property
+    def fs(self) -> float:
+        """Sampling rate implied by the time column (1 for one sample)."""
+        n = len(self.t)
+        return (n - 1) / (self.t[-1] - self.t[0]) if n > 1 else 1.0
+
 
 def synthesize(spec: SignalSpec) -> SampledSignal:
     t = spec.times()

@@ -16,15 +16,16 @@ What is proven here
    within two frequency bins on the interior for both running examples,
    a constant-width run is byte-identical to squeezing the conventional
    phase transform built directly from the transform stack, sample-file
-   signals get a header-only zone table, and the frequency-bin count
-   follows the grid setting.
+   signals get a header-only zone table and a band set by their own
+   sampling rate, and the frequency-bin count follows the grid setting.
 4. recover: the per-cell error respects the theoretical bound on the
    interior for both running examples, and a silent signal reports zero
    error everywhere.
 5. Contract: exit codes 0/2/3/4 distinguish success, configuration
    failures, inadmissible window widths, and recovery without ground
    truth; a malformed sample file exits 2 naming its line, before any
-   output is written; reruns of the same configuration are
+   output is written, and so does one whose sampling rate leaves no band
+   to analyze; reruns of the same configuration are
    byte-identical; importing the command loads no scipy module, since
    numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
@@ -335,6 +336,22 @@ def test_sample_file_analysis_has_no_zones(tmp_path):
     assert abs(xi[np.argmax(mid.sum(axis=1))] - 8.0) <= 0.5
 
 
+def test_sample_file_band_follows_its_own_rate(tmp_path):
+    # a 300 Hz tone lies above the default --fs 256 Nyquist; the band must
+    # come from the file's time column, not from the configured rate
+    src = tmp_path / "src"
+    assert run("synth", "--components", "tone:300", "--fs", "1024",
+               "--n", "256", "--outdir", str(src)) == 0
+    out = tmp_path / "out"
+    assert run("analyze", "--signal-file", str(src / "signal.csv"),
+               "--xi-bins", "400", "--pgm", "no", "--outdir", str(out)) == 0
+    xi, _, mag = load_tf(out / "tf.csv")
+    assert xi[-1] >= 1.25 * 512.0 - 2.0
+    mid = mag[:, 64:192]
+    assert np.max(mid) > 0.0
+    assert abs(xi[np.argmax(mid.sum(axis=1))] - 300.0) <= 2.0
+
+
 def test_xi_bins_controls_bin_count(tmp_path):
     assert run("analyze", "--components", "tone:20", "--mode", "complex",
                "--fs", "64", "--n", "32", "--xi-bins", "100",
@@ -433,6 +450,20 @@ def test_bad_sample_file_exits_2_naming_the_line(tmp_path, capsys, body,
                str(out)) == 2
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "[signal] file" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sample_file_without_a_band_exits_2(tmp_path, capsys):
+    # 1 Hz sampling leaves nothing between 0.8 Hz and 1.25x Nyquist
+    src = tmp_path / "samples.csv"
+    src.write_text("t,re,im\n" + "".join(f"{i},{(-1) ** i},0\n"
+                                         for i in range(16)))
+    out = tmp_path / "out"
+    assert run("analyze", "--signal-file", str(src), "--outdir",
+               str(out)) == 2
+    err = capsys.readouterr().err
+    assert "[signal] file" in err and "1 Hz" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -2,21 +2,26 @@
 
 Proof groups:
   1. the vectorized lattice equals a naive reimplementation of the
-     spectral sum (independent double loop)
+     spectral sum (independent double loop), and columns that share a
+     window width, computed together, equal each column computed alone
   2. closed forms -- on-grid tones and interior chirps match the exact
      transform values predicted by the window layer
   3. derivative lattices match central finite differences of the value
      lattices in scale and time (including time-varying sigma)
   4. the exact time-derivative identity holds at rounding level
   5. conventions -- real-mode folding, grid construction
+  6. structure -- the kernels are built once per distinct window width,
+     not once per column
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from adassq import cwt
 from adassq.cwt import (
     CwtStack,
     ScaleGrid,
@@ -42,6 +47,8 @@ from adassq.windows import (
 )
 
 TWO_PI = 2.0 * math.pi
+FIELDS = ("w", "w_tg", "w_tgp", "da_w", "db_w", "da_w_tg", "da_w_tgp",
+          "dadb_w")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,37 @@ def test_stack_matches_naive_reimplementation_complex(wm):
     prof = constant_profile(sig.t, 0.9)
     grid = ScaleGrid.from_range(1.0 / 25.0, 1.0 / 6.0, voices=8)
     st = compute_stack(sig, prof, wm, grid)
+    ref = naive_stack_value(sig, prof, wm, grid.a)
+    assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_grouped_columns_equal_single_column_stacks(wm):
+    # one (sigma, sigma') group wider than a column block and not
+    # contiguous, two groups with equal sigma but opposite sigma', and
+    # singleton columns
+    sig = synthesize(SignalSpec(components=(tone(9.0), tone(21.0)),
+                                fs=64.0, n=96))
+    sigma = np.full(96, 1.1)
+    dsigma = np.zeros(96)
+    sigma[40:60] = 1.2
+    dsigma[40:60:2], dsigma[41:60:2] = 0.3, -0.3
+    k = np.arange(20)
+    sigma[60:80], dsigma[60:80] = 1.0 + 0.01 * k, 0.05 * k
+    prof = SigmaProfile(b=sig.t, sigma=sigma, dsigma=dsigma)
+    assert np.count_nonzero(sigma == 1.1) > cwt._BLOCK
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    st = compute_stack(sig, prof, wm, grid)
+
+    names = {f.name for f in dataclasses.fields(CwtStack)}
+    assert names - {"grid", "profile", "wm", "sig"} == set(FIELDS)
+    for i in range(96):
+        one = SigmaProfile(b=sig.t[i:i + 1], sigma=sigma[i:i + 1],
+                           dsigma=dsigma[i:i + 1])
+        alone = compute_stack(sig, one, wm, grid)
+        for name in FIELDS:
+            field = getattr(st, name)
+            assert np.max(np.abs(field[:, i] - getattr(alone, name)[:, 0])) \
+                <= 1e-13 * np.max(np.abs(field)), (name, i)
     ref = naive_stack_value(sig, prof, wm, grid.a)
     assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -299,3 +337,24 @@ def test_scale_grid_covers_zones(wm):
     g = ScaleGrid.from_zones(zs, voices=16, margin=1.25)
     assert g.a[0] <= np.min(zs.lower[zs.valid])
     assert g.a[-1] >= np.max(zs.upper[zs.valid])
+
+
+# ---------------------------------------------------------------- group 6
+
+def test_constant_sigma_builds_its_kernels_once(wm, monkeypatch):
+    calls = []
+    polyval = cwt.npoly.polyval
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return polyval(*args, **kwargs)
+    monkeypatch.setattr(cwt.npoly, "polyval", counted)
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    counts = []
+    for n in (2, 64, 128):
+        sig = synthesize(SignalSpec(components=(tone(9.0),), fs=64.0, n=n))
+        calls.clear()
+        compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3

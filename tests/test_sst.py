@@ -207,8 +207,8 @@ def _single_cell_stack(wm, omega_value):
     one = np.array([[1.0 + 0.0j]])
     zero = np.zeros((1, 1), dtype=complex)
     st = CwtStack(grid=grid, profile=prof, wm=wm, sig=sig, w=one,
-                  w_tg=zero, w_t2g=zero, w_tgp=zero, w_gp=zero, da_w=zero,
-                  db_w=zero, da_w_tg=zero, da_w_tgp=zero, dadb_w=zero)
+                  w_tg=zero, w_tgp=zero, da_w=zero, db_w=zero,
+                  da_w_tg=zero, da_w_tgp=zero, dadb_w=zero)
     plane = PhasePlane(omega=np.array([[omega_value]]),
                        valid=np.array([[np.isfinite(omega_value)]]),
                        variant="first", gamma1=0.01)
