@@ -14,18 +14,22 @@ demo      canned end-to-end runs: ``demo example1`` (first-order pipeline
           (second-order pipeline with the order-2 profile)
 
 Configuration is a flat ``key = value`` text file with ``[section]``
-headers.  Every command-line flag mirrors one config key and takes
-precedence over the file.  Unknown sections or keys are rejected with the
-offending location spelled out.  All output files are deterministic: the
-same configuration produces byte-identical CSVs on every run.  Floats are
-written with 17 significant digits, ``.`` decimal separator, no locale,
-and every line ends in LF.
+headers.  One table, ``_KEYS``, gives each key its section, default, flag
+and parser; a flag takes precedence over the file.  Unknown sections or
+keys are rejected with the offending location spelled out.  All output
+files are deterministic: the same configuration produces byte-identical
+CSVs on every run.  Floats are written with 17 significant digits, ``.``
+decimal separator, no locale, and every line ends in LF.
 
-A sample file's rate comes from its t column; fs and n describe
-synthesized signals only.
+The signal source decides fs, n and mode where it can: an example preset
+fixes them, and a sample file takes them from its t column, its row count
+and whether any im value is nonzero.  An explicit value that disagrees is
+an error.  Synthesized components must keep their instantaneous frequency
+inside (0, fs/2), or (0, fs) in complex mode.
 
 Exit codes: 0 success, 2 malformed configuration (including a malformed
-sample file or width table, or a rate too low to leave any band), 3
+sample file or width table, a sampling value the source contradicts, a
+component above Nyquist, or a rate too low to leave any band), 3
 inadmissible window-width profile for the requested analysis, 4 recovery
 requested for a signal without ground truth.
 """
@@ -37,6 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -69,39 +74,7 @@ class MissingTruthError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
-
-_SCHEMA = {
-    "signal": ("preset", "components", "file", "fs", "n", "mode"),
-    "window": ("tau0", "mu"),
-    "sigma": ("kind", "value", "table"),
-    "grid": ("voices_per_octave", "xi_bins"),
-    "thresholds": ("gamma1", "gamma2", "eps3"),
-    "run": ("variant", "outdir", "pgm"),
-}
-
-_DEFAULTS = {
-    ("signal", "fs"): "256",
-    ("signal", "n"): "256",
-    ("signal", "mode"): "real",
-    ("window", "tau0"): "0.05",
-    ("window", "mu"): "1",
-    ("sigma", "kind"): "constant",
-    ("sigma", "value"): "1.0",
-    ("grid", "voices_per_octave"): "32",
-    ("grid", "xi_bins"): "0",
-    ("thresholds", "gamma1"): "0.01",
-    ("thresholds", "gamma2"): "auto",
-    ("thresholds", "eps3"): "auto",
-    ("run", "variant"): "T1",
-    ("run", "outdir"): "out",
-    ("run", "pgm"): "yes",
-}
-
-_VARIANTS = ("T1", "T2", "S2")
-_SIGMA_KINDS = ("constant", "sigma1", "sigma2", "table")
-_PRESETS = ("example1", "example2", "empty")
-
+# configuration keys
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -132,71 +105,185 @@ class RunConfig:
         return 1 if self.variant == "T1" else 2
 
 
-def _parse_components(text: str) -> tuple[ComponentTruth, ...]:
-    """Parse ``kind:arg:...`` specs separated by ``;``.
+# Each parser turns a raw value into its RunConfig value or raises
+# ConfigError at ``loc``, the "[section] key" being parsed.
+
+def _number(kind: type, test: Callable[[Any], bool], need: str):
+    def parse(raw: str, loc: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{loc}: not {what}: {raw!r}") from None
+        if not test(value):
+            raise ConfigError(f"{loc}: must be {need}, got {value}")
+        return value
+    return parse
+
+
+def _at_least(low: int):
+    return _number(int, lambda v: v >= low, f">= {low}")
+
+
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0.0,
+                    "a positive finite number")
+_open_unit = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+def _auto_or_positive(raw: str, loc: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else _positive(raw, loc)
+
+
+def _choice(*options: str):
+    def parse(raw: str, loc: str) -> str:
+        text = raw.strip()
+        for value in (text, text.lower()):      # as written, or lowercased
+            if value in options:
+                return value
+        raise ConfigError(f"{loc}: expected one of {', '.join(options)}, "
+                          f"got {text!r}")
+    return parse
+
+
+def _yes_no(raw: str, loc: str) -> bool:
+    text = raw.strip().lower()
+    if text not in ("yes", "no", "true", "false", "1", "0"):
+        raise ConfigError(f"{loc}: expected yes or no, got {text!r}")
+    return text in ("yes", "true", "1")
+
+
+def _path(raw: str, loc: str) -> Path:
+    return Path(raw.strip())
+
+
+# kind -> (constructor, its arguments before the optional amplitude)
+_COMPONENT_KINDS = {"tone": (tone, "freq"), "chirp": (linear_chirp, "f0:rate"),
+                    "poly": (poly_phase, "c0,c1,...")}
+
+
+def _parse_components(text: str, loc: str) -> tuple[ComponentTruth, ...]:
+    """Parse ``kind:arg:...[:amp]`` specs separated by ``;``.
 
     tone:freq[:amp]     chirp:f0:rate[:amp]     poly:c0,c1,...[:amp]
     """
     comps = []
     for idx, chunk in enumerate(text.split(";"), start=1):
-        loc = f"[signal] components (entry {idx})"
-        fields = [f.strip() for f in chunk.strip().split(":")]
-        if not fields or not fields[0]:
-            raise ConfigError(f"{loc}: empty component spec")
-        kind, args = fields[0], fields[1:]
+        kind, *args = [f.strip() for f in chunk.split(":")]
         try:
-            if kind == "tone":
-                if len(args) not in (1, 2):
-                    raise ValueError("tone takes freq[:amp]")
-                comps.append(tone(float(args[0]),
-                                  float(args[1]) if len(args) == 2 else 1.0))
-            elif kind == "chirp":
-                if len(args) not in (2, 3):
-                    raise ValueError("chirp takes f0:rate[:amp]")
-                comps.append(linear_chirp(
-                    float(args[0]), float(args[1]),
-                    float(args[2]) if len(args) == 3 else 1.0))
-            elif kind == "poly":
-                if len(args) not in (1, 2):
-                    raise ValueError("poly takes c0,c1,...[:amp]")
-                coeffs = tuple(float(c) for c in args[0].split(","))
-                comps.append(poly_phase(
-                    coeffs, float(args[1]) if len(args) == 2 else 1.0))
-            else:
-                raise ValueError(f"unknown component kind {kind!r} "
-                                 "(expected tone, chirp, or poly)")
+            if kind not in _COMPONENT_KINDS:
+                raise ValueError(f"unknown component kind {kind!r} (expected "
+                                 "tone, chirp, or poly)" if kind
+                                 else "empty component spec")
+            make, usage = _COMPONENT_KINDS[kind]
+            if len(args) - usage.count(":") not in (1, 2):
+                raise ValueError(f"{kind} takes {usage}[:amp]")
+            first = tuple(map(float, args[0].split(","))) \
+                if kind == "poly" else float(args[0])
+            comps.append(make(first, *map(float, args[1:])))
         except ValueError as exc:
-            raise ConfigError(f"{loc}: {exc}") from None
-    if not comps:
-        raise ConfigError("[signal] components: no components given")
+            raise ConfigError(f"{loc} (entry {idx}): {exc}") from None
     return tuple(comps)
 
 
-def _positive(value: float, loc: str) -> float:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigError(f"{loc}: must be a positive finite number, "
-                          f"got {value}")
-    return value
+class _Key(NamedTuple):
+    section: str
+    key: str
+    field: str                  # RunConfig attribute
+    default: str | None         # raw default; None leaves the field None
+    flag: str
+    help: str
+    parse: Callable[[str, str], Any]
 
 
-def _float(raw: str, loc: str) -> float:
+# The one list of configuration keys, in flag order.
+_KEYS = (
+    _Key("signal", "preset", "preset", None, "--preset",
+         "signal preset: example1, example2, or empty",
+         _choice("example1", "example2", "empty")),
+    _Key("signal", "components", "components", None, "--components",
+         "inline components, e.g. 'chirp:12:0.5; chirp:26:-0.5'",
+         _parse_components),
+    _Key("signal", "file", "file", None, "--signal-file",
+         "read samples from a t,re,im CSV", _path),
+    _Key("signal", "fs", "fs", "256", "--fs",
+         "sampling rate in Hz (synthesized signals)", _positive),
+    _Key("signal", "n", "n", "256", "--n",
+         "number of samples (synthesized signals)", _at_least(2)),
+    _Key("signal", "mode", "mode", "real", "--mode",
+         "real or complex synthesis", _choice("real", "complex")),
+    _Key("window", "tau0", "tau0", "0.05", "--tau0",
+         "spectral support cutoff in (0, 1)", _open_unit),
+    _Key("window", "mu", "mu", "1", "--mu",
+         "center frequency of the unit-scale wavelet", _positive),
+    _Key("sigma", "kind", "sigma_kind", "constant", "--sigma",
+         "window-width rule: constant, sigma1, sigma2, or table",
+         _choice("constant", "sigma1", "sigma2", "table")),
+    _Key("sigma", "value", "sigma_value", "1.0", "--sigma-value",
+         "width for --sigma constant", _positive),
+    _Key("sigma", "table", "sigma_table", None, "--sigma-table",
+         "b,sigma,dsigma CSV for --sigma table", _path),
+    _Key("grid", "voices_per_octave", "voices", "32", "--voices",
+         "scale samples per octave", _at_least(1)),
+    _Key("grid", "xi_bins", "xi_bins", "0", "--xi-bins",
+         "number of frequency bins (0 = native 0.25 Hz bins)", _at_least(0)),
+    _Key("thresholds", "gamma1", "gamma1", "0.01", "--gamma1",
+         "coefficient threshold", _positive),
+    _Key("thresholds", "gamma2", "gamma2", "auto", "--gamma2",
+         "conditioning threshold for second-order variants, or 'auto'",
+         _auto_or_positive),
+    _Key("thresholds", "eps3", "eps3", "auto", "--eps3",
+         "half-width of the ridge collection window, or 'auto'",
+         _auto_or_positive),
+    _Key("run", "variant", "variant", "T1", "--variant",
+         "phase transform: T1, T2, or S2", _choice("T1", "T2", "S2")),
+    _Key("run", "outdir", "outdir", "out", "--outdir", "output directory",
+         _path),
+    _Key("run", "pgm", "pgm", "yes", "--pgm", "write tf.pgm: yes or no",
+         _yes_no),
+)
+
+_SECTIONS = {sec: tuple(k.key for k in _KEYS if k.section == sec)
+             for sec in dict.fromkeys(k.section for k in _KEYS)}
+
+_PRESET_SPECS = {"example1": example1_spec, "example2": example2_spec}
+
+
+def _read_samples(path: Path) -> SampledSignal:
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{loc}: not a number: {raw!r}") from None
+        return signal_from_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"[signal] file: cannot read: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"[signal] file: {exc}") from None
 
 
-def _int(raw: str, loc: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{loc}: not an integer: {raw!r}") from None
+def _fixed_sampling(cfg: dict) -> tuple[str, dict] | None:
+    """(origin, {fs, n, mode}) of a source that fixes its own sampling."""
+    if cfg["file"] is not None:
+        sig = _read_samples(cfg["file"])
+        return "the sample file", dict(
+            fs=float(sig.fs), n=sig.t.size,
+            mode="complex" if np.iscomplexobj(sig.x) else "real")
+    if cfg["preset"] in _PRESET_SPECS:
+        spec = _PRESET_SPECS[cfg["preset"]]()
+        return (f"preset {cfg['preset']}",
+                dict(fs=spec.fs, n=spec.n, mode=spec.mode))
+    return None
 
 
-def _auto_or_positive(raw: str, loc: str) -> float | None:
-    if raw.strip().lower() == "auto":
-        return None
-    return _positive(_float(raw, loc), loc)
+def _check_nyquist(components: tuple[ComponentTruth, ...], fs: float,
+                   n: int, mode: str) -> None:
+    """Every instantaneous frequency must fit the sampled band."""
+    t = SignalSpec(components=components, fs=fs, n=n, mode=mode).times()
+    top = fs if mode == "complex" else fs / 2.0
+    for idx, comp in enumerate(components, start=1):
+        f = comp.dphase(t)
+        if not (np.min(f) > 0.0 and np.max(f) < top):
+            raise ConfigError(
+                f"[signal] components (entry {idx}): instantaneous "
+                f"frequency {np.min(f):g} to {np.max(f):g} Hz leaves "
+                f"(0, {top:g}) Hz, the band of a {mode} signal sampled at "
+                f"{fs:g} Hz")
 
 
 def load_config(path: Path | None,
@@ -221,121 +308,47 @@ def load_config(path: Path | None,
         except configparser.Error as exc:
             raise ConfigError(str(exc)) from None
 
-    for sec in cp.sections():
-        if sec not in _SCHEMA:
+    raw = {(sec, key): val for sec in cp.sections()
+           for key, val in cp.items(sec)}
+    raw.update(overrides or {})
+    for sec in dict.fromkeys([*cp.sections(), *(sec for sec, _ in raw)]):
+        if sec not in _SECTIONS:
             raise ConfigError(f"[{sec}]: unknown section "
-                              f"(expected one of {', '.join(_SCHEMA)})")
-        for key in cp[sec]:
-            if key not in _SCHEMA[sec]:
-                raise ConfigError(f"[{sec}] {key}: unknown key (expected "
-                                  f"one of {', '.join(_SCHEMA[sec])})")
+                              f"(expected one of {', '.join(_SECTIONS)})")
+    for sec, key in raw:
+        if key not in _SECTIONS[sec]:
+            raise ConfigError(f"[{sec}] {key}: unknown key (expected "
+                              f"one of {', '.join(_SECTIONS[sec])})")
 
-    raw: dict[tuple[str, str], str] = {}
-    explicit: set[tuple[str, str]] = set()
-    for sec in _SCHEMA:
-        if cp.has_section(sec):
-            for key, val in cp.items(sec):
-                raw[(sec, key)] = val
-                explicit.add((sec, key))
-    for (sec, key), val in (overrides or {}).items():
-        if sec not in _SCHEMA or key not in _SCHEMA[sec]:
-            raise ConfigError(f"[{sec}] {key}: unknown key")
-        raw[(sec, key)] = val
-        explicit.add((sec, key))
-    for loc, val in _DEFAULTS.items():
-        raw.setdefault(loc, val)
+    cfg = {}
+    for k in _KEYS:
+        text = raw.get((k.section, k.key), k.default)
+        cfg[k.field] = None if text is None \
+            else k.parse(text, f"[{k.section}] {k.key}")
 
     sources = [src for src in ("preset", "components", "file")
-               if ("signal", src) in raw]
+               if cfg[src] is not None]
     if len(sources) != 1:
         raise ConfigError("[signal]: exactly one of preset, components, or "
                           f"file must be set (got {len(sources)})")
-    source = sources[0]
+    if cfg["sigma_kind"] == "table" and cfg["sigma_table"] is None:
+        raise ConfigError("[sigma] table: required when kind = table")
 
-    fs = _positive(_float(raw[("signal", "fs")], "[signal] fs"),
-                   "[signal] fs")
-    n = _int(raw[("signal", "n")], "[signal] n")
-    if n < 2:
-        raise ConfigError(f"[signal] n: must be >= 2, got {n}")
-    mode = raw[("signal", "mode")].strip().lower()
-    if mode not in ("real", "complex"):
-        raise ConfigError(f"[signal] mode: expected real or complex, "
-                          f"got {mode!r}")
-
-    preset = components = file = None
-    if source == "preset":
-        preset = raw[("signal", "preset")].strip().lower()
-        if preset not in _PRESETS:
-            raise ConfigError(f"[signal] preset: unknown preset {preset!r} "
-                              f"(expected one of {', '.join(_PRESETS)})")
-        if preset in ("example1", "example2"):
-            fixed = example1_spec() if preset == "example1" \
-                else example2_spec()
-            for key, want, have in (("fs", fixed.fs, fs),
-                                    ("n", fixed.n, float(n))):
-                if ("signal", key) in explicit and have != want:
-                    raise ConfigError(f"[signal] {key}: preset {preset} "
-                                      f"fixes {key}={want:g}")
-            if ("signal", "mode") in explicit and mode != fixed.mode:
-                raise ConfigError(f"[signal] mode: preset {preset} fixes "
-                                  f"mode={fixed.mode}")
-            fs, n, mode = fixed.fs, fixed.n, fixed.mode
-    elif source == "components":
-        components = _parse_components(raw[("signal", "components")])
-    else:
-        file = Path(raw[("signal", "file")].strip())
-
-    tau0 = _float(raw[("window", "tau0")], "[window] tau0")
-    if not 0.0 < tau0 < 1.0:
-        raise ConfigError(f"[window] tau0: must lie in (0, 1), got {tau0}")
-    mu = _positive(_float(raw[("window", "mu")], "[window] mu"),
-                   "[window] mu")
-
-    sigma_kind = raw[("sigma", "kind")].strip().lower()
-    if sigma_kind not in _SIGMA_KINDS:
-        raise ConfigError(f"[sigma] kind: expected one of "
-                          f"{', '.join(_SIGMA_KINDS)}, got {sigma_kind!r}")
-    sigma_value = _positive(_float(raw[("sigma", "value")], "[sigma] value"),
-                            "[sigma] value")
-    sigma_table = None
-    if sigma_kind == "table":
-        if ("sigma", "table") not in raw:
-            raise ConfigError("[sigma] table: required when kind = table")
-        sigma_table = Path(raw[("sigma", "table")].strip())
-
-    voices = _int(raw[("grid", "voices_per_octave")],
-                  "[grid] voices_per_octave")
-    if voices < 1:
-        raise ConfigError(f"[grid] voices_per_octave: must be >= 1, "
-                          f"got {voices}")
-    xi_bins = _int(raw[("grid", "xi_bins")], "[grid] xi_bins")
-    if xi_bins < 0:
-        raise ConfigError(f"[grid] xi_bins: must be >= 0 (0 means the "
-                          f"native 0.25 Hz bins), got {xi_bins}")
-
-    gamma1 = _positive(_float(raw[("thresholds", "gamma1")],
-                              "[thresholds] gamma1"), "[thresholds] gamma1")
-    gamma2 = _auto_or_positive(raw[("thresholds", "gamma2")],
-                               "[thresholds] gamma2")
-    eps3 = _auto_or_positive(raw[("thresholds", "eps3")],
-                             "[thresholds] eps3")
-
-    variant = raw[("run", "variant")].strip()
-    if variant not in _VARIANTS:
-        raise ConfigError(f"[run] variant: expected one of "
-                          f"{', '.join(_VARIANTS)}, got {variant!r}")
-    outdir = Path(raw[("run", "outdir")].strip())
-    pgm_raw = raw[("run", "pgm")].strip().lower()
-    if pgm_raw not in ("yes", "no", "true", "false", "1", "0"):
-        raise ConfigError(f"[run] pgm: expected yes or no, got {pgm_raw!r}")
-    pgm = pgm_raw in ("yes", "true", "1")
-
-    return RunConfig(preset=preset, components=components, file=file,
-                     fs=fs, n=n, mode=mode, tau0=tau0, mu=mu,
-                     sigma_kind=sigma_kind, sigma_value=sigma_value,
-                     sigma_table=sigma_table, voices=voices, xi_bins=xi_bins,
-                     gamma1=gamma1, gamma2=gamma2, eps3=eps3,
-                     variant=variant, outdir=outdir, pgm=pgm)
+    fixed = _fixed_sampling(cfg)
+    if fixed is not None:
+        origin, values = fixed
+        for key, want in values.items():
+            have = cfg[key]
+            agrees = math.isclose(have, want, rel_tol=1e-9) if key == "fs" \
+                else have == want
+            if ("signal", key) in raw and not agrees:
+                shown = f"{want:g}" if key == "fs" else want
+                raise ConfigError(f"[signal] {key}: {origin} fixes "
+                                  f"{key}={shown}, got {have}")
+        cfg.update(values)
+    if cfg["components"] is not None:
+        _check_nyquist(cfg["components"], cfg["fs"], cfg["n"], cfg["mode"])
+    return RunConfig(**cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +357,13 @@ def load_config(path: Path | None,
 def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
     """Materialize the configured signal (spec is None for file signals)."""
     if cfg.file is not None:
-        try:
-            sig = signal_from_csv(cfg.file)
-        except OSError as exc:
-            raise ConfigError(f"[signal] file: cannot read: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"[signal] file: {exc}") from None
-        return None, sig
-    if cfg.preset == "example1":
-        spec = example1_spec()
-    elif cfg.preset == "example2":
-        spec = example2_spec()
-    elif cfg.preset == "empty":
-        spec = SignalSpec(components=(tone(40.0, 0.0),), fs=cfg.fs, n=cfg.n,
-                          mode=cfg.mode)
+        return None, _read_samples(cfg.file)
+    if cfg.preset in _PRESET_SPECS:
+        spec = _PRESET_SPECS[cfg.preset]()
     else:
-        spec = SignalSpec(components=cfg.components, fs=cfg.fs, n=cfg.n,
-                          mode=cfg.mode)
+        comps = (tone(40.0, 0.0),) if cfg.preset == "empty" \
+            else cfg.components
+        spec = SignalSpec(components=comps, fs=cfg.fs, n=cfg.n, mode=cfg.mode)
     return spec, synthesize(spec)
 
 
@@ -371,11 +374,15 @@ def _read_sigma_table(path: Path, t: np.ndarray) -> SigmaProfile:
         raise ConfigError(f"[sigma] table: cannot read: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"[sigma] table: {exc}") from None
-    if data.shape[0] != t.size or np.max(np.abs(data[:, 0] - t)) > 1e-9:
-        raise ConfigError("[sigma] table: the b column must match the "
-                          "signal's time grid sample for sample")
-    if np.any(data[:, 1] <= 0.0):
-        raise ConfigError("[sigma] table: sigma must be positive everywhere")
+    if data.shape[0] != t.size:
+        raise ConfigError(f"[sigma] table: expected {t.size} rows, one per "
+                          f"signal sample, got {data.shape[0]}")
+    for bad, what in ((np.abs(data[:, 0] - t) > 1e-9,
+                       "the b column must match the signal's time grid"),
+                      (data[:, 1] <= 0.0, "sigma must be positive")):
+        if np.any(bad):
+            raise ConfigError(f"[sigma] table: line {np.argmax(bad) + 2}: "
+                              f"{what}")
     return SigmaProfile(b=t, sigma=data[:, 1], dsigma=data[:, 2],
                         kind="table")
 
@@ -525,8 +532,7 @@ def _write_report(cfg: RunConfig, res: Analysis) -> None:
             bound = rep.recovery_bound
         else:
             rep = bounds_second(spec, res.wm, res.profile, res.zs,
-                                cfg.gamma1, res.plane.gamma2,
-                                stack=res.stack)
+                                cfg.gamma1, res.plane.gamma2)
             bound = rep.recovery_bound_main / np.abs(norms.c_k)
         result = recover(res.tf, norms, ridge, eps3,
                          mode="first" if cfg.order == 1 else "second",
@@ -566,13 +572,10 @@ def cmd_recover(cfg: RunConfig) -> int:
 
 
 _DEMO_OVERRIDES = {
-    "example1": {("signal", "preset"): "example1",
-                 ("sigma", "kind"): "sigma1",
-                 ("run", "variant"): "T1"},
-    "example2": {("signal", "preset"): "example2",
-                 ("sigma", "kind"): "sigma2",
-                 ("run", "variant"): "S2"},
-}
+    preset: {("signal", "preset"): preset, ("sigma", "kind"): kind,
+             ("run", "variant"): variant}
+    for preset, kind, variant in (("example1", "sigma1", "T1"),
+                                  ("example2", "sigma2", "S2"))}
 
 
 def cmd_demo(cfg: RunConfig) -> int:
@@ -587,35 +590,10 @@ def cmd_demo(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_FLAGS: tuple[tuple[str, str, str, str], ...] = (
-    # flag, section, key, help
-    ("--preset", "signal", "preset",
-     "signal preset: example1, example2, or empty"),
-    ("--components", "signal", "components",
-     "inline components, e.g. 'chirp:12:0.5; chirp:26:-0.5'"),
-    ("--signal-file", "signal", "file", "read samples from a t,re,im CSV"),
-    ("--fs", "signal", "fs", "sampling rate in Hz (synthesized signals)"),
-    ("--n", "signal", "n", "number of samples (synthesized signals)"),
-    ("--mode", "signal", "mode", "real or complex synthesis"),
-    ("--tau0", "window", "tau0", "spectral support cutoff in (0, 1)"),
-    ("--mu", "window", "mu", "center frequency of the unit-scale wavelet"),
-    ("--sigma", "sigma", "kind",
-     "window-width rule: constant, sigma1, sigma2, or table"),
-    ("--sigma-value", "sigma", "value", "width for --sigma constant"),
-    ("--sigma-table", "sigma", "table", "b,sigma,dsigma CSV for --sigma "
-     "table"),
-    ("--voices", "grid", "voices_per_octave", "scale samples per octave"),
-    ("--xi-bins", "grid", "xi_bins",
-     "number of frequency bins (0 = native 0.25 Hz bins)"),
-    ("--gamma1", "thresholds", "gamma1", "coefficient threshold"),
-    ("--gamma2", "thresholds", "gamma2",
-     "conditioning threshold for second-order variants, or 'auto'"),
-    ("--eps3", "thresholds", "eps3",
-     "half-width of the ridge collection window, or 'auto'"),
-    ("--variant", "run", "variant", "phase transform: T1, T2, or S2"),
-    ("--outdir", "run", "outdir", "output directory"),
-    ("--pgm", "run", "pgm", "write tf.pgm: yes or no"),
-)
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    for k in keys:
+        parser.add_argument(k.flag, metavar="V", dest=f"{k.section}.{k.key}",
+                            help=k.help)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -629,9 +607,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="configuration file ([section] key = value)")
-    for flag, sec, key, help_text in _FLAGS:
-        common.add_argument(flag, metavar="V", dest=f"{sec}.{key}",
-                            help=help_text)
+    _add_flags(common, _KEYS)
 
     sub.add_parser("synth", parents=[common],
                    help="write the configured signal to signal.csv")
@@ -644,41 +620,34 @@ def _make_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run synth+analyze+recover with "
                                        "canned example settings")
     demo.add_argument("preset", choices=sorted(_DEMO_OVERRIDES))
-    demo.add_argument("--outdir", metavar="DIR",
-                      help="output directory (default: out)")
-    demo.add_argument("--pgm", metavar="V", help="write tf.pgm: yes or no")
+    # demo fixes the signal, the width rule and the variant; it takes the
+    # other [run] keys
+    _add_flags(demo, [k for k in _KEYS if k.section == "run" and
+                      (k.section, k.key) not in _DEMO_OVERRIDES["example1"]])
     return top
+
+
+_COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
+             "recover": cmd_recover, "demo": cmd_demo}
+_EXITS = {ConfigError: (2, "config"), AdmissibilityError: (3, "admissibility"),
+          MissingTruthError: (4, "recovery")}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
+    # flag destinations are "section.key"
+    overrides = {tuple(dest.split(".")): val for dest, val in
+                 vars(args).items() if "." in dest and val is not None}
+    if args.command == "demo":
+        overrides.update(_DEMO_OVERRIDES[args.preset])
+    config = getattr(args, "config", None)
     try:
-        if args.command == "demo":
-            overrides = dict(_DEMO_OVERRIDES[args.preset])
-            if args.outdir is not None:
-                overrides[("run", "outdir")] = args.outdir
-            if args.pgm is not None:
-                overrides[("run", "pgm")] = args.pgm
-            cfg = load_config(None, overrides)
-            return cmd_demo(cfg)
-        overrides = {}
-        for flag, sec, key, _ in _FLAGS:
-            val = getattr(args, f"{sec}.{key}")
-            if val is not None:
-                overrides[(sec, key)] = val
-        cfg = load_config(Path(args.config) if args.config else None,
-                          overrides)
-        return {"synth": cmd_synth, "analyze": cmd_analyze,
-                "recover": cmd_recover}[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except AdmissibilityError as exc:
-        print(f"admissibility error: {exc}", file=sys.stderr)
-        return 3
-    except MissingTruthError as exc:
-        print(f"recovery error: {exc}", file=sys.stderr)
-        return 4
+        cfg = load_config(Path(config) if config else None, overrides)
+        return _COMMANDS[args.command](cfg)
+    except tuple(_EXITS) as exc:
+        code, label = _EXITS[type(exc)]
+        print(f"{label} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

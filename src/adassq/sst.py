@@ -233,9 +233,9 @@ def extract_ridge(tf: TfPlane, jump_penalty: float = 0.2) -> Array:
 
     Dynamic program maximizing sum_b |T(ridge(b), b)| minus
     jump_penalty * max|T| per bin of frequency jump between consecutive
-    columns.  A pragmatic extractor for exploration and the CLI demo; the
-    analysis guarantees in this package are stated for ground-truth ridges,
-    not for tracks produced here.
+    columns.  A pragmatic extractor for library users exploring a plane
+    (no command calls it); the analysis guarantees in this package are
+    stated for ground-truth ridges, not for tracks produced here.
     """
     if jump_penalty < 0.0:
         raise ValueError("jump_penalty must be nonnegative")

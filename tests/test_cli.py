@@ -2,12 +2,15 @@
 
 What is proven here
 -------------------
-1. Configuration handling: defaults fill in, flags beat the file, unknown
+1. Configuration handling: defaults fill in, flags beat the file, every
+   key gives the same settings from the file as from its flag, the
+   README's config block is exactly the defaults, unknown
    sections/keys/presets are rejected with their location spelled out,
    numeric ranges are enforced, inline component specs parse to the right
-   ground truth, presets lock their sampling parameters, and window-width
-   tables are validated against the signal's time grid, with a short row
-   or a non-finite value reported by its file line.
+   ground truth and must stay below Nyquist, presets and sample files fix
+   their sampling parameters, and window-width tables are validated
+   against the signal's time grid, with an off-grid time, a nonpositive
+   width, a short row or a non-finite value reported by its file line.
 2. synth: the presets write the documented signal.csv files (256 rows for
    both running examples, zero-filled rows for the silent preset) and the
    bytes agree with the library's own writer.
@@ -34,6 +37,7 @@ What is proven here
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -43,6 +47,7 @@ import numpy as np
 import pytest
 
 import adassq
+from adassq import cli
 from adassq.cli import ConfigError, load_config, main, run_analysis
 from adassq.signals import example1_spec, example2_spec
 from adassq.sst import PhasePlane, SqueezeConfig, squeeze, tf_to_csv
@@ -104,6 +109,81 @@ def test_flag_overrides_beat_file(tmp_path):
     assert cfg.variant == "T1"
 
 
+# A non-default value for every configuration key, and the other keys it
+# needs; None stands for a sample file written by the test.
+_EMPTY = {("signal", "preset"): "empty"}
+_KEY_SAMPLES = {
+    ("signal", "preset"): ("example2", {}),
+    ("signal", "components"): ("tone:40:2; chirp:10:5", {}),
+    ("signal", "file"): (None, {}),
+    ("signal", "fs"): ("128", _EMPTY),
+    ("signal", "n"): ("64", _EMPTY),
+    ("signal", "mode"): ("complex", _EMPTY),
+    ("window", "tau0"): ("0.1", _EMPTY),
+    ("window", "mu"): ("2", _EMPTY),
+    ("sigma", "kind"): ("sigma1", _EMPTY),
+    ("sigma", "value"): ("2.5", _EMPTY),
+    ("sigma", "table"): ("w.csv", {**_EMPTY, ("sigma", "kind"): "table"}),
+    ("grid", "voices_per_octave"): ("16", _EMPTY),
+    ("grid", "xi_bins"): ("100", _EMPTY),
+    ("thresholds", "gamma1"): ("0.02", _EMPTY),
+    ("thresholds", "gamma2"): ("0.5", _EMPTY),
+    ("thresholds", "eps3"): ("3", _EMPTY),
+    ("run", "variant"): ("S2", _EMPTY),
+    ("run", "outdir"): ("elsewhere", _EMPTY),
+    ("run", "pgm"): ("no", _EMPTY),
+}
+
+
+def _write_cfg(path, settings):
+    sections: dict[str, list[str]] = {}
+    for (sec, key), val in settings.items():
+        sections.setdefault(sec, []).append(f"{key} = {val}")
+    path.write_text("".join(f"[{sec}]\n" + "\n".join(lines) + "\n"
+                            for sec, lines in sections.items()))
+    return path
+
+
+def _comparable(cfg):
+    """RunConfig with components replaced by their sampled tracks (the
+    component callables compare by identity)."""
+    t = np.linspace(0.0, 1.0, 5)
+    tracks = cfg.components and tuple(
+        (tuple(c.dphase(t)), tuple(c.amp(t))) for c in cfg.components)
+    return dataclasses.replace(cfg, components=tracks)
+
+
+@pytest.mark.parametrize("row", cli._KEYS,
+                         ids=lambda k: f"{k.section}.{k.key}")
+def test_file_and_flag_give_the_same_config(row, tmp_path, monkeypatch):
+    value, context = _KEY_SAMPLES[(row.section, row.key)]
+    if value is None:
+        value = str(tmp_path / "samples.csv")
+        (tmp_path / "samples.csv").write_text("t,re,im\n0,1,0\n0.5,0,0\n")
+    from_file = load_config(_write_cfg(
+        tmp_path / "key.cfg", {**context, (row.section, row.key): value}))
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "synth",
+                        lambda cfg: seen.append(cfg) or 0)
+    assert run("synth", "--config",
+               str(_write_cfg(tmp_path / "context.cfg", context)),
+               row.flag, value) == 0
+    assert _comparable(seen[0]) == _comparable(from_file)
+    if row.default is not None:     # the sample really moves the field
+        assert getattr(from_file, row.field) != \
+            getattr(load_config(None, context), row.field)
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n")[1].split("```")[0]
+    text = "".join(line.split(";")[0].rstrip() + "\n"
+                   for line in block.splitlines())
+    (tmp_path / "readme.cfg").write_text(text)
+    assert load_config(tmp_path / "readme.cfg") == \
+        load_config(None, {("signal", "preset"): "example1"})
+
+
 def test_unknown_locations_are_spelled_out(tmp_path):
     bad_section = tmp_path / "a.cfg"
     bad_section.write_text("[signal]\npreset = example1\n[extra]\nx = 1\n")
@@ -159,6 +239,8 @@ def test_component_specs_parse_to_ground_truth():
     ("tone:-5", "entry 1"),
     ("chirp:10", "chirp"),
     (";", "empty"),
+    ("tone:200", "entry 1"),                 # above the 128 Hz Nyquist
+    ("tone:40; chirp:100:40", "entry 2"),    # crosses Nyquist at t = 0.7
 ])
 def test_bad_component_specs(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -185,6 +267,25 @@ def test_presets_lock_their_sampling():
     assert cfg.n == 64
 
 
+def test_sample_file_fixes_fs_n_and_mode(tmp_path, capsys):
+    src = tmp_path / "src"
+    assert run("synth", "--components", "tone:8", "--fs", "32", "--n", "32",
+               "--outdir", str(src)) == 0
+    path = str(src / "signal.csv")
+    cfg = load_config(None, {("signal", "file"): path})
+    assert (cfg.fs, cfg.n, cfg.mode) == (32.0, 32, "real")
+    agreeing = {("signal", "fs"): "32", ("signal", "n"): "32",
+                ("signal", "mode"): "real"}
+    assert load_config(None, {("signal", "file"): path, **agreeing}) == cfg
+    for flag, value in (("--fs", "999"), ("--n", "5"), ("--mode", "complex")):
+        out = tmp_path / flag[2:]
+        assert run("analyze", "--signal-file", path, flag, value,
+                   "--outdir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"[signal] {flag[2:]}: the sample file fixes" in err, err
+        assert not out.exists()
+
+
 def test_sigma_table_validation(tmp_path, capsys):
     base = {("signal", "preset"): "empty", ("signal", "n"): "8",
             ("signal", "fs"): "8", ("sigma", "kind"): "table"}
@@ -199,14 +300,14 @@ def test_sigma_table_validation(tmp_path, capsys):
     shifted = tmp_path / "sh.csv"
     shifted.write_text("b,sigma,dsigma\n" +
                        "".join(f"{x + 0.5},1,0\n" for x in t))
-    with pytest.raises(ConfigError, match="time grid"):
+    with pytest.raises(ConfigError, match="line 2: .*time grid"):
         run_analysis(load_config(None, {**base,
                                         ("sigma", "table"): str(shifted)}))
 
     negative = tmp_path / "ng.csv"
     negative.write_text("b,sigma,dsigma\n" +
                         "".join(f"{x},-1,0\n" for x in t))
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="line 2: .*positive"):
         run_analysis(load_config(None, {**base,
                                         ("sigma", "table"): str(negative)}))
 
