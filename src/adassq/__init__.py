@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .windows import (  # noqa: F401
     WindowKind,
     WindowModel,
-    chirp_factor,
     chirped_transform_G,
     chirped_transform_Gj,
     essential_alpha,
@@ -67,7 +66,6 @@ from .sst import (  # noqa: F401
     chirp_rate_estimate,
     conservation_defect,
     default_gamma2,
-    extract_ridge,
     phase_first,
     phase_second,
     squeeze,
@@ -82,7 +80,6 @@ from .bounds import (  # noqa: F401
     ResidualDiag,
     bounds_first,
     bounds_second,
-    expansion_envelopes,
     normalizers,
     recover,
     report_to_csv,

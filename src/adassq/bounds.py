@@ -29,13 +29,10 @@ from .separation import SigmaProfile, ZoneSet, spectral_distance
 from .signals import SignalSpec, class_params, write_table
 from .sst import TfPlane, chirp_rate_estimate
 from .windows import (WindowModel, chirped_transform_G,
-                      chirped_transform_Gj, gauss_hat)
+                      chirped_transform_Gj, gauss_hat, moment)
 
 Array = np.ndarray
 TWO_PI = 2.0 * math.pi
-
-# The analysis window has unit area by construction, so its L1 norm is 1.
-WINDOW_L1_NORM = 1.0
 
 # Gauss-Legendre on the plain variable loses digits as a band's lower edge
 # nears the 1/a pole (9e-3 relative at sigma*mu/alpha = 1.001 with 32
@@ -146,12 +143,12 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
             real_signal: bool = False) -> RecoveryResult:
     """Integrate the squeezed plane over |xi - ridge_k(b)| < eps3 and normalize.
 
-    ridge has shape (K, n) in Hz (ground-truth instantaneous frequencies by
-    default; an extracted track works too).  eps3 is a scalar or per-time
-    array of window half-widths.  mode "first" divides by c_alpha, mode
-    "second" by the per-component c_k.  truth, when given, has shape (K, n)
-    and is compared against the estimate (against its real part when
-    real_signal is set).
+    ridge has shape (K, n) in Hz: one frequency track per component (the
+    error budgets hold along the true instantaneous frequencies).  eps3 is
+    a scalar or per-time array of window half-widths.  mode "first" divides
+    by c_alpha, mode "second" by the per-component c_k.  truth, when given,
+    has shape (K, n) and is compared against the estimate (against its
+    real part when real_signal is set).
     """
     ridge = np.atleast_2d(np.asarray(ridge, dtype=float))
     K, n = ridge.shape
@@ -202,12 +199,8 @@ class BoundReport:
 
     Second-order part: recovery_bound_main is the budget matching the
     hybrid-squeezed recovery (to be divided by |c_k| by the caller, as the
-    certified inequality states it); recovery_bound_gap adds the penalty
-    for scale cells the strict variant skips; cross_mass_strict[l, k] is
-    the chirp-aware leakage mass; skip_measure/keep_measure are the log-
-    scale measures of the skipped/kept cell sets; env_const/env_curv give
-    the five expansion-residual envelopes as const + curv * a**2 (rows:
-    plain, t-, t^2-, derivative-, t*derivative-window).
+    certified inequality states it); cross_mass_strict[l, k] is the
+    chirp-aware leakage mass of component l in component k's zone.
     """
 
     b: Array
@@ -219,38 +212,7 @@ class BoundReport:
     recovery_bound: Array | None = None
     cross_mass: Array | None = None
     recovery_bound_main: Array | None = None
-    recovery_bound_gap: Array | None = None
     cross_mass_strict: Array | None = None
-    skip_measure: Array | None = None
-    keep_measure: Array | None = None
-    env_const: Array | None = None
-    env_curv: Array | None = None
-
-
-def expansion_envelopes(spec: SignalSpec,
-                        wm: WindowModel,
-                        profile: SigmaProfile) -> tuple[Array, Array]:
-    """Envelopes of the five expansion residuals as const + curv * a**2.
-
-    Row order: plain, t-, t^2-, derivative-, and t*derivative-window
-    transforms.  The constant part scales with the amplitude-drift class
-    parameter, the curvature part with the third-phase-derivative one.
-    """
-    cp = class_params(spec)
-    K = len(spec.components)
-    b = profile.b
-    amp_total = sum(c.amp(b) for c in spec.components)
-    sig2 = profile.sigma ** 2
-    const = np.empty(5)
-    curv = np.empty((5, len(b)))
-    rows = ((1, 3, False), (2, 4, False), (3, 5, False),
-            (1, 3, True), (2, 4, True))
-    for r, (n_lo, n_hi, deriv) in enumerate(rows):
-        lo = wm.abs_moment_deriv(n_lo) if deriv else wm.abs_moment(n_lo)
-        hi = wm.abs_moment_deriv(n_hi) if deriv else wm.abs_moment(n_hi)
-        const[r] = K * cp.eps1 * lo
-        curv[r] = (math.pi / 3.0) * cp.eps3 * hi * sig2 * amp_total
-    return const, curv
 
 
 def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
@@ -270,8 +232,8 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     A = np.stack([c.amp(b) for c in spec.components])
     amp_total = A.sum(axis=0)
 
-    i1, i2 = wm.abs_moment(1), wm.abs_moment(2)
-    d1, d2 = wm.abs_moment_deriv(1), wm.abs_moment_deriv(2)
+    i1, i2 = moment(1), moment(2)
+    d1, d2 = moment(1, of_derivative=True), moment(2, of_derivative=True)
     shape_term = (mu * sig + alpha)[None, :] / f * amp_total[None, :]
     res_env = K * cp.eps1 * i1 + math.pi * cp.eps2 * i2 * shape_term
     res_env_deriv = K * cp.eps1 * d1 + math.pi * cp.eps2 * d2 * shape_term
@@ -310,15 +272,16 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
 
 
 def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
-                  zs: ZoneSet, eps1_tilde: float, eps2_tilde: float,
-                  stack: CwtStack | None = None) -> BoundReport:
+                  zs: ZoneSet, eps1_tilde: float,
+                  eps2_tilde: float) -> BoundReport:
     """Second-order budgets: chirp-aware recovery bounds per (k, b).
 
     recovery_bound_main certifies the hybrid-squeezed windowed recovery
-    once divided by |c_k|.  recovery_bound_gap needs the stack: it adds the
-    mass of zone cells whose second-order denominator conditioning falls at
-    or below eps2_tilde (the strict variant drops them), measured from the
-    stack's masks.  Without a stack the gap part and the measures are None.
+    once divided by |c_k|: a threshold term eps1_tilde * log(u_k/l_k) over
+    the zone, amplitude-drift and phase-curvature terms, and the chirp-aware
+    leakage of the other components.  eps2_tilde is only recorded in the
+    report: the budget is for the hybrid plane, which keeps the cells that
+    the conditioning threshold drops from the strict plane.
     """
     if eps1_tilde <= 0.0 or eps2_tilde <= 0.0:
         raise ValueError("thresholds must be positive")
@@ -334,7 +297,7 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     fpp = np.stack([c.d2phase(b) for c in spec.components])
     A = np.stack([c.amp(b) for c in spec.components])
     amp_total = A.sum(axis=0)
-    i1, i3 = wm.abs_moment(1), wm.abs_moment(3)
+    i1, i3 = moment(1), moment(3)
 
     width = np.where(zs.valid, zs.upper - zs.lower, np.nan)
     log_term = np.where(zs.valid, np.log(zs.upper / zs.lower), np.nan)
@@ -358,36 +321,9 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
         cross[k] = sum(A[l] * cross_mass_strict[l, k]
                        for l in range(K) if l != k)
     main = eps1_tilde * log_term + drift + curvature + cross
-
-    gap = skip = keep = None
-    if stack is not None:
-        _, cond = chirp_rate_estimate(stack)
-        absw = np.abs(stack.w)
-        a = stack.grid.a
-        skip = np.zeros((K, n))
-        keep = np.zeros((K, n))
-        skipped_lin = np.zeros((K, n))
-        in_zone = ((a[None, :, None] > zs.lower[:, None, :])
-                   & (a[None, :, None] < zs.upper[:, None, :])
-                   & zs.valid[:, None, :])
-        masked = in_zone & (absw > eps1_tilde)[None, :, :]
-        cond_ok = np.isfinite(cond) & (cond > eps2_tilde)
-        dlog = stack.grid.dlog
-        for k in range(K):
-            u_set = masked[k] & ~cond_ok
-            v_set = masked[k] & cond_ok
-            skip[k] = u_set.sum(axis=0) * dlog
-            keep[k] = v_set.sum(axis=0) * dlog
-            skipped_lin[k] = (a[:, None] * u_set).sum(axis=0) * dlog
-        gap = (A * skipped_lin / np.where(zs.valid, zs.lower, np.nan)
-               * WINDOW_L1_NORM + drift + curvature + cross)
-
-    const, curv = expansion_envelopes(spec, wm, profile)
     return BoundReport(b=b, eps1_tilde=eps1_tilde, eps2_tilde=eps2_tilde,
-                       recovery_bound_main=main, recovery_bound_gap=gap,
-                       cross_mass_strict=cross_mass_strict,
-                       skip_measure=skip, keep_measure=keep,
-                       env_const=const, env_curv=curv)
+                       recovery_bound_main=main,
+                       cross_mass_strict=cross_mass_strict)
 
 
 # ------------------------------------------------------ residual diagnostics

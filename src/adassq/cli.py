@@ -15,11 +15,13 @@ demo      canned end-to-end runs: ``demo example1`` (first-order pipeline
 
 Configuration is a flat ``key = value`` text file with ``[section]``
 headers.  One table, ``_KEYS``, gives each key its section, default, flag
-and parser; a flag takes precedence over the file.  Unknown sections or
-keys are rejected with the offending location spelled out.  All output
-files are deterministic: the same configuration produces byte-identical
-CSVs on every run.  Floats are written with 17 significant digits, ``.``
-decimal separator, no locale, and every line ends in LF.
+and parser; a flag takes precedence over the file.  In the file, a ``;``
+after whitespace starts a comment, except in ``[signal] components``,
+where ``;`` separates the entries; flag values are taken whole.  Unknown
+sections or keys are rejected with the offending location spelled out.
+All output files are deterministic: the same configuration produces
+byte-identical CSVs on every run.  Floats are written with 17 significant
+digits, ``.`` decimal separator, no locale, and every line ends in LF.
 
 The signal source decides fs, n and mode where it can: an example preset
 fixes them, and a sample file takes them from its t column, its row count
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,6 +156,8 @@ def _yes_no(raw: str, loc: str) -> bool:
 
 
 def _path(raw: str, loc: str) -> Path:
+    if not raw.strip():         # Path("") would be the working directory
+        raise ConfigError(f"{loc}: expected a path, got an empty value")
     return Path(raw.strip())
 
 
@@ -308,8 +313,11 @@ def load_config(path: Path | None,
         except configparser.Error as exc:
             raise ConfigError(str(exc)) from None
 
-    raw = {(sec, key): val for sec in cp.sections()
-           for key, val in cp.items(sec)}
+    # A ';' at the start of a file value or after whitespace begins a
+    # comment, except in [signal] components, whose entries ';' separates.
+    raw = {(sec, key): val if (sec, key) == ("signal", "components")
+           else re.split(r"(?:^|\s);", val, maxsplit=1)[0].rstrip()
+           for sec in cp.sections() for key, val in cp.items(sec)}
     raw.update(overrides or {})
     for sec in dict.fromkeys([*cp.sections(), *(sec for sec, _ in raw)]):
         if sec not in _SECTIONS:

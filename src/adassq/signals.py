@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,9 +131,6 @@ class SignalSpec:
     @property
     def duration(self) -> float:
         return self.n / self.fs
-
-    def with_mode(self, mode: str) -> "SignalSpec":
-        return replace(self, mode=mode)
 
 
 @dataclass(frozen=True)

@@ -228,36 +228,6 @@ def conservation_defect(stack: CwtStack, plane: PhasePlane,
     return np.abs(squeezed - masked)
 
 
-def extract_ridge(tf: TfPlane, jump_penalty: float = 0.2) -> Array:
-    """Maximum-energy frequency track through the squeezed plane.
-
-    Dynamic program maximizing sum_b |T(ridge(b), b)| minus
-    jump_penalty * max|T| per bin of frequency jump between consecutive
-    columns.  A pragmatic extractor for library users exploring a plane
-    (no command calls it); the analysis guarantees in this package are
-    stated for ground-truth ridges, not for tracks produced here.
-    """
-    if jump_penalty < 0.0:
-        raise ValueError("jump_penalty must be nonnegative")
-    E = np.abs(tf.values)
-    L, n = E.shape
-    lam = jump_penalty * float(np.max(E)) if E.size else 0.0
-    score = E[:, 0].copy()
-    back = np.zeros((L, n), dtype=np.int32)
-    bins = np.arange(L)
-    cost = lam * np.abs(bins[:, None] - bins[None, :])
-    for i in range(1, n):
-        cand = score[None, :] - cost        # [to, from]
-        best = np.argmax(cand, axis=1)
-        back[:, i] = best
-        score = E[:, i] + cand[bins, best]
-    ridge = np.empty(n, dtype=np.int64)
-    ridge[-1] = int(np.argmax(score))
-    for i in range(n - 1, 0, -1):
-        ridge[i - 1] = back[ridge[i], i]
-    return tf.xi[ridge]
-
-
 # ------------------------------------------------------------------ output
 
 def tf_to_csv(tf: TfPlane, path) -> None:

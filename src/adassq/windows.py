@@ -5,8 +5,8 @@ The base window is the unit Gaussian
     g(t) = (2*pi)**-0.5 * exp(-t**2/2),    FT[g](xi) = exp(-2*pi**2*xi**2)
 
 with the Fourier convention FT[f](xi) = integral f(t) exp(-i*2*pi*xi*t) dt.
-Every derived kernel used by the transform stack (t*g, t**2*g, t*g', g')
-has a spectrum of the form P(xi)*FT[g](xi) with P a small polynomial.  The
+The transform stack uses three kernels, g, t*g and t*g'; each has a
+spectrum of the form P(xi)*FT[g](xi) with P a small polynomial.  The
 polynomials are kept explicit so that spectral derivatives (needed for the
 scale/time derivative lattices) stay exact instead of being
 finite-differenced.
@@ -40,9 +40,7 @@ class WindowKind(enum.Enum):
 
     G = "g"          # g(t)
     TG = "tg"        # t * g(t)
-    T2G = "t2g"      # t**2 * g(t)
     TGP = "tgp"      # t * g'(t)
-    GP = "gp"        # g'(t)
 
 
 # Spectra as P(xi) * FT[g](xi), coefficients in ascending order.  Derived by
@@ -50,9 +48,7 @@ class WindowKind(enum.Enum):
 _HAT_POLY: dict[WindowKind, np.ndarray] = {
     WindowKind.G: np.array([1.0], dtype=complex),
     WindowKind.TG: np.array([0.0, -1j * TWO_PI], dtype=complex),
-    WindowKind.T2G: np.array([1.0, 0.0, -FOUR_PI2], dtype=complex),
     WindowKind.TGP: np.array([-1.0, 0.0, FOUR_PI2], dtype=complex),
-    WindowKind.GP: np.array([0.0, 1j * TWO_PI], dtype=complex),
 }
 
 
@@ -64,12 +60,8 @@ def window_eval(kind: WindowKind, t) -> np.ndarray:
         return base
     if kind is WindowKind.TG:
         return t * base
-    if kind is WindowKind.T2G:
-        return t * t * base
     if kind is WindowKind.TGP:                # g' = -t*g
         return -(t * t) * base
-    if kind is WindowKind.GP:
-        return -t * base
     raise ValueError(f"unknown window kind: {kind!r}")
 
 
@@ -130,7 +122,7 @@ def moment(n: int, of_derivative: bool = False) -> float:
 
 @dataclass(frozen=True)
 class WindowModel:
-    """Window configuration: center frequency, tail level, moments.
+    """Window configuration: center frequency and tail level.
 
     mu    -- modulation frequency of the analysis wavelet (Hz)
     tau0  -- spectral tail level defining the essential support alpha
@@ -144,20 +136,6 @@ class WindowModel:
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         object.__setattr__(self, "alpha", essential_alpha(self.tau0))
-
-    def abs_moment(self, n: int) -> float:
-        """Integral of |t**n * g|."""
-        return moment(n)
-
-    def abs_moment_deriv(self, n: int) -> float:
-        """Integral of |t**n * g'|."""
-        return moment(n, of_derivative=True)
-
-
-def chirp_factor(phipp, a, sigma):
-    """Array-friendly lam = 2*pi*phi''*a**2*sigma**2."""
-    return TWO_PI * np.asarray(phipp) * np.square(np.asarray(a)) \
-        * np.square(np.asarray(sigma))
 
 
 def chirped_transform_G(u, lam) -> np.ndarray:

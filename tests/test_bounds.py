@@ -13,8 +13,7 @@ Proof groups:
      single-tone closed form, separation plateau caps on the cross
      terms, monotonicity in the coefficient floor
   4. second-order budgets -- frozen anchors, single-chirp reduction to
-     the pure log term, plateau caps, conditioning-split bookkeeping,
-     phase-expansion envelopes
+     the pure log term, plateau caps
   5. residual identities -- the time-derivative defects vanish for a
      single chirp, match their structured forms on the two-chirp preset,
      scale-differencing ties the first and second defects together, and
@@ -35,7 +34,6 @@ from adassq.bounds import (
     _band_normalizer,
     bounds_first,
     bounds_second,
-    expansion_envelopes,
     normalizers,
     recover,
     report_to_csv,
@@ -45,11 +43,9 @@ from adassq.cwt import ScaleGrid, compute_stack
 from adassq.separation import constant_profile, sigma1, sigma2, spectral_distance, zones
 from adassq.signals import (
     SignalSpec,
-    class_params,
     example1_spec,
     example2_spec,
     linear_chirp,
-    poly_phase,
     synthesize,
     tone,
 )
@@ -61,7 +57,7 @@ from adassq.sst import (
     phase_first,
     squeeze,
 )
-from adassq.windows import WindowModel, chirped_transform_G, essential_alpha, gauss_hat, moment
+from adassq.windows import WindowModel, chirped_transform_G, essential_alpha, gauss_hat
 
 WM = WindowModel(mu=1.0, tau0=0.05)
 T = np.arange(256) / 256.0
@@ -399,40 +395,6 @@ def test_strict_cross_mass_below_plateau_level():
         ok = zs.valid[k]
         cap = WM.tau0 * np.log(zs.upper[k, ok] / zs.lower[k, ok])
         assert np.all(report.cross_mass_strict[k, l, ok] <= cap)
-
-
-def test_conditioning_split_conserves_measure():
-    spec, profile, zs, _, _ = second_order_setup()
-    stack, _ = example2_stack()
-    reports = {e: bounds_second(spec, WM, profile, zs, 0.01, e, stack=stack)
-               for e in (1e-300, 6.3e-4, 1e9)}
-    totals = [r.skip_measure + r.keep_measure for r in reports.values()]
-    assert np.nanmax(np.abs(totals[0] - totals[1])) == 0.0
-    assert np.nanmax(np.abs(totals[1] - totals[2])) == 0.0
-    assert np.nanmax(reports[1e9].keep_measure) == 0.0
-    assert np.nanmax(reports[1e-300].skip_measure) == 0.0
-    ok = zs.valid
-    gap = {e: r.recovery_bound_gap for e, r in reports.items()}
-    assert np.all(gap[1e9][ok] >= gap[6.3e-4][ok] - 1e-15)
-    assert np.all(gap[6.3e-4][ok] >= gap[1e-300][ok] - 1e-15)
-
-
-def test_expansion_envelopes():
-    # linear chirps sit exactly in the model class: every envelope vanishes
-    spec2, profile2, _, _, _ = second_order_setup()
-    const, curv = expansion_envelopes(spec2, WM, profile2)
-    assert np.all(const == 0.0) and np.all(curv == 0.0)
-    # a cubic phase has curvature-drift eps3 = sup|phi'''| = 12 and its
-    # plain-window envelope is (pi/3) * eps3 * I3 * sigma^2 * sum(A)
-    spec = SignalSpec(components=(poly_phase((0.0, 30.0, 0.0, 2.0), 1.0),), fs=256.0, n=256, mode="complex")
-    profile = constant_profile(T, 1.0)
-    cp = class_params(spec)
-    assert cp.eps3 == pytest.approx(12.0, rel=1e-12)
-    const, curv = expansion_envelopes(spec, WM, profile)
-    assert np.all(const == 0.0)
-    assert curv[0, MID] == pytest.approx((math.pi / 3.0) * cp.eps3 * moment(3), rel=1e-12)
-    assert curv[2, MID] == pytest.approx((math.pi / 3.0) * cp.eps3 * moment(5), rel=1e-12)
-    assert curv[4, MID] == pytest.approx((math.pi / 3.0) * cp.eps3 * moment(4, of_derivative=True), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

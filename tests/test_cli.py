@@ -4,7 +4,9 @@ What is proven here
 -------------------
 1. Configuration handling: defaults fill in, flags beat the file, every
    key gives the same settings from the file as from its flag, the
-   README's config block is exactly the defaults, unknown
+   README's config block, comments and all, is exactly the defaults, a
+   ';' after whitespace starts a comment in every file value but the
+   component list (flag values are taken whole), unknown
    sections/keys/presets are rejected with their location spelled out,
    numeric ranges are enforced, inline component specs parse to the right
    ground truth and must stay below Nyquist, presets and sample files fix
@@ -177,11 +179,26 @@ def test_file_and_flag_give_the_same_config(row, tmp_path, monkeypatch):
 def test_readme_config_block_is_the_defaults(tmp_path):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text().split("```ini\n")[1].split("```")[0]
-    text = "".join(line.split(";")[0].rstrip() + "\n"
-                   for line in block.splitlines())
-    (tmp_path / "readme.cfg").write_text(text)
+    (tmp_path / "readme.cfg").write_text(block)
     assert load_config(tmp_path / "readme.cfg") == \
         load_config(None, {("signal", "preset"): "example1"})
+
+
+def test_file_values_drop_inline_comments(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path / "c.cfg", {
+        ("signal", "components"): "tone:40 ; chirp:10:5",
+        ("thresholds", "gamma1"): "0.02\t; after a tab",
+        ("run", "outdir"): "out2 ; where"}))
+    assert cfg.outdir == Path("out2")
+    assert cfg.gamma1 == 0.02
+    assert len(cfg.components) == 2     # ';' separates component entries
+    flagged = load_config(None, {("signal", "preset"): "example1",
+                                 ("run", "outdir"): "out2 ; where"})
+    assert flagged.outdir == Path("out2 ; where")
+    commented_out = _write_cfg(tmp_path / "d.cfg", {
+        ("signal", "preset"): "example1", ("run", "outdir"): "; where"})
+    with pytest.raises(ConfigError, match=r"\[run\] outdir: .*empty"):
+        load_config(commented_out)
 
 
 def test_unknown_locations_are_spelled_out(tmp_path):

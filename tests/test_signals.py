@@ -6,14 +6,20 @@ Proof groups:
   3. admissibility guards catch bad truth
   4. CSV round trip is lossless and byte-deterministic; the table writer
      every output file goes through writes 17-digit floats, integer
-     int/bool columns, broadcast columns row-major, and LF line endings
+     int/bool columns, broadcast columns row-major, and LF line endings;
+     over random finite floats (signed zeros and subnormals included) the
+     writer and the reader round-trip every value bit for bit
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adassq.signals import (
     ClassParams,
@@ -25,6 +31,7 @@ from adassq.signals import (
     linear_chirp,
     poly_phase,
     signal_from_csv,
+    read_table,
     signal_to_csv,
     synthesize,
     tone,
@@ -51,7 +58,7 @@ def test_example2_synthesis_matches_closed_form():
 
 
 def test_complex_mode_is_analytic_version():
-    spec = example1_spec().with_mode("complex")
+    spec = dataclasses.replace(example1_spec(), mode="complex")
     sig = synthesize(spec)
     assert sig.x.dtype == np.complex128
     assert np.max(np.abs(sig.x.real - synthesize(example1_spec()).x)) < 1e-14
@@ -85,6 +92,13 @@ def test_class_params_example2():
     t_last = (256 * 8 - 1) / (256.0 * 8)
     assert cp.sep_ratio == pytest.approx(
         (22.0 + 18.0 * t_last) / (62.0 + 54.0 * t_last), rel=1e-13)
+
+
+def test_class_params_cubic_phase():
+    # phi = 30 t + 2 t**3 has curvature drift eps3 = sup|phi'''| = 12
+    spec = SignalSpec(components=(poly_phase((0.0, 30.0, 0.0, 2.0)),),
+                      fs=256.0, n=256, mode="complex")
+    assert class_params(spec).eps3 == pytest.approx(12.0, rel=1e-12)
 
 
 def test_single_component_gets_unit_separation():
@@ -136,7 +150,7 @@ def test_csv_round_trip_lossless_and_deterministic(tmp_path):
 
 
 def test_csv_round_trip_complex(tmp_path):
-    sig = synthesize(example2_spec().with_mode("complex"))
+    sig = synthesize(dataclasses.replace(example2_spec(), mode="complex"))
     p = tmp_path / "c.csv"
     signal_to_csv(sig, p)
     back = signal_from_csv(p)
@@ -177,3 +191,26 @@ def test_write_table_digits_and_one_based_k(tmp_path):
     # 17 significant digits round-trip exactly
     assert float(lines[2].split(",")[2]) == math.pi
     assert float(lines[3].split(",")[2]) == 1e-17
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False,
+                    allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=6),
+                  elements=_FINITE | st.sampled_from(
+                      [0.0, -0.0, 5e-324, -2.2250738585072009e-308])))
+def test_write_table_read_table_round_trip_bit_for_bit(tmp_path_factory,
+                                                       table):
+    rows, ncols = table.shape
+    header = ",".join(f"c{j}" for j in range(ncols))
+    p = tmp_path_factory.mktemp("rt") / "t.csv"
+    write_table(p, header, *table.T)
+    raw = p.read_bytes()
+    assert raw.endswith(b"\n") and b"\r" not in raw
+    assert raw.count(b"\n") == rows + 1
+    back = read_table(p, header)
+    assert back.shape == table.shape
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))

@@ -9,8 +9,7 @@ Proof groups:
      conventional formulas when sigma is constant
   4. squeezing bookkeeping -- mass conservation, tie-to-lower binning,
      range clipping, NaN skipping
-  5. extraction and output -- ridge tracking on clean planes, CSV/PGM
-     determinism, validation
+  5. output -- CSV/PGM determinism, validation
 """
 from __future__ import annotations
 
@@ -33,11 +32,9 @@ from adassq.signals import (
 from adassq.sst import (
     PhasePlane,
     SqueezeConfig,
-    TfPlane,
     chirp_rate_estimate,
     conservation_defect,
     default_gamma2,
-    extract_ridge,
     phase_first,
     phase_second,
     squeeze,
@@ -270,15 +267,6 @@ def test_default_gamma2_positive_and_small(wm):
 
 # ---------------------------------------------------------------- group 5
 
-def test_ridge_extraction_on_clean_tone(wm):
-    st = _tone_stack(wm, mode="real", sigma_varying=False)
-    plane = phase_first(st, gamma1=0.01)
-    cfg = SqueezeConfig(xi_min=20.0, xi_max=60.0, dxi=0.25)
-    tf = squeeze(st, plane, cfg)
-    ridge = extract_ridge(tf)
-    np.testing.assert_allclose(ridge, 40.0, rtol=0, atol=1e-12)
-
-
 def test_outputs_deterministic(tmp_path, wm):
     st = _tone_stack(wm, mode="real", sigma_varying=False)
     plane = phase_first(st, gamma1=0.01)
@@ -310,8 +298,3 @@ def test_validation_errors(wm):
         SqueezeConfig(xi_min=0.0, xi_max=1.0, dxi=-0.25)
     with pytest.raises(ValueError):
         SqueezeConfig(xi_min=2.0, xi_max=1.0)
-    tf = TfPlane(xi=np.array([1.0]), b=np.array([0.0]),
-                 values=np.array([[1.0 + 0j]]), dxi=0.25, dlog=0.1,
-                 variant="first")
-    with pytest.raises(ValueError):
-        extract_ridge(tf, jump_penalty=-0.1)
