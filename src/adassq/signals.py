@@ -239,21 +239,52 @@ def example2_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
 
 # ------------------------------------------------------------------ CSV I/O
 
+# cells per chunk of write_table: the writer's memory grows with the chunk
+_CHUNK_CELLS = 1024
+
+
+def _format_cells(values: Array, fmt: str) -> Array:
+    """fmt.format of every cell, called once per distinct bit pattern."""
+    flat = values.ravel()
+    _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    text = np.array(list(map(fmt.format, flat[first].tolist())), dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
 def write_table(path, header: str, *columns) -> None:
     """Write broadcast columns as a CSV table under a header line.
 
     The columns broadcast to one 2-D shape and are written row-major, one
     row per cell: coordinates go in as xi[:, None] and b, not as repeated
-    copies.  Floats carry 17 significant digits ("nan" for NaN), int and
-    bool columns are written as integers, and every line ends in LF.
+    copies.  Floats carry 17 significant digits ("nan" for NaN, "-0" for
+    -0.0), int and bool columns are written as integers, and every line
+    ends in LF.
+
+    A column smaller than the table (an axis such as xi[:, None] or b) is
+    formatted once, whole.  Full-size columns are formatted a chunk of
+    about _CHUNK_CELLS cells (at least one row) at a time, each distinct
+    bit pattern once per chunk, so memory is bounded by the chunk and the
+    axes, not by the table.
     """
-    cols = np.broadcast_arrays(*map(np.atleast_2d, columns))
-    fmt = ",".join("{:d}" if c.dtype.kind in "biu" else "{:.17g}"
-                   for c in cols) + "\n"
+    cols = [np.atleast_2d(c) for c in columns]
+    shape = np.broadcast_shapes((1, 1), *(c.shape for c in cols))
+    fmts = ["{:d}" if c.dtype.kind in "biu" else "{:.17g}" for c in cols]
+    if fmts:
+        fmts[-1] += "\n"
+    # an axis becomes its strings (format None); full-size columns are
+    # formatted chunk by chunk below
+    cols = [(np.broadcast_to(_format_cells(c, f), shape), None)
+            if c.size < math.prod(shape) else (c, f)
+            for c, f in zip(cols, fmts)]
+    step = max(1, _CHUNK_CELLS // max(shape[1], 1))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for block in zip(*cols):
-            fh.writelines(map(fmt.format, *(c.tolist() for c in block)))
+        for r in range(0, shape[0], step):
+            cells = [c[r:r + step] if f is None else
+                     _format_cells(c[r:r + step], f) for c, f in cols]
+            fh.write("".join(map(",".join,
+                                 zip(*(c.ravel().tolist() for c in cells)))))
 
 
 def signal_to_csv(sig: SampledSignal, path) -> None:
@@ -267,28 +298,33 @@ def read_table(path, header: str) -> Array:
 
     Each row must carry at least the header's columns, and each of those
     must parse as a finite float; extra trailing columns are ignored.
-    Raises ValueError naming the offending file line otherwise.
+    The file is read as UTF-8, a byte that does not decode becoming U+FFFD.
+    Raises ValueError naming the offending file line otherwise, a line the
+    csv module cannot split (such as an over-long field) included.
     """
     names = header.split(",")
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         rd = csv.reader(fh)
-        got = next(rd, [])
-        if [c.strip() for c in got[:len(names)]] != names:
-            raise ValueError(f"line 1: expected header {header}, got "
-                             f"{','.join(got)!r}")
-        for line, row in enumerate(rd, start=2):
-            if len(row) < len(names):
-                raise ValueError(f"line {line}: expected {header}, got "
-                                 f"{len(row)} value(s)")
-            try:
-                vals = [float(v) for v in row[:len(names)]]
-            except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"line {line}: values must be finite, "
-                                 f"got {','.join(row[:len(names)])}")
-            rows.append(vals)
+        try:
+            got = next(rd, [])
+            if [c.strip() for c in got[:len(names)]] != names:
+                raise ValueError(f"line 1: expected header {header}, got "
+                                 f"{','.join(got)!r}")
+            for line, row in enumerate(rd, start=2):
+                if len(row) < len(names):
+                    raise ValueError(f"line {line}: expected {header}, got "
+                                     f"{len(row)} value(s)")
+                try:
+                    vals = [float(v) for v in row[:len(names)]]
+                except ValueError as exc:
+                    raise ValueError(f"line {line}: {exc}") from None
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"line {line}: values must be finite, "
+                                     f"got {','.join(row[:len(names)])}")
+                rows.append(vals)
+        except csv.Error as exc:
+            raise ValueError(f"line {rd.line_num}: {exc}") from None
     return np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
@@ -296,15 +332,21 @@ def signal_from_csv(path) -> SampledSignal:
     """Read a t,re,im file with at least two finite, uniformly spaced rows.
 
     Raises ValueError naming the offending line on a short row, a value
-    that is not a finite number, fewer than two samples, or sample times
-    off the uniform grid t_0 + i*dt by more than 1e-9*dt.
+    that is not a finite number, fewer than two samples, sample times off
+    the uniform grid t_0 + i*dt by more than 1e-9*dt, or a dt whose
+    sampling rate 1/dt overflows (named at the last line).
     """
     data = read_table(path, "t,re,im")
     if len(data) < 2:
         raise ValueError(f"line {len(data) + 1}: need at least two samples, "
                          f"got {len(data)}")
     tv, re, im = data.T.copy()
-    dt = (tv[-1] - tv[0]) / (len(tv) - 1)
+    # Python floats: a span past the float range is inf, without a warning
+    dt = (float(tv[-1]) - float(tv[0])) / (len(tv) - 1)
+    if dt > 0.0 and math.inf in (dt, 1.0 / dt):
+        raise ValueError(f"line {len(tv) + 1}: sample times from "
+                         f"{tv[0]:.17g} to {tv[-1]:.17g} give no finite "
+                         "sampling rate")
     if dt > 0.0:
         bad = np.abs(tv - (tv[0] + np.arange(len(tv)) * dt)) > 1e-9 * dt
     else:                       # the first step that does not increase

@@ -30,7 +30,10 @@ What is proven here
    failures, inadmissible window widths, and recovery without ground
    truth; a malformed sample file exits 2 naming its line, before any
    output is written, and so does one whose sampling rate leaves no band
-   to analyze; reruns of the same configuration are
+   to analyze; so does every Hypothesis mutation of a valid file (short
+   rows, non-numeric, non-UTF-8 and non-finite cells, off-grid, swapped,
+   decreasing or overflowing times, an empty body, a bad header), never
+   with a traceback; reruns of the same configuration are
    byte-identical; importing the command loads no scipy module, since
    numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
@@ -38,8 +41,10 @@ What is proven here
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -47,6 +52,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adassq
 from adassq import cli
@@ -558,7 +565,11 @@ def test_reruns_are_byte_identical(demo1, tmp_path):
     ("0,1,0\n", 2),                                    # one sample
     ("0,1,0\n0.25,0,0\n0.75,1,0\n1,0,0\n", 3),          # non-uniform t
     ("1,1,0\n0.5,0,0\n0,1,0\n", 3),                    # decreasing t
-], ids=["short-row", "nan", "one-sample", "non-uniform", "decreasing"])
+    ("0,1,0\n1," + "1" * 200000 + ",0\n", 3),          # over the csv limit
+    ("-1e308,1,0\n0,0,0\n1e308,1,0\n", 4),             # span overflows
+    ("0,1,0\n5e-324,0,0\n1e-323,1,0\n", 4),            # 1/dt overflows
+], ids=["short-row", "nan", "one-sample", "non-uniform", "decreasing",
+        "long-field", "huge-span", "tiny-dt"])
 def test_bad_sample_file_exits_2_naming_the_line(tmp_path, capsys, body,
                                                   line):
     src = tmp_path / "samples.csv"
@@ -570,6 +581,92 @@ def test_bad_sample_file_exits_2_naming_the_line(tmp_path, capsys, body,
     assert f"line {line}:" in err and "[signal] file" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# text that stays one cell: no separator, quote or line break
+_CELL_TEXT = st.text(st.characters(exclude_characters=',"\r\n',
+                                   exclude_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def _bad_sample_files(draw):
+    """One mutation of a valid t,re,im file: (file bytes, line to name)."""
+    m = draw(st.integers(4, 12))
+    fs = draw(st.sampled_from([1.0, 64.0, 256.0, 1000.0]))
+    t0 = draw(st.sampled_from([0.0, -3.5, 100.25]))
+    t = [t0 + i / fs for i in range(m)]
+    re = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+    header, rows = "t,re,im", [[repr(a), repr(b), "0"] for a, b in zip(t, re)]
+    i = draw(st.integers(0, m - 1))         # the row to break, line i + 2
+    col = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["short", "text", "bytes", "non-finite",
+                                 "off-grid", "swap", "decreasing", "span",
+                                 "empty", "header"]))
+    line = i + 2
+    if kind == "short":
+        rows[i] = rows[i][:col]
+    elif kind == "text":
+        rows[i][col] = draw(_CELL_TEXT.filter(lambda s: not _parses(s)))
+    elif kind == "bytes":                   # not UTF-8
+        rows[i][col] = draw(st.sampled_from([b"\xff", b"1\xfe", b"2\xc3",
+                                             b"\xed\xa0\x80"]))
+    elif kind == "non-finite":
+        rows[i][col] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf",
+                                             "-Infinity", "1e999"]))
+    elif kind == "off-grid":                # an interior time moves
+        i = draw(st.integers(1, m - 2))
+        shift = draw(st.floats(1e-6, 0.45)) * draw(st.sampled_from([-1, 1]))
+        rows[i][0], line = repr(t[i] + shift / fs), i + 2
+    elif kind == "swap":                    # two interior times trade places
+        i, j = sorted(draw(st.lists(st.integers(1, m - 2), min_size=2,
+                                    max_size=2, unique=True)))
+        rows[i][0], rows[j][0], line = rows[j][0], rows[i][0], i + 2
+    elif kind == "decreasing":
+        for row, ti in zip(rows, reversed(t)):
+            row[0] = repr(ti)
+        line = 3
+    elif kind == "span":                    # 1/dt or the span overflows
+        tiny = draw(st.sampled_from([0.0, 5e-324, 1e-320, 1e-310]))
+        huge = draw(st.sampled_from([1e308, 1.7976931348623157e308]))
+        for k, row in enumerate(rows):
+            row[0] = repr(k * tiny if tiny else huge * (2 * k / (m - 1) - 1))
+        line = m + 1
+    elif kind == "empty":
+        rows, line = [], 1
+        header = draw(st.sampled_from(["t,re,im", None]))
+    else:
+        header = draw(st.lists(_CELL_TEXT, max_size=4).map(",".join).filter(
+            lambda h: [c.strip() for c in h.split(",")[:3]]
+            != ["t", "re", "im"]))
+        line = 1
+    cells = [[c if isinstance(c, bytes) else c.encode() for c in row]
+             for row in rows]
+    body = b"".join(b",".join(row) + b"\n" for row in cells)
+    return (b"" if header is None else header.encode() + b"\n") + body, line
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bad_sample_files())
+def test_fuzzed_sample_file_exits_2_naming_the_line(tmp_path_factory, case):
+    content, line = case
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "samples.csv").write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["analyze", "--signal-file", str(d / "samples.csv"),
+                     "--outdir", str(d / "out")])
+    assert code == 2, err.getvalue()
+    assert f"[signal] file: line {line}:" in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not (d / "out").exists()
 
 
 def test_sample_file_without_a_band_exits_2(tmp_path, capsys):
