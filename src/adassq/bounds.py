@@ -16,6 +16,11 @@ diagnostics make the underlying identities checkable on a computed stack:
 the time-derivative of the transform equals a known combination of
 companion transforms up to a residual that is itself an explicit sum of
 chirp-distorted window evaluations of the other components.
+
+Per-pair quantities are (K, K, ...) arrays indexed [l, k]: component l seen
+in component k's window.  The diagonal l == k is masked to exactly 0, so a
+sum over l is an axis-0 sum that adds the other components in the order
+l = 0, 1, ..., K-1.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import numpy as np
 
 from .cwt import CwtStack
 from .separation import SigmaProfile, ZoneSet, spectral_distance
-from .signals import SignalSpec, class_params, write_table
+from .signals import SignalSpec, class_params, tracks, write_table
 from .sst import TfPlane, chirp_rate_estimate
 from .windows import (WindowModel, chirped_transform_G,
                       chirped_transform_Gj, gauss_hat, moment)
@@ -40,17 +45,32 @@ TWO_PI = 2.0 * math.pi
 # within 4e-15 of adaptive quadrature down to that ratio.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
+# Cells per call of a quad integrand.  Its temporaries hold 64 nodes per
+# cell, so a bounded chunk keeps each one at 256 KB (complex) however many
+# cells the K(K-1) component pairs bring; larger chunks ran slower per cell.
+_QUAD_CELLS = 256
 
-def quad(f, lo, hi) -> Array:
-    """Integral of f(a) da/a over [lo, hi], elementwise over array bounds.
 
-    f is called once, on the nodes as an array of shape lo.shape + (64,),
-    so per-cell parameters enter it with a trailing new axis.
+def quad(f, lo, hi, *params) -> Array:
+    """Integral of f(a, *params) da/a over [lo, hi], cell by cell.
+
+    lo, hi and each of params hold one value per cell, all of one shape.
+    f is called on at most _QUAD_CELLS cells at a time: a holds their nodes
+    with shape (cells, 64), and each param their values with shape
+    (cells, 1).  Each cell's value does not depend on how cells are
+    grouped into calls.
     """
-    vlo, vhi = np.log(lo), np.log(hi)
-    half = 0.5 * (vhi - vlo)
-    a = np.exp((0.5 * (vhi + vlo))[..., None] + half[..., None] * _NODES)
-    return half * np.sum(f(a) * _WEIGHTS, axis=-1)
+    shape = np.shape(lo)
+    vlo, vhi = np.log(np.ravel(lo)), np.log(np.ravel(hi))
+    half, mid = 0.5 * (vhi - vlo), 0.5 * (vhi + vlo)
+    params = [np.ravel(p)[:, None] for p in params]
+    parts = []
+    for i in range(0, max(half.size, 1), _QUAD_CELLS):
+        c = slice(i, i + _QUAD_CELLS)
+        a = np.exp(mid[c, None] + half[c, None] * _NODES)
+        parts.append(half[c] * np.sum(f(a, *(p[c] for p in params))
+                                      * _WEIGHTS, axis=-1))
+    return np.concatenate(parts).reshape(shape)
 
 
 # ------------------------------------------------------------- normalizers
@@ -74,19 +94,20 @@ def _band_normalizer(wm: WindowModel, sigma) -> Array:
     """Integral of FT[g](sigma*(mu - xi)) dxi/xi over the band, per sigma."""
     sigma = np.asarray(sigma, dtype=float)
     half = wm.alpha / sigma
-    return quad(lambda xi: gauss_hat(sigma[..., None] * (wm.mu - xi)),
-                wm.mu - half, wm.mu + half)
+    return quad(lambda xi, s: gauss_hat(s * (wm.mu - xi)),
+                wm.mu - half, wm.mu + half, sigma)
 
 
-def _chirped_window(wm: WindowModel, sig: Array, f: Array, fpp: Array):
-    """a -> chirp-distorted spectral window of a component, per cell.
+def _chirped_window(wm: WindowModel):
+    """(a, sigma, f, fpp) -> chirp-distorted spectral window of a component
+    with frequency f and chirp rate fpp, as a quad integrand."""
+    return lambda a, s, f, fpp: chirped_transform_G(
+        s * (wm.mu - a * f), TWO_PI * fpp * a * a * s * s)
 
-    sig, f and fpp hold one value per cell; a carries the quadrature nodes
-    on a trailing axis.
-    """
-    s, f, fpp = sig[:, None], f[:, None], fpp[:, None]
-    return lambda a: chirped_transform_G(s * (wm.mu - a * f),
-                                         TWO_PI * fpp * a * a * s * s)
+
+def _at(cells: Array, x) -> Array:
+    """x broadcast to the shape of the boolean mask cells, at its cells."""
+    return np.broadcast_to(x, cells.shape)[cells]
 
 
 def normalizers(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
@@ -106,12 +127,11 @@ def normalizers(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
 
     c_k = None
     if zs is not None:
-        c_k = np.full(zs.valid.shape, np.nan, dtype=complex)
-        for k, comp in enumerate(spec.components):
-            v = zs.valid[k]
-            c_k[k, v] = quad(_chirped_window(wm, sig[v], comp.dphase(b)[v],
-                                             comp.d2phase(b)[v]),
-                             zs.lower[k, v], zs.upper[k, v])
+        v = zs.valid
+        f, fpp, _ = tracks(spec, b)
+        c_k = np.full(v.shape, np.nan, dtype=complex)
+        c_k[v] = quad(_chirped_window(wm), zs.lower[v], zs.upper[v],
+                      _at(v, sig), f[v], fpp[v])
 
     return Normalizers(b=b, c_alpha=c_alpha, c_k=c_k)
 
@@ -225,11 +245,9 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     cp = class_params(spec)
     K = len(spec.components)
     b = profile.b
-    n = len(b)
     sig = profile.sigma
     alpha, mu = wm.alpha, wm.mu
-    f = np.stack([c.dphase(b) for c in spec.components])
-    A = np.stack([c.amp(b) for c in spec.components])
+    f, _, A = tracks(spec, b)
     amp_total = A.sum(axis=0)
 
     i1, i2 = moment(1), moment(2)
@@ -238,34 +256,27 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     res_env = K * cp.eps1 * i1 + math.pi * cp.eps2 * i2 * shape_term
     res_env_deriv = K * cp.eps1 * d1 + math.pi * cp.eps2 * d2 * shape_term
 
+    # leak[l, k] is 0 on the diagonal (f_l - f_k = 0); the axis-0 sum adds
+    # the base term first, then leak[0, k], leak[1, k], ... left to right
     rho = spectral_distance(spec, wm, profile)
-    omega_bound = (alpha * res_env + res_env_deriv / TWO_PI) / eps1_tilde
-    for k in range(K):
-        for l in range(K):
-            if l == k:
-                continue
-            omega_bound[k] += (A[l] * np.abs(f[l] - f[k])
-                               * gauss_hat(rho[l, k])) / eps1_tilde
+    leak = (A[:, None] * np.abs(f[:, None] - f[None, :])
+            * gauss_hat(rho)) / eps1_tilde
+    omega_bound = np.sum(
+        [(alpha * res_env + res_env_deriv / TWO_PI) / eps1_tilde, *leak],
+        axis=0)
 
-    cross_mass = np.zeros((K, K, n))
-    s, half = sig[:, None], alpha / sig
-    for k in range(K):
-        for l in range(K):
-            if l == k:
-                continue
-            ratio = (f[l] / f[k])[:, None]
-            cross_mass[l, k] = quad(
-                lambda xi: gauss_hat(s * (mu - ratio * xi)),
-                mu - half, mu + half)
+    off = np.broadcast_to(~np.eye(K, dtype=bool)[..., None], rho.shape)
+    half = _at(off, alpha / sig)
+    cross_mass = np.zeros(rho.shape)
+    cross_mass[off] = quad(lambda xi, s, r: gauss_hat(s * (mu - r * xi)),
+                           mu - half, mu + half, _at(off, sig),
+                           _at(off, f[:, None] / f[None, :]))
 
     c_alpha = np.abs(_band_normalizer(wm, sig))
     log_term = np.log((mu * sig + alpha) / (mu * sig - alpha))
-    recovery_bound = np.empty((K, n))
-    for k in range(K):
-        cross = sum(A[l] * cross_mass[l, k] for l in range(K) if l != k)
-        recovery_bound[k] = (eps1_tilde * log_term
-                             + (2.0 * alpha / f[k]) * res_env[k]
-                             + cross) / c_alpha
+    cross = np.sum(A[:, None] * cross_mass, axis=0)
+    recovery_bound = (eps1_tilde * log_term + (2.0 * alpha / f) * res_env
+                      + cross) / c_alpha
     return BoundReport(b=b, eps1_tilde=eps1_tilde, res_env=res_env,
                        res_env_deriv=res_env_deriv, omega_bound=omega_bound,
                        recovery_bound=recovery_bound, cross_mass=cross_mass)
@@ -290,12 +301,8 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     cp = class_params(spec)
     K = len(spec.components)
     b = profile.b
-    n = len(b)
     sig = profile.sigma
-    alpha, mu = wm.alpha, wm.mu
-    f = np.stack([c.dphase(b) for c in spec.components])
-    fpp = np.stack([c.d2phase(b) for c in spec.components])
-    A = np.stack([c.amp(b) for c in spec.components])
+    f, fpp, A = tracks(spec, b)
     amp_total = A.sum(axis=0)
     i1, i3 = moment(1), moment(3)
 
@@ -305,21 +312,19 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     curvature = ((math.pi / 9.0) * cp.eps3 * i3 * width ** 3
                  * (sig ** 3 * amp_total)[None, :])
 
-    cross_mass_strict = np.zeros((K, K, n))
-    for k in range(K):
-        v = zs.valid[k]
-        for l in range(K):
-            if l == k:
-                continue
-            window = _chirped_window(wm, sig[v], f[l, v], fpp[l, v])
-            cross_mass_strict[l, k] = np.nan
-            cross_mass_strict[l, k, v] = quad(lambda a: np.abs(window(a)),
-                                              zs.lower[k, v], zs.upper[k, v])
+    # [l, k] cells off the diagonal where k's zone is valid; the other
+    # off-diagonal cells are NaN and the diagonal is 0
+    diag = np.eye(K, dtype=bool)
+    cells = ~diag[..., None] & zs.valid
+    window = _chirped_window(wm)
+    cross_mass_strict = np.full(cells.shape, np.nan)
+    cross_mass_strict[diag] = 0.0
+    cross_mass_strict[cells] = quad(
+        lambda *a: np.abs(window(*a)),
+        _at(cells, zs.lower), _at(cells, zs.upper),
+        _at(cells, sig), _at(cells, f[:, None]), _at(cells, fpp[:, None]))
 
-    cross = np.zeros((K, n))
-    for k in range(K):
-        cross[k] = sum(A[l] * cross_mass_strict[l, k]
-                       for l in range(K) if l != k)
+    cross = np.sum(A[:, None] * cross_mass_strict, axis=0)
     main = eps1_tilde * log_term + drift + curvature + cross
     return BoundReport(b=b, eps1_tilde=eps1_tilde, eps2_tilde=eps2_tilde,
                        recovery_bound_main=main,
@@ -366,64 +371,41 @@ def residual_diagnostics(stack: CwtStack, spec: SignalSpec, wm: WindowModel,
     b = profile.b
     if len(b) != len(stack.b) or not np.allclose(b, stack.b):
         raise ValueError("profile and stack must share the time grid")
-    K = len(spec.components)
     a = stack.grid.a
-    J = len(a)
-    n = len(b)
     sig = profile.sigma
     dln = profile.dsigma / sig
     aa = a[:, None]
     asig = aa * sig[None, :]
 
-    f = np.stack([c.dphase(b) for c in spec.components])
-    fpp = np.stack([c.d2phase(b) for c in spec.components])
-    xval = np.stack([c.amp(b) * np.exp(2j * np.pi * c.phase(b))
-                     for c in spec.components])
+    f, fpp, _ = tracks(spec, b)
+    # component rows broadcast against the (J, n) lattice
+    fk, ck = f[:, None, :], fpp[:, None, :]
 
-    shape = (K, J, n)
-    res1_emp = np.empty(shape, dtype=complex)
-    res2_emp = np.empty(shape, dtype=complex)
-    res3_emp = np.empty(shape, dtype=complex)
     r0, _ = chirp_rate_estimate(stack)
-    for k in range(K):
-        lead = (2j * np.pi * f[k] - dln)[None, :]
-        res1_emp[k] = stack.db_w - (lead * stack.w
-                                    + 2j * np.pi * fpp[k][None, :] * asig
-                                    * stack.w_tg
-                                    - dln[None, :] * stack.w_tgp)
-        res2_emp[k] = stack.dadb_w - (
-            lead * stack.da_w
-            + 2j * np.pi * (fpp[k] * sig)[None, :]
-            * (stack.w_tg + aa * stack.da_w_tg)
-            - dln[None, :] * stack.da_w_tgp)
-        res3_emp[k] = r0 - 2j * np.pi * (sig * fpp[k])[None, :]
+    lead = 2j * np.pi * fk - dln
+    res1_emp = stack.db_w - (lead * stack.w + 2j * np.pi * ck * asig
+                             * stack.w_tg - dln * stack.w_tgp)
+    res2_emp = stack.dadb_w - (
+        lead * stack.da_w
+        + 2j * np.pi * (ck * sig) * (stack.w_tg + aa * stack.da_w_tg)
+        - dln * stack.da_w_tgp)
+    res3_emp = r0 - 2j * np.pi * (sig * ck)
 
-    G = np.empty((4, K, J, n), dtype=complex)
-    for l in range(K):
-        u = sig[None, :] * (wm.mu - aa * f[l][None, :])
-        lam = TWO_PI * fpp[l][None, :] * asig ** 2
-        for j in range(4):
-            G[j, l] = chirped_transform_Gj(j, u, lam)
-
-    cross_freq = np.zeros(shape, dtype=complex)
-    cross_rate = np.zeros(shape, dtype=complex)
-    cross_freq_scale = np.zeros(shape, dtype=complex)
-    cross_rate_scale = np.zeros(shape, dtype=complex)
-    for k in range(K):
-        for l in range(K):
-            if l == k:
-                continue
-            xl = xval[l][None, :]
-            df = (f[l] - f[k])[None, :]
-            dc = (fpp[l] - fpp[k])[None, :]
-            cross_freq[k] += xl * df * G[0, l]
-            cross_rate[k] += xl * dc * G[1, l]
-            cross_freq_scale[k] += xl * df * (f[l][None, :] * G[1, l]
-                                              + fpp[l][None, :] * asig
-                                              * G[2, l])
-            cross_rate_scale[k] += xl * dc * (f[l][None, :] * G[2, l]
-                                              + fpp[l][None, :] * asig
-                                              * G[3, l])
+    # [l, k, J, n]: component l in component k's identity; the diagonal
+    # terms carry f_l - f_k = fpp_l - fpp_k = 0
+    u = sig * (wm.mu - aa * fk)
+    lam = TWO_PI * ck * asig ** 2
+    G0, G1, G2, G3 = (chirped_transform_Gj(j, u, lam)[:, None]
+                      for j in range(4))
+    xl = np.stack([c.evaluate(b, analytic=True)
+                   for c in spec.components])[:, None, None, :]
+    df = (f[:, None] - f[None, :])[:, :, None, :]
+    dc = (fpp[:, None] - fpp[None, :])[:, :, None, :]
+    fl, cl = fk[:, None], ck[:, None]
+    cross_freq = np.sum(xl * df * G0, axis=0)
+    cross_rate = np.sum(xl * dc * G1, axis=0)
+    cross_freq_scale = np.sum(xl * df * (fl * G1 + cl * asig * G2), axis=0)
+    cross_rate_scale = np.sum(xl * dc * (fl * G2 + cl * asig * G3), axis=0)
 
     res1_struct = 2j * np.pi * cross_freq + 2j * np.pi * asig * cross_rate
     res2_struct = (2j * np.pi * sig[None, None, :] * cross_rate

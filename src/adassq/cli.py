@@ -55,7 +55,7 @@ from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
     example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
-    signal_from_csv, signal_to_csv, synthesize, tone, write_table
+    signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
 from .sst import PhasePlane, SqueezeConfig, TfPlane, phase_first, \
     phase_second, squeeze, tf_to_csv, tf_to_pgm
 # Not called here (phase_second derives its own floor), but perfbench's
@@ -279,10 +279,9 @@ def _fixed_sampling(cfg: dict) -> tuple[str, dict] | None:
 def _check_nyquist(components: tuple[ComponentTruth, ...], fs: float,
                    n: int, mode: str) -> None:
     """Every instantaneous frequency must fit the sampled band."""
-    t = SignalSpec(components=components, fs=fs, n=n, mode=mode).times()
+    spec = SignalSpec(components=components, fs=fs, n=n, mode=mode)
     top = fs if mode == "complex" else fs / 2.0
-    for idx, comp in enumerate(components, start=1):
-        f = comp.dphase(t)
+    for idx, f in enumerate(tracks(spec, spec.times())[0], start=1):
         if not (np.min(f) > 0.0 and np.max(f) < top):
             raise ConfigError(
                 f"[signal] components (entry {idx}): instantaneous "
@@ -515,11 +514,11 @@ def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
 
 def _write_report(cfg: RunConfig, res: Analysis) -> None:
     spec, t = res.spec, res.sig.t
-    comps = sorted(spec.components,
-                   key=lambda c: float(np.mean(c.dphase(t))))
-    ridge = np.vstack([c.dphase(t) for c in comps])
-    truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
-                       for c in comps])
+    f = tracks(spec, t)[0]
+    order = np.argsort(np.mean(f, axis=1), kind="stable")
+    ridge = f[order]
+    truth = np.vstack([spec.components[k].evaluate(
+        t, analytic=(spec.mode == "complex")) for k in order])
     eps3 = _resolve_eps3(cfg, ridge)
 
     zs_for_norms = res.zs if cfg.order == 2 else None

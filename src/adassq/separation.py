@@ -15,6 +15,11 @@ selectors are provided:
 
 Both return a SigmaProfile carrying sigma(b) and its derivative, which the
 transform stack needs for its time-derivative lattice.
+
+Component tracks are (K, n) arrays (signals.tracks), so adjacent pairs are
+the row slices [:-1] (lower) and [1:] (upper), and a quantity over all
+ordered pairs is a (K, K, n) array indexed [l, k]: component l seen in
+component k's window, with the diagonal l == k masked.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SignalSpec, write_table
+from .signals import SignalSpec, tracks, write_table
 from .windows import WindowModel
 
 Array = np.ndarray
@@ -53,14 +58,6 @@ def constant_profile(b, sigma: float) -> SigmaProfile:
                         dsigma=np.zeros_like(b), kind="const")
 
 
-def _frequencies(spec: SignalSpec, b: Array):
-    return [comp.dphase(b) for comp in spec.components]
-
-
-def _chirp_rates(spec: SignalSpec, b: Array):
-    return [comp.d2phase(b) for comp in spec.components]
-
-
 def sigma1(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
     """First-order minimal window width.
 
@@ -74,23 +71,17 @@ def sigma1(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
         raise ValueError("sigma1 needs at least two components; use "
                          "constant_profile for single-component signals")
     b = spec.times() if b is None else np.asarray(b, dtype=float)
-    freqs = _frequencies(spec, b)
-    rates = _chirp_rates(spec, b)
+    f, fpp, _ = tracks(spec, b)
+    flo, fhi, clo, chi = f[:-1], f[1:], fpp[:-1], fpp[1:]
     scale = wm.alpha / wm.mu
 
-    ratios = []
-    dratios = []
-    for (flo, fhi), (clo, chi) in zip(zip(freqs[:-1], freqs[1:]),
-                                      zip(rates[:-1], rates[1:])):
-        diff = fhi - flo
-        if np.any(diff <= 0.0):
-            raise ValueError("components must be ordered with strictly "
-                             "increasing instantaneous frequency")
-        ratios.append((fhi + flo) / diff)
-        # d/db [(f2+f1)/(f2-f1)] = 2 (c1 f2 - c2 f1) / (f2-f1)^2
-        dratios.append(2.0 * (clo * fhi - chi * flo) / diff ** 2)
-    ratios = np.stack(ratios)
-    dratios = np.stack(dratios)
+    diff = fhi - flo
+    if np.any(diff <= 0.0):
+        raise ValueError("components must be ordered with strictly "
+                         "increasing instantaneous frequency")
+    ratios = (fhi + flo) / diff
+    # d/db [(f2+f1)/(f2-f1)] = 2 (c1 f2 - c2 f1) / (f2-f1)^2
+    dratios = 2.0 * (clo * fhi - chi * flo) / diff ** 2
     active = np.argmax(ratios, axis=0)
     cols = np.arange(len(b))
     return SigmaProfile(
@@ -138,9 +129,11 @@ def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
     Per adjacent pair: the lower root of the separation quadratic (at which
     the chirp-corrected zones are exactly tangent), falling back to the
     first-order pair value when both chirp rates vanish.  The profile is the
-    maximum over pairs, floored at alpha/mu.  The derivative is a 5-point
-    finite difference of the closed form (exact branches are smooth; at
-    branch switches this yields an intermediate a.e.-valid slope).
+    maximum over pairs, floored at alpha/mu.  An unseparable pair raises,
+    naming the time of the smallest discriminant of the first such pair.
+    The derivative is a 5-point finite difference of the closed form (exact
+    branches are smooth; at branch switches this yields an intermediate
+    a.e.-valid slope).
     """
     if len(spec.components) < 2:
         raise ValueError("sigma2 needs at least two components; use "
@@ -148,33 +141,29 @@ def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
     b = spec.times() if b is None else np.asarray(b, dtype=float)
 
     def value(bv: Array) -> Array:
-        freqs = _frequencies(spec, bv)
-        rates = _chirp_rates(spec, bv)
-        best = np.full_like(bv, wm.alpha / wm.mu)
-        for (flo, fhi), (clo, chi) in zip(zip(freqs[:-1], freqs[1:]),
-                                          zip(rates[:-1], rates[1:])):
-            if np.any(fhi <= flo):
-                raise ValueError("components must be ordered with strictly "
-                                 "increasing instantaneous frequency")
-            qa, qb, qc, disc = sigma2_coefficients(
-                flo, clo, fhi, chi, wm.alpha, wm.mu)
-            if np.any(disc < 0.0):
-                worst = bv[np.argmin(disc)]
-                raise ValueError(
-                    "components are too close for their chirp rates near "
-                    f"b={worst:.6g}; no window width separates the "
-                    "chirp-corrected zones")
-            chirped = qa > 0.0
-            pair = np.empty_like(bv)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pair = np.where(
-                    chirped,
-                    (qb - np.sqrt(disc)) / np.where(chirped, 2.0 * qa, 1.0),
-                    (wm.alpha / wm.mu) * (fhi + flo)
-                    / np.maximum(fhi - flo, 1e-300),
-                )
-            best = np.maximum(best, pair)
-        return best
+        f, fpp, _ = tracks(spec, bv)
+        flo, fhi, clo, chi = f[:-1], f[1:], fpp[:-1], fpp[1:]
+        if np.any(fhi <= flo):
+            raise ValueError("components must be ordered with strictly "
+                             "increasing instantaneous frequency")
+        qa, qb, qc, disc = sigma2_coefficients(
+            flo, clo, fhi, chi, wm.alpha, wm.mu)
+        unseparable = np.any(disc < 0.0, axis=1)
+        if np.any(unseparable):
+            worst = bv[np.argmin(disc[np.argmax(unseparable)])]
+            raise ValueError(
+                "components are too close for their chirp rates near "
+                f"b={worst:.6g}; no window width separates the "
+                "chirp-corrected zones")
+        chirped = qa > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pair = np.where(
+                chirped,
+                (qb - np.sqrt(disc)) / np.where(chirped, 2.0 * qa, 1.0),
+                (wm.alpha / wm.mu) * (fhi + flo)
+                / np.maximum(fhi - flo, 1e-300),
+            )
+        return np.maximum(wm.alpha / wm.mu, np.max(pair, axis=0))
 
     h = 1e-4 * max(spec.duration, 1.0 / spec.fs)
     dsig = (-value(b + 2 * h) + 8 * value(b + h)
@@ -196,7 +185,6 @@ class ZoneSet:
     lower: Array
     upper: Array
     valid: Array
-    labels: tuple[str, ...]
 
 
 def zones(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
@@ -207,32 +195,21 @@ def zones(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     b = profile.b
     sig = profile.sigma
     alpha, mu = wm.alpha, wm.mu
+    f, fpp, _ = tracks(spec, b)
     lo_edge = mu - alpha / sig
     hi_edge = mu + alpha / sig
-    admissible = lo_edge > 0.0
-
-    lowers, uppers, valids = [], [], []
-    for comp in spec.components:
-        f = comp.dphase(b)
+    valid = (lo_edge > 0.0) & (f > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         if order == 1:
-            lowers.append(lo_edge / f)
-            uppers.append(hi_edge / f)
-            valids.append(admissible & (f > 0.0))
-        else:
-            c = np.abs(comp.d2phase(b))
-            arg_u = f ** 2 - 8.0 * math.pi * alpha * (alpha + mu * sig) * c
-            arg_l = f ** 2 + 8.0 * math.pi * alpha * (mu * sig - alpha) * c
-            ok = admissible & (arg_u >= 0.0) & (arg_l >= 0.0) & (f > 0.0)
-            with np.errstate(invalid="ignore"):
-                uppers.append(2.0 * hi_edge / (f + np.sqrt(arg_u)))
-                lowers.append(2.0 * lo_edge / (f + np.sqrt(arg_l)))
-            valids.append(ok)
-    return ZoneSet(
-        b=b, order=order,
-        lower=np.stack(lowers), upper=np.stack(uppers),
-        valid=np.stack(valids),
-        labels=tuple(c.label for c in spec.components),
-    )
+            return ZoneSet(b=b, order=1, lower=lo_edge / f,
+                           upper=hi_edge / f, valid=valid)
+        c = np.abs(fpp)
+        arg_u = f ** 2 - 8.0 * math.pi * alpha * (alpha + mu * sig) * c
+        arg_l = f ** 2 + 8.0 * math.pi * alpha * (mu * sig - alpha) * c
+        return ZoneSet(b=b, order=2,
+                       lower=2.0 * lo_edge / (f + np.sqrt(arg_l)),
+                       upper=2.0 * hi_edge / (f + np.sqrt(arg_u)),
+                       valid=valid & (arg_u >= 0.0) & (arg_l >= 0.0))
 
 
 def zone_margins(zs: ZoneSet) -> Array:
@@ -252,22 +229,18 @@ def spectral_distance(spec: SignalSpec, wm: WindowModel,
     k's first-order zone: how far component l's ridge sits outside k's zone,
     in window-argument units.  Diagonal entries are 0.
     """
-    b = profile.b
     sig = profile.sigma
     alpha, mu = wm.alpha, wm.mu
-    freqs = _frequencies(spec, b)
-    K = len(freqs)
-    out = np.zeros((K, K, len(b)))
-    for k in range(K):
-        for l in range(K):
-            if l == k:
-                continue
-            ratio = freqs[l] / freqs[k]
-            if l < k:      # lower frequency seen at k's (smaller) scales
-                out[l, k] = sig * mu - (sig * mu + alpha) * ratio
-            else:          # higher frequency seen at k's (larger) scales
-                out[l, k] = (sig * mu - alpha) * ratio - sig * mu
-    return out
+    f = tracks(spec, profile.b)[0]
+    K = len(f)
+    ratio = f[:, None] / f[None, :]
+    l_idx, k_idx = np.indices((K, K))[..., None]
+    # a lower frequency is seen at k's (smaller) scales, a higher one at
+    # k's (larger) scales
+    return np.where(l_idx == k_idx, 0.0,
+                    np.where(l_idx < k_idx,
+                             sig * mu - (sig * mu + alpha) * ratio,
+                             (sig * mu - alpha) * ratio - sig * mu))
 
 
 @dataclass(frozen=True)
@@ -295,30 +268,18 @@ def separation_report(spec: SignalSpec, wm: WindowModel,
     sig = profile.sigma
     admissible = sig * wm.mu - wm.alpha > 0.0
 
-    freqs = _frequencies(spec, b)
-    rates = _chirp_rates(spec, b)
-    order_ok = np.ones(len(b), dtype=bool)
-    cond_ok = np.ones(len(b), dtype=bool)
-    for (flo, fhi), (clo, chi) in zip(zip(freqs[:-1], freqs[1:]),
-                                      zip(rates[:-1], rates[1:])):
-        order_ok &= fhi > flo
-        cond_ok &= separation_condition(flo, clo, fhi, chi, wm.alpha)
+    f, fpp, _ = tracks(spec, b)
+    order_ok = np.all(f[1:] > f[:-1], axis=0)
+    cond_ok = np.all(separation_condition(f[:-1], fpp[:-1], f[1:], fpp[1:],
+                                          wm.alpha), axis=0)
 
     zs = zones(spec, wm, profile, order=order)
-    if len(spec.components) > 1:
-        disjoint = np.all(zone_margins(zs) >= -margin_tol, axis=0) \
-            & np.all(zs.valid, axis=0)
-    else:
-        disjoint = zs.valid[0]
+    disjoint = np.all(zone_margins(zs) >= -margin_tol, axis=0) \
+        & np.all(zs.valid, axis=0)
 
     rho = spectral_distance(spec, wm, profile)
-    K = len(spec.components)
-    if K > 1:
-        off = np.array([rho[l, k] for k in range(K) for l in range(K)
-                        if l != k])
-        rho_min = float(np.min(off))
-    else:
-        rho_min = math.inf
+    off = ~np.eye(len(rho), dtype=bool)
+    rho_min = float(np.min(rho[off], initial=math.inf))
 
     good = admissible & order_ok & cond_ok & disjoint
     return SeparationReport(

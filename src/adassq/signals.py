@@ -44,7 +44,6 @@ class ComponentTruth:
     d2phase: TimeFunc
     damp: TimeFunc | None = None
     d3phase: TimeFunc | None = None
-    label: str = ""
 
     def evaluate(self, t: Array, analytic: bool) -> Array:
         t = np.asarray(t, dtype=float)
@@ -53,7 +52,7 @@ class ComponentTruth:
         return self.amp(t) * osc
 
 
-def tone(freq: float, amp: float = 1.0, label: str = "") -> ComponentTruth:
+def tone(freq: float, amp: float = 1.0) -> ComponentTruth:
     """Pure tone at the given frequency (Hz)."""
     if freq <= 0.0:
         raise ValueError(f"tone frequency must be positive, got {freq}")
@@ -64,12 +63,10 @@ def tone(freq: float, amp: float = 1.0, label: str = "") -> ComponentTruth:
         d2phase=_const(0.0),
         damp=_const(0.0),
         d3phase=_const(0.0),
-        label=label or f"tone@{freq:g}Hz",
     )
 
 
-def linear_chirp(f0: float, rate: float, amp: float = 1.0,
-                 label: str = "") -> ComponentTruth:
+def linear_chirp(f0: float, rate: float, amp: float = 1.0) -> ComponentTruth:
     """Linear chirp: instantaneous frequency f0 + rate*t."""
     return ComponentTruth(
         amp=_const(amp),
@@ -79,12 +76,10 @@ def linear_chirp(f0: float, rate: float, amp: float = 1.0,
         d2phase=_const(rate),
         damp=_const(0.0),
         d3phase=_const(0.0),
-        label=label or f"chirp{f0:g}+{rate:g}t",
     )
 
 
-def poly_phase(coeffs: Sequence[float], amp: float = 1.0,
-               label: str = "") -> ComponentTruth:
+def poly_phase(coeffs: Sequence[float], amp: float = 1.0) -> ComponentTruth:
     """Polynomial phase (cycles), coefficients in ascending order."""
     p = np.polynomial.Polynomial(list(coeffs))
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
@@ -95,7 +90,6 @@ def poly_phase(coeffs: Sequence[float], amp: float = 1.0,
         d2phase=lambda t: d2(np.asarray(t, dtype=float)),
         damp=_const(0.0),
         d3phase=lambda t: d3(np.asarray(t, dtype=float)),
-        label=label or "polyphase",
     )
 
 
@@ -161,6 +155,20 @@ def synthesize(spec: SignalSpec) -> SampledSignal:
     return SampledSignal(t=t, x=x)
 
 
+def tracks(spec: SignalSpec, b) -> tuple[Array, Array, Array]:
+    """Frequency phi_k', chirp rate phi_k'' and amplitude A_k on the grid b.
+
+    Each is an array of shape (K, len(b)), row k for component k: the one
+    place the component callables are evaluated on a time grid, so that
+    per-pair quantities are broadcasts over rows.
+    """
+    b = np.asarray(b, dtype=float)
+    comps = spec.components
+    return (np.stack([c.dphase(b) for c in comps]),
+            np.stack([c.d2phase(b) for c in comps]),
+            np.stack([c.amp(b) for c in comps]))
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Regularity parameters of the signal class.
@@ -186,41 +194,35 @@ def class_params(spec: SignalSpec, oversample: int = 8) -> ClassParams:
     """Scan component callables on an oversampled grid for the class bounds."""
     t = spec.t0 + np.arange(spec.n * oversample) / (spec.fs * oversample)
     h = 0.5 / (spec.fs * oversample)
-    eps1 = eps2 = eps3 = 0.0
-    freqs = []
+    f, fpp, A = tracks(spec, t)
+    eps1 = eps3 = 0.0
     for comp in spec.components:
         da = comp.damp(t) if comp.damp is not None else _fd(comp.amp, t, h)
         d3 = comp.d3phase(t) if comp.d3phase is not None \
             else _fd(comp.d2phase, t, h)
         eps1 = max(eps1, float(np.max(np.abs(da))))
-        eps2 = max(eps2, float(np.max(np.abs(comp.d2phase(t)))))
         eps3 = max(eps3, float(np.max(np.abs(d3))))
-        freqs.append(comp.dphase(t))
-    amin = min(float(np.min(comp.amp(t))) for comp in spec.components)
-    if amin <= 0.0:
+    if np.min(A) <= 0.0:
         raise ValueError("component amplitudes must stay positive over the "
                          "sampled interval")
-    sep = np.inf
-    for lo, hi in zip(freqs[:-1], freqs[1:]):
-        if np.any(hi <= lo):
-            raise ValueError("components must be ordered with strictly "
-                             "increasing instantaneous frequency")
-        if np.any(lo <= 0.0):
-            raise ValueError("instantaneous frequencies must stay positive")
-        sep = min(sep, float(np.min((hi - lo) / (hi + lo))))
-    if not freqs[:-1]:
-        if np.any(freqs[0] <= 0.0):
-            raise ValueError("instantaneous frequencies must stay positive")
-        sep = 1.0  # single component: no neighbor to collide with
-    return ClassParams(eps1=eps1, eps2=eps2, eps3=eps3, sep_ratio=sep)
+    lo, hi = f[:-1], f[1:]
+    if np.any(hi <= lo):
+        raise ValueError("components must be ordered with strictly "
+                         "increasing instantaneous frequency")
+    if np.any(f[0] <= 0.0):     # the lowest, given the order
+        raise ValueError("instantaneous frequencies must stay positive")
+    # single component: no neighbor to collide with
+    sep = float(np.min((hi - lo) / (hi + lo))) if len(lo) else 1.0
+    return ClassParams(eps1=eps1, eps2=float(np.max(np.abs(fpp))), eps3=eps3,
+                       sep_ratio=sep)
 
 
 def example1_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
     """Two crossing-free linear chirps, 12+0.5t Hz and 26-0.5t Hz."""
     return SignalSpec(
         components=(
-            linear_chirp(12.0, 0.5, label="low"),
-            linear_chirp(26.0, -0.5, label="high"),
+            linear_chirp(12.0, 0.5),
+            linear_chirp(26.0, -0.5),
         ),
         fs=fs, n=n, t0=0.0, mode="real",
     )
@@ -230,8 +232,8 @@ def example2_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
     """Two steep linear chirps, 20+18t Hz and 42+36t Hz."""
     return SignalSpec(
         components=(
-            linear_chirp(20.0, 18.0, label="low"),
-            linear_chirp(42.0, 36.0, label="high"),
+            linear_chirp(20.0, 18.0),
+            linear_chirp(42.0, 36.0),
         ),
         fs=fs, n=n, t0=0.0, mode="real",
     )
@@ -298,9 +300,11 @@ def read_table(path, header: str) -> Array:
 
     Each row must carry at least the header's columns, and each of those
     must parse as a finite float; extra trailing columns are ignored.
-    The file is read as UTF-8, a byte that does not decode becoming U+FFFD.
-    Raises ValueError naming the offending file line otherwise, a line the
-    csv module cannot split (such as an over-long field) included.
+    Every record must sit on one line (a quoted field may not run on to
+    the next), so row i of the result is line i + 2 of the file.  The file
+    is read as UTF-8, a byte that does not decode becoming U+FFFD.  Raises
+    ValueError naming the offending file line otherwise, a line the csv
+    module cannot split (such as an over-long field) included.
     """
     names = header.split(",")
     rows = []
@@ -308,10 +312,14 @@ def read_table(path, header: str) -> Array:
         rd = csv.reader(fh)
         try:
             got = next(rd, [])
-            if [c.strip() for c in got[:len(names)]] != names:
+            if [c.strip() for c in got[:len(names)]] != names \
+                    or rd.line_num > 1:
                 raise ValueError(f"line 1: expected header {header}, got "
                                  f"{','.join(got)!r}")
             for line, row in enumerate(rd, start=2):
+                if rd.line_num > line:
+                    raise ValueError(f"line {line}: a quoted field runs on "
+                                     f"to line {rd.line_num}")
                 if len(row) < len(names):
                     raise ValueError(f"line {line}: expected {header}, got "
                                      f"{len(row)} value(s)")

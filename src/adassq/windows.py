@@ -144,9 +144,7 @@ def chirped_transform_G(u, lam) -> np.ndarray:
     Closed form (1-i*lam)**-0.5 * exp(-2*pi**2*u**2/(1-i*lam)); numpy's
     principal square root applies (Re(1-i*lam) = 1 > 0, never on the cut).
     """
-    u = np.asarray(u, dtype=float)
-    q = 1.0 - 1j * np.asarray(lam, dtype=float)
-    return np.exp(-TWO_PI * math.pi * u * u / q) / np.sqrt(q)
+    return chirped_transform_Gj(0, u, lam)
 
 
 def chirped_transform_Gj(j: int, u, lam) -> np.ndarray:

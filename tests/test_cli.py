@@ -31,9 +31,9 @@ What is proven here
    truth; a malformed sample file exits 2 naming its line, before any
    output is written, and so does one whose sampling rate leaves no band
    to analyze; so does every Hypothesis mutation of a valid file (short
-   rows, non-numeric, non-UTF-8 and non-finite cells, off-grid, swapped,
-   decreasing or overflowing times, an empty body, a bad header), never
-   with a traceback; reruns of the same configuration are
+   rows, non-numeric, non-UTF-8 and non-finite cells, a quoted cell that
+   runs on to the next line, off-grid, swapped, decreasing or overflowing
+   times, an empty body, a bad header), never with a traceback; reruns of the same configuration are
    byte-identical; importing the command loads no scipy module, since
    numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
@@ -568,8 +568,13 @@ def test_reruns_are_byte_identical(demo1, tmp_path):
     ("0,1,0\n1," + "1" * 200000 + ",0\n", 3),          # over the csv limit
     ("-1e308,1,0\n0,0,0\n1e308,1,0\n", 4),             # span overflows
     ("0,1,0\n5e-324,0,0\n1e-323,1,0\n", 4),            # 1/dt overflows
+    # a quoted field that runs on to the next line is named where it
+    # starts, not where a later bad value or grid error sits
+    ('0,"1\n",0\n1,2,0\n2,x,0\n', 2),
+    ('0,"1\n",0\n1,2,0\n5,3,0\n', 2),
 ], ids=["short-row", "nan", "one-sample", "non-uniform", "decreasing",
-        "long-field", "huge-span", "tiny-dt"])
+        "long-field", "huge-span", "tiny-dt", "span-then-text",
+        "span-then-off-grid"])
 def test_bad_sample_file_exits_2_naming_the_line(tmp_path, capsys, body,
                                                   line):
     src = tmp_path / "samples.csv"
@@ -609,7 +614,7 @@ def _bad_sample_files(draw):
     col = draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["short", "text", "bytes", "non-finite",
                                  "off-grid", "swap", "decreasing", "span",
-                                 "empty", "header"]))
+                                 "multiline", "empty", "header"]))
     line = i + 2
     if kind == "short":
         rows[i] = rows[i][:col]
@@ -639,6 +644,8 @@ def _bad_sample_files(draw):
         for k, row in enumerate(rows):
             row[0] = repr(k * tiny if tiny else huge * (2 * k / (m - 1) - 1))
         line = m + 1
+    elif kind == "multiline":               # a quoted cell runs on a line
+        rows[i][col] = f'"{rows[i][col]}\n"'
     elif kind == "empty":
         rows, line = [], 1
         header = draw(st.sampled_from(["t,re,im", None]))
