@@ -13,6 +13,10 @@ bins,
 
 which this module evaluates exactly (to rounding) for the Gaussian window
 and all kernel variants whose spectra are polynomial multiples of FTg.
+With constant sigma on the sample grid b_i = t_0 + i/fs the phase is
+exp(i*2*pi*m*i/N), so each scale row of each field is one length-N inverse
+FFT (Daubechies, Lu & Wu, ACHA 30(2), 2011); time-varying sigma, or columns
+off the sample grid, take a kernel product per distinct window width.
 Derivatives in scale and time are taken analytically on the same lattice
 -- no finite differences -- so the phase transforms built on top inherit
 machine-precision consistency.
@@ -142,6 +146,13 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     are built once per distinct pair and applied to all its columns at once;
     the t**2*g and g' transforms are -w_tgp and -w_tg.  Columns follow
     profile.b (off-sample columns analyze the trigonometric interpolant).
+
+    With one (sigma, sigma') pair and profile.b equal to sig.t, each field
+    is one inverse FFT of kernel times coefficients along the bins.  It
+    evaluates the columns at t_0 + i/fs: for a sample file that is its
+    nominal grid, from which the reader accepts times only within 1e-9 of
+    a step.  Otherwise each pair's kernels multiply the phase factors of its
+    columns, _BLOCK columns at a time.
     """
     xi, coef = spectral_coefficients(sig)
     shift = profile.b - float(sig.t[0])
@@ -162,6 +173,8 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
         np.column_stack((profile.sigma, profile.dsigma)), axis=0,
         return_inverse=True, return_counts=True)
     order = np.argsort(inverse.ravel(), kind="stable")
+    n = len(sig.t)
+    on_grid = len(counts) == 1 and np.array_equal(profile.b, sig.t)
     for cols in np.split(order, np.cumsum(counts)[:-1]):
         s = profile.sigma[cols[0]]
         dln = profile.dsigma[cols[0]] / s
@@ -181,6 +194,13 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
                 i2pix * v_dg
                 + dln * (v_dg + nu * npoly.polyval(nu, dd_g))) * gh,
         }
+        if on_grid:
+            # each kernel is freed once used, so the next transform's
+            # temporaries reuse its memory instead of growing the heap
+            for name in _FIELD_NAMES:
+                np.multiply(np.fft.ifft(kernels.pop(name) * coef, n=n,
+                                        axis=1), n, out=out[name])
+            continue
         for k in range(0, len(cols), _BLOCK):
             block = cols[k:k + _BLOCK]
             ce = coef[:, None] * np.exp(np.outer(i2pix, shift[block]))

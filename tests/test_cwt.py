@@ -2,10 +2,10 @@
 
 Proof groups:
   1. the vectorized lattice equals a naive reimplementation of the
-     spectral sum (independent double loop), and at n = 1024 an oracle
+     spectral sum (independent double loop), and up to n = 4096 an oracle
      whose phase factors are reduced to exact integer multiples of 1/N;
-     columns that share a window width, computed together, equal each
-     column computed alone
+     columns that share a window width, computed together (by one inverse
+     FFT per field on the sample grid), equal each column computed alone
   2. closed forms -- on-grid tones and interior chirps match the exact
      transform values predicted by the window layer
   3. derivative lattices match central finite differences of the value
@@ -13,7 +13,8 @@ Proof groups:
   4. the exact time-derivative identity holds at rounding level
   5. conventions -- real-mode folding, grid construction
   6. structure -- the kernels are built once per distinct window width,
-     not once per column
+     not once per column; constant sigma on the sample grid, and only it,
+     takes one inverse FFT per field
 """
 from __future__ import annotations
 
@@ -31,10 +32,17 @@ from adassq.cwt import (
     time_derivative_residual,
     spectral_coefficients,
 )
-from adassq.separation import SigmaProfile, constant_profile, sigma1, zones
+from adassq.separation import (
+    SigmaProfile,
+    constant_profile,
+    sigma1,
+    sigma2,
+    zones,
+)
 from adassq.signals import (
     SignalSpec,
     example1_spec,
+    example2_spec,
     linear_chirp,
     synthesize,
     tone,
@@ -109,34 +117,42 @@ def test_stack_matches_naive_reimplementation_complex(wm):
     assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-def exact_phase_stack(sig, sigma, wm, a):
+def exact_phase_stack(sig, sigma, wm, a, cols=None):
     """Spectral sum on the sample-grid columns b_i = t_0 + i/fs.
 
     There xi_m*(b_i - t_0) = m*i/N, so each phase factor is taken of the
     integer-reduced angle ((m*i) mod N)/N and carries no error that grows
-    with n.
+    with n.  cols picks the columns i (default: all of them).
     """
     xi, c = spectral_coefficients(sig)
     n = len(sig.t)
-    phase = np.exp(1j * TWO_PI * (np.outer(np.arange(len(xi)), np.arange(n))
-                                  % n) / n)
+    cols = np.arange(n) if cols is None else np.asarray(cols)
+    phase = np.exp(1j * TWO_PI * (np.outer(np.arange(len(xi)), cols) % n)
+                   / n)
     nu = sigma * (wm.mu - np.outer(a, xi))
     return (np.exp(-TWO_PI * math.pi * nu * nu) * c) @ phase
 
 
-def test_stack_matches_exact_phase_oracle_n1024(wm):
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("n", [64, 1023, 1024, 4096])
+def test_stack_matches_exact_phase_oracle(wm, n, mode):
     # the analyze grid without zones (1 Hz to 1.25x Nyquist, 246 scales);
-    # the stack's phase rounding grows with b*xi: 1.4e-14 relative at
-    # n = 64, 2.3e-13 here, 6.7e-13 at n = 4096
+    # the inverse FFT measures at most 1.0e-15 relative at every n here,
+    # where the direct sum (still used for varying sigma) rounds its phase
+    # by b*xi: 1.4e-14 at n = 64, 2.3e-13 at 1024, 6.7e-13 at 4096.  At
+    # n = 4096 the oracle takes 32 probe columns, not its 2049 x 4096
+    # phase matrix.
     spec = SignalSpec(components=(linear_chirp(20.0, 1.0),
                                   linear_chirp(50.0, 2.0), tone(90.0)),
-                      fs=256.0, n=1024)
+                      fs=256.0, n=n, mode=mode)
     sig = synthesize(spec)
     grid = ScaleGrid.from_range(1.0 / 128.0 / 1.25, 1.25, voices=32)
     assert len(grid) == 246
     st = compute_stack(sig, constant_profile(sig.t, 1.0), wm, grid)
-    ref = exact_phase_stack(sig, 1.0, wm, grid.a)
-    assert np.max(np.abs(st.w - ref)) < 1e-12 * np.max(np.abs(ref))
+    cols = np.linspace(0, n - 1, 32).astype(int) if n > 1024 else \
+        np.arange(n)
+    ref = exact_phase_stack(sig, 1.0, wm, grid.a, cols)
+    assert np.max(np.abs(st.w[:, cols] - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_grouped_columns_equal_single_column_stacks(wm):
@@ -168,6 +184,30 @@ def test_grouped_columns_equal_single_column_stacks(wm):
                 <= 1e-13 * np.max(np.abs(field)), (name, i)
     ref = naive_stack_value(sig, prof, wm, grid.a)
     assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("n", [95, 96])
+def test_sample_grid_fields_equal_single_column_stacks(wm, n, mode):
+    # constant sigma on the sample grid takes the inverse FFT; each of its
+    # eight fields equals, column by column, the direct sum of a one-column
+    # profile, and the exact time-derivative identity holds on it
+    sig = synthesize(SignalSpec(components=(linear_chirp(9.0, 4.0),
+                                            tone(21.0)),
+                                fs=64.0, n=n, mode=mode))
+    prof = constant_profile(sig.t, 1.1)
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    st = compute_stack(sig, prof, wm, grid)
+    for i in range(n):
+        one = SigmaProfile(b=sig.t[i:i + 1], sigma=prof.sigma[i:i + 1],
+                           dsigma=prof.dsigma[i:i + 1])
+        alone = compute_stack(sig, one, wm, grid)
+        for name in FIELDS:
+            field = getattr(st, name)
+            assert np.max(np.abs(field[:, i] - getattr(alone, name)[:, 0])) \
+                <= 1e-13 * np.max(np.abs(field)), (name, i)
+    res = time_derivative_residual(st)
+    assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(st.db_w))
 
 
 # ---------------------------------------------------------------- group 2
@@ -389,3 +429,29 @@ def test_constant_sigma_builds_its_kernels_once(wm, monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts == [counts[0]] * 3
+
+
+def test_only_constant_sigma_on_the_sample_grid_takes_the_fft(wm,
+                                                              monkeypatch):
+    # one inverse FFT per field; varying sigma (example2's sigma2, whose
+    # pinned outputs sit on half-bin ties) and off-grid columns keep the
+    # per-group kernel product
+    calls = []
+    ifft = cwt.np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+    monkeypatch.setattr(cwt.np.fft, "ifft", counted)
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+
+    def count(sig, prof):
+        calls.clear()
+        compute_stack(sig, prof, wm, grid)
+        return len(calls)
+    for n in (2, 64, 128):
+        sig = synthesize(SignalSpec(components=(tone(9.0),), fs=64.0, n=n))
+        assert count(sig, constant_profile(sig.t, 1.1)) == len(FIELDS)
+    assert count(sig, constant_profile(sig.t + 1e-8, 1.1)) == 0
+    spec = example2_spec()
+    assert count(synthesize(spec), sigma2(spec, wm)) == 0

@@ -5,7 +5,9 @@ Proof groups:
      (K, K, n) broadcasts over component pairs, equal bit for bit the
      per-pair loops kept here as the oracle
   2. invariants -- squeezing conserves the masked mass and the time
-     derivative identity holds, on random specs at n = 64
+     derivative identity holds, on random specs at n = 64; with constant
+     sigma the stack (an inverse FFT per field) equals the exact-phase
+     spectral sum for any n from 2 to 300
   3. a known defect -- sigma2 loses its digits for chirp rates near 0
      (a strict xfail, so fixing it fails the suite until the mark goes)
 """
@@ -21,14 +23,15 @@ from hypothesis import strategies as st
 from adassq.bounds import (_NODES, _WEIGHTS, _band_normalizer, bounds_first,
                            bounds_second, normalizers, quad)
 from adassq.cwt import ScaleGrid, compute_stack, time_derivative_residual
-from adassq.separation import (sigma1, sigma2, sigma2_coefficients,
-                               spectral_distance, zones)
+from adassq.separation import (constant_profile, sigma1, sigma2,
+                               sigma2_coefficients, spectral_distance, zones)
 from adassq.signals import (SignalSpec, class_params, linear_chirp,
                             synthesize, tone)
 from adassq.sst import (SqueezeConfig, conservation_defect, phase_first,
                         phase_second, squeeze)
 from adassq.windows import (WindowModel, chirped_transform_G, gauss_hat,
                             moment)
+from test_cwt import exact_phase_stack
 
 TWO_PI = 2.0 * math.pi
 WM = WindowModel(mu=1.0, tau0=0.05)
@@ -329,6 +332,35 @@ def test_squeeze_conserves_mass_and_derivative_identity_holds(spec, select,
         * stack.grid.dlog
     assert np.max(conservation_defect(stack, plane, tf)) \
         <= 1e-12 * max(1.0, np.max(mass))
+
+
+@st.composite
+def _any_length_specs(draw):
+    """1-3 tones and linear chirps starting below Nyquist, n = 2..300.
+
+    fs = 64; a chirp may leave the band, as the stack does not care.
+    """
+    n = draw(st.integers(2, 300))
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        f0 = draw(st.floats(0.5, 31.5))
+        amp = draw(st.floats(0.5, 2.0))
+        if draw(st.booleans()):
+            comps.append(tone(f0, amp))
+        else:
+            comps.append(linear_chirp(f0, draw(st.floats(-20.0, 20.0)), amp))
+    mode = draw(st.sampled_from(["real", "complex"]))
+    return SignalSpec(components=tuple(comps), fs=64.0, n=n, mode=mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_length_specs(), st.floats(0.3, 3.0))
+def test_constant_sigma_stack_equals_exact_phase_sum(spec, sigma):
+    sig = synthesize(spec)
+    grid = ScaleGrid.from_range(1.0 / 32.0 / 1.25, 1.25, voices=8)
+    stack = compute_stack(sig, constant_profile(sig.t, sigma), WM, grid)
+    ref = exact_phase_stack(sig, sigma, WM, grid.a)
+    assert np.max(np.abs(stack.w - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------- group 3
