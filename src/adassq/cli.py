@@ -184,7 +184,11 @@ def _parse_components(text: str, loc: str) -> tuple[ComponentTruth, ...]:
                 raise ValueError(f"{kind} takes {usage}[:amp]")
             first = tuple(map(float, args[0].split(","))) \
                 if kind == "poly" else float(args[0])
-            comps.append(make(first, *map(float, args[1:])))
+            rest = tuple(map(float, args[1:]))
+            if not np.all(np.isfinite((*np.ravel(first), *rest))):
+                raise ValueError("every value must be a finite number")
+            with np.errstate(over="ignore"):   # _check_nyquist rejects inf
+                comps.append(make(first, *rest))
         except ValueError as exc:
             raise ConfigError(f"{loc} (entry {idx}): {exc}") from None
     return tuple(comps)
@@ -281,7 +285,9 @@ def _check_nyquist(components: tuple[ComponentTruth, ...], fs: float,
     """Every instantaneous frequency must fit the sampled band."""
     spec = SignalSpec(components=components, fs=fs, n=n, mode=mode)
     top = fs if mode == "complex" else fs / 2.0
-    for idx, f in enumerate(tracks(spec, spec.times())[0], start=1):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail below
+        tracks_f = tracks(spec, spec.times())[0]
+    for idx, f in enumerate(tracks_f, start=1):
         if not (np.min(f) > 0.0 and np.max(f) < top):
             raise ConfigError(
                 f"[signal] components (entry {idx}): instantaneous "
@@ -304,7 +310,8 @@ def load_config(path: Path | None,
                                    empty_lines_in_values=False)
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # like a sample file: an undecodable byte becomes U+FFFD
+            text = Path(path).read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         try:

@@ -130,7 +130,7 @@ def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
     the chirp-corrected zones are exactly tangent), falling back to the
     first-order pair value when both chirp rates vanish.  The profile is the
     maximum over pairs, floored at alpha/mu.  An unseparable pair raises,
-    naming the time of the smallest discriminant of the first such pair.
+    naming the time in b of the smallest discriminant of the first such pair.
     The derivative is a 5-point finite difference of the closed form (exact
     branches are smooth; at branch switches this yields an intermediate
     a.e.-valid slope).
@@ -165,10 +165,11 @@ def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
             )
         return np.maximum(wm.alpha / wm.mu, np.max(pair, axis=0))
 
+    sigma = value(b)        # first, so a failure is named at a time of b
     h = 1e-4 * max(spec.duration, 1.0 / spec.fs)
     dsig = (-value(b + 2 * h) + 8 * value(b + h)
             - 8 * value(b - h) + value(b - 2 * h)) / (12.0 * h)
-    return SigmaProfile(b=b, sigma=value(b), dsigma=dsig, kind="sigma2")
+    return SigmaProfile(b=b, sigma=sigma, dsigma=dsig, kind="sigma2")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 A component is an amplitude-modulated oscillation A(t)*cos(2*pi*phi(t))
 (real mode) or A(t)*exp(i*2*pi*phi(t)) (complex mode), with phase measured
-in cycles.  Components carry their own derivative callables so that window
-selection, zone geometry, and error bounds can be evaluated from exact
-ground truth rather than finite differences; the regularity parameters of
-the signal class (amplitude drift, chirp rate, chirp-rate drift, relative
-frequency separation) are extracted by scanning those callables on an
-oversampled grid.
+in cycles.  Every component carries exact callables for A, A', phi and
+phi' to phi''', derived in one place (poly_phase; tone and linear_chirp
+are its shorthands), so window selection, zone geometry, and error bounds
+are evaluated from exact ground truth, never from finite differences.  The
+regularity parameters of the signal class (amplitude drift, chirp rate,
+chirp-rate drift, relative frequency separation) are extracted by scanning
+those callables on an oversampled grid.
 """
 from __future__ import annotations
 
@@ -32,18 +33,18 @@ def _const(value: float) -> TimeFunc:
 class ComponentTruth:
     """One oscillatory component with exact phase/amplitude derivatives.
 
-    amp, phase are callables of time; phase is in cycles.  dphase and
-    d2phase (instantaneous frequency and chirp rate) are required; damp and
-    d3phase may be None, in which case quantities that need them fall back
-    to finite differences of the available callables.
+    Every field is a required callable of time: amp (A) and damp (A'),
+    phase (phi, in cycles), dphase (phi', the instantaneous frequency),
+    d2phase (phi'', the chirp rate) and d3phase (phi''', the chirp-rate
+    drift).  Nothing is estimated by finite differences.
     """
 
     amp: TimeFunc
     phase: TimeFunc
     dphase: TimeFunc
     d2phase: TimeFunc
-    damp: TimeFunc | None = None
-    d3phase: TimeFunc | None = None
+    damp: TimeFunc
+    d3phase: TimeFunc
 
     def evaluate(self, t: Array, analytic: bool) -> Array:
         t = np.asarray(t, dtype=float)
@@ -53,34 +54,20 @@ class ComponentTruth:
 
 
 def tone(freq: float, amp: float = 1.0) -> ComponentTruth:
-    """Pure tone at the given frequency (Hz)."""
+    """Pure tone at the given frequency (Hz): poly_phase((0, freq))."""
     if freq <= 0.0:
         raise ValueError(f"tone frequency must be positive, got {freq}")
-    return ComponentTruth(
-        amp=_const(amp),
-        phase=lambda t: freq * np.asarray(t, dtype=float),
-        dphase=_const(freq),
-        d2phase=_const(0.0),
-        damp=_const(0.0),
-        d3phase=_const(0.0),
-    )
+    return poly_phase((0.0, freq), amp)
 
 
 def linear_chirp(f0: float, rate: float, amp: float = 1.0) -> ComponentTruth:
-    """Linear chirp: instantaneous frequency f0 + rate*t."""
-    return ComponentTruth(
-        amp=_const(amp),
-        phase=lambda t: (f0 + 0.5 * rate * np.asarray(t, dtype=float))
-        * np.asarray(t, dtype=float),
-        dphase=lambda t: f0 + rate * np.asarray(t, dtype=float),
-        d2phase=_const(rate),
-        damp=_const(0.0),
-        d3phase=_const(0.0),
-    )
+    """Linear chirp at f0 + rate*t Hz: poly_phase((0, f0, rate/2))."""
+    return poly_phase((0.0, f0, 0.5 * rate), amp)
 
 
 def poly_phase(coeffs: Sequence[float], amp: float = 1.0) -> ComponentTruth:
-    """Polynomial phase (cycles), coefficients in ascending order."""
+    """Polynomial phase (cycles), coefficients in ascending order, constant
+    amplitude: the one place a component's callables are derived."""
     p = np.polynomial.Polynomial(list(coeffs))
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
     return ComponentTruth(
@@ -104,7 +91,6 @@ class SignalSpec:
     components: tuple[ComponentTruth, ...]
     fs: float
     n: int
-    t0: float = 0.0
     mode: str = "real"
 
     def __post_init__(self):
@@ -120,7 +106,7 @@ class SignalSpec:
         object.__setattr__(self, "components", tuple(self.components))
 
     def times(self) -> Array:
-        return self.t0 + np.arange(self.n) / self.fs
+        return np.arange(self.n) / self.fs
 
     @property
     def duration(self) -> float:
@@ -186,22 +172,17 @@ class ClassParams:
     sep_ratio: float
 
 
-def _fd(f: TimeFunc, t: Array, h: float) -> Array:
-    return (f(t + h) - f(t - h)) / (2.0 * h)
+# class_params scans this many points per sample interval
+_OVERSAMPLE = 8
 
 
-def class_params(spec: SignalSpec, oversample: int = 8) -> ClassParams:
+def class_params(spec: SignalSpec) -> ClassParams:
     """Scan component callables on an oversampled grid for the class bounds."""
-    t = spec.t0 + np.arange(spec.n * oversample) / (spec.fs * oversample)
-    h = 0.5 / (spec.fs * oversample)
+    t = np.arange(spec.n * _OVERSAMPLE) / (spec.fs * _OVERSAMPLE)
     f, fpp, A = tracks(spec, t)
-    eps1 = eps3 = 0.0
-    for comp in spec.components:
-        da = comp.damp(t) if comp.damp is not None else _fd(comp.amp, t, h)
-        d3 = comp.d3phase(t) if comp.d3phase is not None \
-            else _fd(comp.d2phase, t, h)
-        eps1 = max(eps1, float(np.max(np.abs(da))))
-        eps3 = max(eps3, float(np.max(np.abs(d3))))
+    comps = spec.components
+    eps1 = float(np.max(np.abs(np.stack([c.damp(t) for c in comps]))))
+    eps3 = float(np.max(np.abs(np.stack([c.d3phase(t) for c in comps]))))
     if np.min(A) <= 0.0:
         raise ValueError("component amplitudes must stay positive over the "
                          "sampled interval")
@@ -217,25 +198,25 @@ def class_params(spec: SignalSpec, oversample: int = 8) -> ClassParams:
                        sep_ratio=sep)
 
 
-def example1_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
+def example1_spec() -> SignalSpec:
     """Two crossing-free linear chirps, 12+0.5t Hz and 26-0.5t Hz."""
     return SignalSpec(
         components=(
             linear_chirp(12.0, 0.5),
             linear_chirp(26.0, -0.5),
         ),
-        fs=fs, n=n, t0=0.0, mode="real",
+        fs=256.0, n=256, mode="real",
     )
 
 
-def example2_spec(n: int = 256, fs: float = 256.0) -> SignalSpec:
+def example2_spec() -> SignalSpec:
     """Two steep linear chirps, 20+18t Hz and 42+36t Hz."""
     return SignalSpec(
         components=(
             linear_chirp(20.0, 18.0),
             linear_chirp(42.0, 36.0),
         ),
-        fs=fs, n=n, t0=0.0, mode="real",
+        fs=256.0, n=256, mode="real",
     )
 
 

@@ -42,6 +42,16 @@ class PhasePlane:
     gamma2: float | None = None
 
 
+def _first_order(stack: CwtStack) -> Array:
+    """db_w/(i*2*pi*w) + (sigma'/(i*2*pi*sigma))*(1 + w_tgp/w) on every
+    cell: the one first-order estimate, phase_first's and the fallback's."""
+    dln = (stack.profile.dsigma / stack.profile.sigma)[None, :]
+    # one expression, so numpy reuses its temporaries
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return stack.db_w / (2j * np.pi * stack.w) \
+            + (dln / (2j * np.pi)) * (1.0 + stack.w_tgp / stack.w)
+
+
 def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     """First-order adaptive phase transform.
 
@@ -53,11 +63,7 @@ def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     if gamma1 <= 0.0:
         raise ValueError(f"gamma1 must be positive, got {gamma1}")
     valid = np.abs(stack.w) > gamma1
-    dln = (stack.profile.dsigma / stack.profile.sigma)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        omega_c = (stack.db_w + dln * stack.w_tgp) / (2j * np.pi * stack.w) \
-            + dln / (2j * np.pi)
-        omega = np.where(valid, omega_c.real, np.nan)
+    omega = np.where(valid, _first_order(stack).real, np.nan)
     return PhasePlane(omega=omega, valid=valid, variant="first",
                       gamma1=gamma1)
 
@@ -119,11 +125,8 @@ def phase_second(stack: CwtStack, gamma1: float,
         mask2 = mask1 & np.isfinite(cond) & (cond > gamma2)
 
     a = stack.a[:, None]
-    dln = (stack.profile.dsigma / stack.profile.sigma)[None, :]
+    first = _first_order(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = stack.db_w / (2j * np.pi * stack.w)
-        drift = (dln / (2j * np.pi)) * (1.0 + stack.w_tgp / stack.w)
-        first = base + drift                # the first-order estimate
         omega2 = (first - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
     if hybrid:
         omega = np.where(mask2, omega2, np.where(mask1, first.real, np.nan))

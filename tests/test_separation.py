@@ -7,12 +7,14 @@ Proof groups:
   2. structural identities -- discriminant factorization, tangency of
      adjacent zones at the minimal width, rho = alpha at first-order
      tangency, derivative consistency
-  3. admissibility -- misordered/unseparable inputs raise, reports flag
+  3. admissibility -- misordered/unseparable inputs raise (an unseparable
+     pair named at a time of the requested grid), reports flag
      inadmissible widths
 """
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +204,22 @@ def test_sigma2_rejects_unseparable_pair(wm):
         fs=256.0, n=256)
     with pytest.raises(ValueError, match="too close"):
         sigma2(spec, wm)
+
+
+@pytest.mark.parametrize("b", [None, np.array([0.1, 0.35, 0.6])])
+def test_sigma2_names_the_unseparable_time_on_its_grid(wm, b):
+    # the gap stays 4 Hz while |phi''| sum and frequencies grow, so the
+    # discriminant is smallest at the last time; the 5-point difference
+    # for dsigma also evaluates b +- h and b +- 2h, off the grid
+    spec = SignalSpec(
+        components=(linear_chirp(20.0, 30.0), linear_chirp(24.0, 30.0)),
+        fs=256.0, n=256)
+    grid = spec.times() if b is None else b
+    with pytest.raises(ValueError, match="too close") as err:
+        sigma2(spec, wm, b=b)
+    named = re.search(r"near b=(\S+);", str(err.value)).group(1)
+    assert named in {f"{t:.6g}" for t in grid}
+    assert named == f"{grid[-1]:.6g}"
 
 
 def test_report_flags_inadmissible_width(wm):

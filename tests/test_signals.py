@@ -14,6 +14,10 @@ Proof groups:
      of signed zeros, NaN payloads, infinities, subnormals, exact int64
      and bool columns, rows shorter and longer than a chunk, and no rows,
      and on the tf.csv and omega.csv of a real analyze run
+  6. tone and linear_chirp, now shorthands for poly_phase, give every one
+     of their six callables bit for bit what their old hand-written
+     closures (kept here as the oracle) gave, over random frequencies,
+     rates, amplitudes and time grids, negative times included
 """
 from __future__ import annotations
 
@@ -126,6 +130,8 @@ def test_nonpositive_amplitude_rejected():
         phase=lambda t: 30.0 * np.asarray(t),
         dphase=lambda t: np.full_like(np.asarray(t, float), 30.0),
         d2phase=lambda t: np.zeros_like(np.asarray(t, float)),
+        damp=lambda t: np.ones_like(np.asarray(t, float)),
+        d3phase=lambda t: np.zeros_like(np.asarray(t, float)),
     )
     spec = SignalSpec(components=(bad,), fs=128.0, n=128)
     with pytest.raises(ValueError, match="positive"):
@@ -301,3 +307,60 @@ def test_write_table_matches_oracle_on_an_analyze_run(tmp_path, monkeypatch):
     for stem in ("tf", "omega"):
         assert (tmp_path / f"{stem}-new.csv").read_bytes() == \
             (tmp_path / f"{stem}-old.csv").read_bytes(), stem
+
+
+def _const(value):
+    return lambda t: np.full_like(np.asarray(t, dtype=float), value)
+
+
+def _oracle_tone(freq, amp):
+    """tone as it was written before it became poly_phase((0, freq))."""
+    return ComponentTruth(
+        amp=_const(amp), phase=lambda t: freq * np.asarray(t, dtype=float),
+        dphase=_const(freq), d2phase=_const(0.0), damp=_const(0.0),
+        d3phase=_const(0.0))
+
+
+def _oracle_chirp(f0, rate, amp):
+    """linear_chirp as it was written before it became
+    poly_phase((0, f0, rate/2))."""
+    return ComponentTruth(
+        amp=_const(amp),
+        phase=lambda t: (f0 + 0.5 * rate * np.asarray(t, dtype=float))
+        * np.asarray(t, dtype=float),
+        dphase=lambda t: f0 + rate * np.asarray(t, dtype=float),
+        d2phase=_const(rate), damp=_const(0.0), d3phase=_const(0.0))
+
+
+_FIELDS = ("amp", "phase", "dphase", "d2phase", "damp", "d3phase")
+# finite, and 0 or at least 1e-300 in size, so that rate/2 is exact and no
+# product of two draws overflows or leaves the normal range; -0.0 included
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
+    -1e6, 1e6, allow_subnormal=False).filter(lambda v: v == 0 or
+                                               abs(v) >= 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-300, 1e6), _VALUES, _VALUES, _VALUES,
+       hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=_VALUES | st.floats(-1e3, 1e3)))
+def test_tone_and_chirp_equal_their_old_closures(freq, f0, rate, amp, t):
+    # np.array_equal compares -0.0 and 0.0 equal, which covers the one
+    # sign that moves (see the test below)
+    for new, old in ((tone(freq, amp), _oracle_tone(freq, amp)),
+                     (linear_chirp(f0, rate, amp),
+                      _oracle_chirp(f0, rate, amp))):
+        for name in _FIELDS:
+            got, want = getattr(new, name)(t), getattr(old, name)(t)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+
+
+def test_chirp_rate_minus_zero_is_the_one_moved_sign():
+    # the old closure returned the rate itself; Horner's -0.0 + t*0 is
+    # +0.0 for t >= +0.0, and stays -0.0 only where t*0 is -0.0
+    t = np.array([-1.0, 0.0, 1.0])
+    old = _oracle_chirp(10.0, -0.0, 1.0).d2phase(t)
+    new = linear_chirp(10.0, -0.0).d2phase(t)
+    assert np.array_equal(np.signbit(old), [True, True, True])
+    assert np.array_equal(np.signbit(new), [True, False, False])

@@ -255,8 +255,8 @@ def test_hybrid_falls_back_to_first_order(wm):
     first = phase_first(st, gamma1=0.01)
     sel = hybrid.valid
     assert sel.any()
-    np.testing.assert_allclose(hybrid.omega[sel], first.omega[sel],
-                               rtol=1e-12, atol=1e-12)
+    # one first-order estimate: the fallback is phase_first bit for bit
+    np.testing.assert_array_equal(hybrid.omega[sel], first.omega[sel])
 
 
 def test_default_gamma2_positive_and_small(wm):
