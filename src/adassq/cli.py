@@ -32,8 +32,9 @@ inside (0, fs/2), or (0, fs) in complex mode.
 Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
 component above Nyquist, or a rate too low to leave any band), 3
-inadmissible window-width profile for the requested analysis, 4 recovery
-requested for a signal without ground truth.
+inadmissible window-width profile for the requested analysis, components
+out of frequency order, or a transform stack over the 1 GiB memory limit,
+4 recovery requested for a signal without ground truth.
 """
 from __future__ import annotations
 
@@ -69,7 +70,8 @@ class ConfigError(Exception):
 
 
 class AdmissibilityError(Exception):
-    """Window-width profile unusable for this analysis (exit code 3)."""
+    """Inadmissible window width, misordered components, or a transform
+    stack past the memory limit (exit code 3)."""
 
 
 class MissingTruthError(Exception):
@@ -429,6 +431,11 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
             "zero frequency")
 
 
+# Largest transform stack a run may allocate, in bytes (1 GiB); a larger
+# one exits 3 before any scale is allocated.
+_STACK_LIMIT = 2 ** 30
+
+
 @dataclass(frozen=True)
 class Analysis:
     """One run of the pipeline, shared by the analyze and recover outputs."""
@@ -457,20 +464,26 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         except ValueError as exc:
             raise AdmissibilityError(str(exc)) from None
     if zs is not None and np.any(zs.valid):
-        grid = ScaleGrid.from_zones(zs, voices=cfg.voices, margin=1.25)
+        a_min, a_max = zs.span(margin=1.25)
     else:
         # No usable zones (sample files, silent presets): cover the band
         # from 1 Hz up to the signal's own Nyquist with a 25% margin.
-        fs = sig.fs
-        try:
-            grid = ScaleGrid.from_range(cfg.mu / (fs / 2.0) / 1.25,
-                                        cfg.mu * 1.25, voices=cfg.voices)
-        except ValueError:
+        a_min, a_max = cfg.mu / (sig.fs / 2.0) / 1.25, cfg.mu * 1.25
+        if not 0.0 < a_min < a_max:
             where = "[signal] file" if cfg.file is not None else "[signal] fs"
             raise ConfigError(
-                f"{where}: sampling rate {fs:.6g} Hz leaves no band "
-                "between 0.8 Hz and 1.25x Nyquist") from None
+                f"{where}: sampling rate {sig.fs:.6g} Hz leaves no band "
+                "between 0.8 Hz and 1.25x Nyquist")
+    # eight complex fields of J scales by n times
+    scales = ScaleGrid.size(a_min, a_max, cfg.voices)
+    need = 8 * 16 * scales * sig.t.size
+    if need > _STACK_LIMIT:
+        raise AdmissibilityError(
+            f"a transform stack of {scales} scales by {sig.t.size} times "
+            f"would take {need} bytes, more than the {_STACK_LIMIT}-byte "
+            "limit; lower [grid] voices_per_octave")
 
+    grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
     stack = compute_stack(sig, profile, wm, grid)
     if cfg.variant == "T1":
         plane = phase_first(stack, cfg.gamma1)
@@ -498,12 +511,7 @@ def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,
     if cfg.eps3 is not None:
         return cfg.eps3
     if ridge.shape[0] >= 2:
-        gaps = np.diff(ridge, axis=0)
-        if np.min(gaps) <= 0.0:
-            raise ConfigError("[thresholds] eps3: auto needs components "
-                              "with separated, ordered frequencies; set an "
-                              "explicit value instead")
-        return np.min(gaps, axis=0) / 2.0
+        return np.min(np.diff(ridge, axis=0), axis=0) / 2.0
     # Single component: half its lowest instantaneous frequency keeps the
     # collection window inside the positive-frequency half-line.
     return float(np.min(ridge)) / 2.0
@@ -521,11 +529,12 @@ def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
 
 def _write_report(cfg: RunConfig, res: Analysis) -> None:
     spec, t = res.spec, res.sig.t
-    f = tracks(spec, t)[0]
-    order = np.argsort(np.mean(f, axis=1), kind="stable")
-    ridge = f[order]
-    truth = np.vstack([spec.components[k].evaluate(
-        t, analytic=(spec.mode == "complex")) for k in order])
+    ridge = tracks(spec, t)[0]
+    if np.any(np.diff(ridge, axis=0) <= 0.0):
+        raise AdmissibilityError("components must be ordered with strictly "
+                                 "increasing instantaneous frequency")
+    truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
+                       for c in spec.components])
     eps3 = _resolve_eps3(cfg, ridge)
 
     zs_for_norms = res.zs if cfg.order == 2 else None

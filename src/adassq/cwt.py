@@ -5,8 +5,7 @@ The transform of a signal x with a time-varying Gaussian window is
     W(a, b) = integral x(b + a*t) * (1/sigma(b)) * g(t/sigma(b))
               * exp(-i*2*pi*mu*t) dt.
 
-Expanding x through its DFT turns this into a finite sum over frequency
-bins,
+Expanding x through its DFT turns this into a finite sum over frequency bins,
 
     W(a_j, b_i) = sum_m c_m * FTg(sigma_i*(mu - a_j*xi_m))
                   * exp(i*2*pi*xi_m*(b_i - t_0)),   xi_m = m*fs/N,
@@ -15,11 +14,10 @@ which this module evaluates exactly (to rounding) for the Gaussian window
 and all kernel variants whose spectra are polynomial multiples of FTg.
 With constant sigma on the sample grid b_i = t_0 + i/fs the phase is
 exp(i*2*pi*m*i/N), so each scale row of each field is one length-N inverse
-FFT (Daubechies, Lu & Wu, ACHA 30(2), 2011); time-varying sigma, or columns
-off the sample grid, take a kernel product per distinct window width.
-Derivatives in scale and time are taken analytically on the same lattice
--- no finite differences -- so the phase transforms built on top inherit
-machine-precision consistency.
+FFT (Daubechies, Lu & Wu, ACHA 30(2), 2011); any other column is one
+kernel product.  Derivatives in scale and time are taken analytically on
+the same lattice -- no finite differences -- so the phase transforms built
+on top inherit machine-precision consistency.
 
 Real-valued signals are handled by folding the DFT onto bins m = 0..N/2
 with interior bins doubled: the stack then equals the transform of the
@@ -50,26 +48,26 @@ class ScaleGrid:
     voices: int
     dlog: float
 
-    @classmethod
-    def from_range(cls, a_min: float, a_max: float,
-                   voices: int = 32) -> "ScaleGrid":
+    @staticmethod
+    def size(a_min: float, a_max: float, voices: int) -> int:
+        """Number of scales from_range puts on [a_min, a_max]."""
         if a_min <= 0.0 or a_max <= a_min:
             raise ValueError(f"need 0 < a_min < a_max, got ({a_min}, {a_max})")
         if voices < 1:
             raise ValueError(f"voices must be >= 1, got {voices}")
-        steps = int(math.ceil(voices * math.log2(a_max / a_min))) + 1
-        a = a_min * 2.0 ** (np.arange(steps) / voices)
+        return int(math.ceil(voices * math.log2(a_max / a_min))) + 1
+
+    @classmethod
+    def from_range(cls, a_min: float, a_max: float,
+                   voices: int = 32) -> "ScaleGrid":
+        a = a_min * 2.0 ** (np.arange(cls.size(a_min, a_max, voices)) / voices)
         return cls(a=a, voices=voices, dlog=math.log(2.0) / voices)
 
     @classmethod
     def from_zones(cls, zs: ZoneSet, voices: int = 32,
                    margin: float = 1.25) -> "ScaleGrid":
         """Grid covering every valid zone cell with a multiplicative margin."""
-        if not np.any(zs.valid):
-            raise ValueError("zone set has no valid cells to cover")
-        a_min = float(np.min(zs.lower[zs.valid])) / margin
-        a_max = float(np.max(zs.upper[zs.valid])) * margin
-        return cls.from_range(a_min, a_max, voices=voices)
+        return cls.from_range(*zs.span(margin), voices=voices)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -134,25 +132,19 @@ class CwtStack:
 _FIELD_NAMES = ("w", "w_tg", "w_tgp", "da_w", "db_w", "da_w_tg", "da_w_tgp",
                 "dadb_w")
 
-# Columns per kernel product; this bound caps the stack's peak memory.
-_BLOCK = 32
-
 
 def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
                   grid: ScaleGrid) -> CwtStack:
     """Evaluate all eight stack fields on the (scale, time) lattice.
 
-    A column depends on b only through (sigma(b), sigma'(b)), so the kernels
-    are built once per distinct pair and applied to all its columns at once;
-    the t**2*g and g' transforms are -w_tgp and -w_tg.  Columns follow
-    profile.b (off-sample columns analyze the trigonometric interpolant).
-
-    With one (sigma, sigma') pair and profile.b equal to sig.t, each field
-    is one inverse FFT of kernel times coefficients along the bins.  It
-    evaluates the columns at t_0 + i/fs: for a sample file that is its
-    nominal grid, from which the reader accepts times only within 1e-9 of
-    a step.  Otherwise each pair's kernels multiply the phase factors of its
-    columns, _BLOCK columns at a time.
+    A column depends on b only through (sigma(b), sigma'(b)): its eight
+    kernels (the t**2*g and g' transforms are -w_tgp and -w_tg) multiply
+    its own phase factors.  Columns follow profile.b (off-sample columns
+    analyze the trigonometric interpolant).  With constant sigma and
+    sigma' and profile.b equal to sig.t, the kernels are built once and
+    each field is one inverse FFT along the bins, which evaluates the
+    columns at t_0 + i/fs: for a sample file that is its nominal grid,
+    from which the reader accepts times only within 1e-9 of a step.
     """
     xi, coef = spectral_coefficients(sig)
     shift = profile.b - float(sig.t[0])
@@ -168,17 +160,15 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     out = {name: np.empty((len(grid.a), len(profile.b)), dtype=complex)
            for name in _FIELD_NAMES}
     i2pix = 1j * TWO_PI * xi
-
-    _, inverse, counts = np.unique(
-        np.column_stack((profile.sigma, profile.dsigma)), axis=0,
-        return_inverse=True, return_counts=True)
-    order = np.argsort(inverse.ravel(), kind="stable")
+    detune = wm.mu - np.outer(grid.a, xi)
     n = len(sig.t)
-    on_grid = len(counts) == 1 and np.array_equal(profile.b, sig.t)
-    for cols in np.split(order, np.cumsum(counts)[:-1]):
-        s = profile.sigma[cols[0]]
-        dln = profile.dsigma[cols[0]] / s
-        nu = s * (wm.mu - np.outer(grid.a, xi))
+    on_grid = (np.all(profile.sigma == profile.sigma[0])
+               and np.all(profile.dsigma == profile.dsigma[0])
+               and np.array_equal(profile.b, sig.t))
+    for i in range(len(shift)):
+        s = profile.sigma[i]
+        dln = profile.dsigma[i] / s
+        nu = s * detune
         gh = np.exp(-TWO_PI * math.pi * nu * nu)
         dscale = -s * xi                        # d(nu)/da per bin
         v_dg = npoly.polyval(nu, d_g)
@@ -195,17 +185,17 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
                 + dln * (v_dg + nu * npoly.polyval(nu, dd_g))) * gh,
         }
         if on_grid:
-            # each kernel is freed once used, so the next transform's
-            # temporaries reuse its memory instead of growing the heap
+            # the detuning and each kernel are freed once used, so the next
+            # transform's temporaries reuse their memory
+            del detune
             for name in _FIELD_NAMES:
                 np.multiply(np.fft.ifft(kernels.pop(name) * coef, n=n,
                                         axis=1), n, out=out[name])
-            continue
-        for k in range(0, len(cols), _BLOCK):
-            block = cols[k:k + _BLOCK]
-            ce = coef[:, None] * np.exp(np.outer(i2pix, shift[block]))
-            for name, kern in kernels.items():
-                out[name][:, block] = kern @ ce
+            break
+        # an (N, 1) column keeps the matrix-vector product's rounding
+        ce = coef[:, None] * np.exp(np.outer(i2pix, shift[i:i + 1]))
+        for name, kern in kernels.items():
+            out[name][:, i:i + 1] = kern @ ce
 
     return CwtStack(grid=grid, profile=profile, wm=wm, sig=sig, **out)
 

@@ -187,6 +187,13 @@ class ZoneSet:
     upper: Array
     valid: Array
 
+    def span(self, margin: float) -> tuple[float, float]:
+        """Scale range covering every valid cell, widened by margin."""
+        if not np.any(self.valid):
+            raise ValueError("zone set has no valid cells to cover")
+        return (float(np.min(self.lower[self.valid])) / margin,
+                float(np.max(self.upper[self.valid])) * margin)
+
 
 def zones(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
           order: int = 1) -> ZoneSet:

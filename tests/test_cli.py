@@ -38,8 +38,10 @@ What is proven here
    (unknown and repeated sections and keys, comments, continuation
    lines, bad bytes, extreme values) loads or raises ConfigError, and a
    component value that is not finite or whose track overflows exits 2;
-   a scale count too large to allocate still crashes (a strict xfail,
-   pinned until a memory guard exists); reruns of the same configuration are
+   a transform stack past the memory limit exits 3 before any scale is
+   allocated, naming its scale count and bytes, and the limit is the
+   stack's exact size; recover exits 3 on components out of frequency
+   order, with eps3 auto or set; reruns of the same configuration are
    byte-identical; importing the command loads no scipy module, since
    numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
@@ -52,6 +54,7 @@ import csv
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,7 +65,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adassq
-from adassq import cli
+from adassq import cli, cwt
 from adassq.cli import ConfigError, load_config, main, run_analysis
 from adassq.signals import example1_spec, example2_spec
 from adassq.sst import PhasePlane, SqueezeConfig, squeeze, tf_to_csv
@@ -712,9 +715,9 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
 _SECTION_NAMES = [*cli._SECTIONS, "extra", "Signal", "", "run ]"]
 _KEY_NAMES = [k.key for k in cli._KEYS] + ["bogus", "FS", "n n", "key;"]
 # Good and bad values for every parser, extremes of size and finiteness
-# included.  Sizes (n, voices, xi_bins) stay small: a size that parses but
-# cannot be allocated is the defect pinned by the strict xfail below, and
-# one that merely fits would take the machine's memory.
+# included.  Sizes (n, voices, xi_bins) stay small: a voice count past the
+# memory guard is tested below, and a size that merely fits would take the
+# machine's memory.
 _VALUE_TEXTS = [
     "example1", "example2", "empty", "nosuch", "tone:40", "tone:40:0",
     "chirp:12:0.5; chirp:26:-0.5", "poly:0,10,1:0.5", "tone:200", "tone:-1",
@@ -766,14 +769,59 @@ def test_fuzzed_config_loads_or_raises_config_error(tmp_path_factory, text):
         assert isinstance(cfg, cli.RunConfig)
 
 
-@pytest.mark.xfail(strict=True, raises=MemoryError,
-                   reason="no memory guard: a scale count that parses but "
-                   "cannot be allocated ends in a traceback (exit 1)")
-def test_unallocatable_scale_count_exits_3(tmp_path):
-    # 10**17 voices per octave ask numpy for about 2 EiB of scales, more
-    # than any address space, so the request fails at once
-    assert run("analyze", "--preset", "example1", "--voices", str(10 ** 17),
-               "--outdir", str(tmp_path)) == 3
+_STACK_SIZE = re.compile(r"(\d+) scales by (\d+) times would take (\d+) "
+                         r"bytes")
+
+
+@pytest.mark.parametrize("preset", ["example1", "empty"])
+def test_unallocatable_scale_count_exits_3(tmp_path, capsys, preset):
+    # 10**17 voices per octave ask for about 2e17 scales, on zones
+    # (example1) or on the band up to Nyquist (empty).  Without the guard
+    # numpy would refuse the scale array at once, as it is larger than any
+    # address space.
+    assert run("analyze", "--preset", preset, "--voices", str(10 ** 17),
+               "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    scales, times, need = map(int, _STACK_SIZE.search(err).groups())
+    assert scales > 10 ** 17 and times == 256
+    assert need == 8 * 16 * scales * times
+    assert f"{cli._STACK_LIMIT}-byte limit" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_stack_limit_is_the_stack_size(tmp_path, capsys, monkeypatch):
+    # the guard's estimate is the size of the stack the run then computes:
+    # a limit one byte below it refuses the run, a limit equal to it runs
+    monkeypatch.setattr(cli, "_STACK_LIMIT", 0)
+    argv = ("analyze", "--preset", "example1", "--outdir",
+            str(tmp_path / "out"))
+    assert run(*argv) == 3
+    need = int(_STACK_SIZE.search(capsys.readouterr().err).group(3))
+    monkeypatch.setattr(cli, "_STACK_LIMIT", need - 1)
+    assert run(*argv) == 3
+    stacks = []
+
+    def recorded(*args):
+        stacks.append(cwt.compute_stack(*args))
+        return stacks[-1]
+    monkeypatch.setattr(cli, "compute_stack", recorded)
+    monkeypatch.setattr(cli, "_STACK_LIMIT", need)
+    assert run(*argv) == 0
+    assert sum(getattr(stacks[0], name).nbytes
+               for name in cwt._FIELD_NAMES) == need
+
+
+@pytest.mark.parametrize("eps3", ["auto", "1"])
+@pytest.mark.parametrize("comps", ["chirp:20:40; tone:30",
+                                   "tone:40:0; tone:20:0"])
+def test_misordered_components_exit_3(tmp_path, capsys, comps, eps3):
+    # crossing frequencies (at t = 0.25 s), and a silent pair listed from
+    # high to low: recover names the order, with eps3 auto or set
+    assert run("recover", "--components", comps, "--eps3", eps3,
+               "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "components must be ordered with strictly increasing" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_loads_no_scipy():

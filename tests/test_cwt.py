@@ -4,17 +4,16 @@ Proof groups:
   1. the vectorized lattice equals a naive reimplementation of the
      spectral sum (independent double loop), and up to n = 4096 an oracle
      whose phase factors are reduced to exact integer multiples of 1/N;
-     columns that share a window width, computed together (by one inverse
-     FFT per field on the sample grid), equal each column computed alone
+     every column of a stack equals that column computed alone: bit for
+     bit under a kernel product, to rounding under the inverse FFT
   2. closed forms -- on-grid tones and interior chirps match the exact
      transform values predicted by the window layer
   3. derivative lattices match central finite differences of the value
      lattices in scale and time (including time-varying sigma)
   4. the exact time-derivative identity holds at rounding level
   5. conventions -- real-mode folding, grid construction
-  6. structure -- the kernels are built once per distinct window width,
-     not once per column; constant sigma on the sample grid, and only it,
-     takes one inverse FFT per field
+  6. structure -- constant sigma on the sample grid, and only it, builds
+     its kernels once and takes one inverse FFT per field
 """
 from __future__ import annotations
 
@@ -155,46 +154,71 @@ def test_stack_matches_exact_phase_oracle(wm, n, mode):
     assert np.max(np.abs(st.w[:, cols] - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
-def test_grouped_columns_equal_single_column_stacks(wm):
-    # one (sigma, sigma') group wider than a column block and not
-    # contiguous, two groups with equal sigma but opposite sigma', and
-    # singleton columns
-    sig = synthesize(SignalSpec(components=(tone(9.0), tone(21.0)),
-                                fs=64.0, n=96))
-    sigma = np.full(96, 1.1)
-    dsigma = np.zeros(96)
+def _repeated_pairs(t, wm):
+    # one (sigma, sigma') pair over most columns and not contiguous, two
+    # pairs with equal sigma but opposite sigma', and singleton columns
+    sigma = np.full(t.size, 1.1)
+    dsigma = np.zeros(t.size)
     sigma[40:60] = 1.2
     dsigma[40:60:2], dsigma[41:60:2] = 0.3, -0.3
     k = np.arange(20)
     sigma[60:80], dsigma[60:80] = 1.0 + 0.01 * k, 0.05 * k
-    prof = SigmaProfile(b=sig.t, sigma=sigma, dsigma=dsigma)
-    assert np.count_nonzero(sigma == 1.1) > cwt._BLOCK
+    return SigmaProfile(b=t, sigma=sigma, dsigma=dsigma)
+
+
+_TWO_TONES = (linear_chirp(9.0, 4.0), tone(21.0))
+# case -> (components, fs, n, profile of the sample times and window)
+_COLUMN_CASES = {
+    "repeated-pairs": (_TWO_TONES, 64.0, 96, _repeated_pairs),
+    "example1-sigma1": (example1_spec().components, 256.0, 256,
+                        lambda t, wm: sigma1(example1_spec(), wm)),
+    "constant-off-grid": (_TWO_TONES, 64.0, 96,
+                          lambda t, wm: constant_profile(t + 0.3 / 64.0,
+                                                         1.1)),
+}
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
+def test_columns_equal_single_column_stacks(wm, case, mode):
+    # every column takes its own kernel product, so every column of every
+    # field equals the stack of a one-column profile bit for bit.  The
+    # direct spectral sum and the exact time-derivative identity hold on
+    # all of them.
+    comps, fs, n, make = _COLUMN_CASES[case]
+    sig = synthesize(SignalSpec(components=comps, fs=fs, n=n, mode=mode))
+    prof = make(sig.t, wm)
     grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
     st = compute_stack(sig, prof, wm, grid)
 
     names = {f.name for f in dataclasses.fields(CwtStack)}
     assert names - {"grid", "profile", "wm", "sig"} == set(FIELDS)
-    for i in range(96):
-        one = SigmaProfile(b=sig.t[i:i + 1], sigma=sigma[i:i + 1],
-                           dsigma=dsigma[i:i + 1])
+    for i in range(n):
+        one = SigmaProfile(b=prof.b[i:i + 1], sigma=prof.sigma[i:i + 1],
+                           dsigma=prof.dsigma[i:i + 1])
         alone = compute_stack(sig, one, wm, grid)
         for name in FIELDS:
-            field = getattr(st, name)
-            assert np.max(np.abs(field[:, i] - getattr(alone, name)[:, 0])) \
-                <= 1e-13 * np.max(np.abs(field)), (name, i)
-    ref = naive_stack_value(sig, prof, wm, grid.a)
-    assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
+            np.testing.assert_array_equal(getattr(st, name)[:, i],
+                                          getattr(alone, name)[:, 0],
+                                          (name, i))
+    cols = np.arange(0, n, max(1, n // 48))
+    ref = naive_stack_value(sig, SigmaProfile(
+        b=prof.b[cols], sigma=prof.sigma[cols], dsigma=prof.dsigma[cols]),
+        wm, grid.a)
+    assert np.max(np.abs(st.w[:, cols] - ref)) < 1e-13 * np.max(np.abs(ref))
+    res = time_derivative_residual(st)
+    assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(st.db_w))
 
 
 @pytest.mark.parametrize("mode", ["real", "complex"])
 @pytest.mark.parametrize("n", [95, 96])
 def test_sample_grid_fields_equal_single_column_stacks(wm, n, mode):
     # constant sigma on the sample grid takes the inverse FFT; each of its
-    # eight fields equals, column by column, the direct sum of a one-column
-    # profile, and the exact time-derivative identity holds on it
-    sig = synthesize(SignalSpec(components=(linear_chirp(9.0, 4.0),
-                                            tone(21.0)),
-                                fs=64.0, n=n, mode=mode))
+    # eight fields equals, column by column and within rounding, the direct
+    # sum of a one-column profile, and the direct spectral sum and the
+    # exact time-derivative identity hold on it
+    sig = synthesize(SignalSpec(components=_TWO_TONES, fs=64.0, n=n,
+                                mode=mode))
     prof = constant_profile(sig.t, 1.1)
     grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
     st = compute_stack(sig, prof, wm, grid)
@@ -206,6 +230,8 @@ def test_sample_grid_fields_equal_single_column_stacks(wm, n, mode):
             field = getattr(st, name)
             assert np.max(np.abs(field[:, i] - getattr(alone, name)[:, 0])) \
                 <= 1e-13 * np.max(np.abs(field)), (name, i)
+    ref = naive_stack_value(sig, prof, wm, grid.a)
+    assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
     res = time_derivative_residual(st)
     assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(st.db_w))
 
@@ -388,6 +414,7 @@ def test_spectral_coefficients_complex_keeps_all_bins():
 
 def test_scale_grid_construction():
     g = ScaleGrid.from_range(0.01, 0.08, voices=32)
+    assert len(g) == ScaleGrid.size(0.01, 0.08, 32) == 97
     assert g.a[0] == pytest.approx(0.01)
     assert g.a[-1] >= 0.08
     ratios = g.a[1:] / g.a[:-1]
@@ -435,7 +462,7 @@ def test_only_constant_sigma_on_the_sample_grid_takes_the_fft(wm,
                                                               monkeypatch):
     # one inverse FFT per field; varying sigma (example2's sigma2, whose
     # pinned outputs sit on half-bin ties) and off-grid columns keep the
-    # per-group kernel product
+    # per-column kernel product
     calls = []
     ifft = cwt.np.fft.ifft
 
