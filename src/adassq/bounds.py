@@ -77,7 +77,7 @@ def quad(f, lo, hi, *params) -> Array:
 
 @dataclass(frozen=True)
 class Normalizers:
-    """Recovery normalizing constants on a time grid.
+    """Recovery normalizing constants on the profile's time grid.
 
     c_alpha: band-limited constant per b (real-valued integrand, stored
     complex for a uniform interface).  c_k: per-component constant per
@@ -85,7 +85,6 @@ class Normalizers:
     over the component's own scale zone; None when built without zones.
     """
 
-    b: Array
     c_alpha: Array
     c_k: Array | None = None
 
@@ -122,18 +121,17 @@ def normalizers(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     if np.any(sig * wm.mu <= wm.alpha):
         raise ValueError("sigma must exceed alpha/mu everywhere (the "
                          "integrand pole would enter the interval)")
-    b = profile.b
     c_alpha = _band_normalizer(wm, sig).astype(complex)
 
     c_k = None
     if zs is not None:
         v = zs.valid
-        f, fpp, _ = tracks(spec, b)
+        f, fpp, _ = tracks(spec, profile.b)
         c_k = np.full(v.shape, np.nan, dtype=complex)
         c_k[v] = quad(_chirped_window(wm), zs.lower[v], zs.upper[v],
                       _at(v, sig), f[v], fpp[v])
 
-    return Normalizers(b=b, c_alpha=c_alpha, c_k=c_k)
+    return Normalizers(c_alpha=c_alpha, c_k=c_k)
 
 
 # ---------------------------------------------------------------- recovery
@@ -152,8 +150,6 @@ class RecoveryResult:
 
     b: Array
     estimate: Array
-    window: Array
-    mode: str
     bins_used: Array
     abs_error: Array | None = None
 
@@ -199,8 +195,7 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
             raise ValueError("truth must have shape (K, n)")
         got = estimate.real if real_signal else estimate
         abs_error = np.abs(got - truth)
-    return RecoveryResult(b=tf.b, estimate=estimate, window=np.array(eps3),
-                          mode=mode, bins_used=bins_used,
+    return RecoveryResult(b=tf.b, estimate=estimate, bins_used=bins_used,
                           abs_error=abs_error)
 
 

@@ -33,8 +33,8 @@ Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
 component above Nyquist, or a rate too low to leave any band), 3
 inadmissible window-width profile for the requested analysis, components
-out of frequency order, or a transform stack over the 1 GiB memory limit,
-4 recovery requested for a signal without ground truth.
+out of frequency order, or samples or a transform stack over the 1 GiB
+memory limit, 4 recovery requested for a signal without ground truth.
 """
 from __future__ import annotations
 
@@ -51,12 +51,13 @@ import numpy as np
 
 from .bounds import bounds_first, bounds_second, normalizers, recover, \
     report_to_csv
-from .cwt import CwtStack, ScaleGrid, compute_stack
+from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
-    example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
-    signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
+    check_order, example1_spec, example2_spec, linear_chirp, poly_phase, \
+    read_table, signal_from_csv, signal_to_csv, synthesize, tone, tracks, \
+    write_table
 from .sst import PhasePlane, SqueezeConfig, TfPlane, phase_first, \
     phase_second, squeeze, tf_to_csv, tf_to_pgm
 # Not called here (phase_second derives its own floor), but perfbench's
@@ -70,8 +71,8 @@ class ConfigError(Exception):
 
 
 class AdmissibilityError(Exception):
-    """Inadmissible window width, misordered components, or a transform
-    stack past the memory limit (exit code 3)."""
+    """Inadmissible window width, misordered components, or samples or a
+    transform stack past the memory limit (exit code 3)."""
 
 
 class MissingTruthError(Exception):
@@ -298,6 +299,11 @@ def _check_nyquist(components: tuple[ComponentTruth, ...], fs: float,
                 f"{fs:g} Hz")
 
 
+# Largest array of samples or transform stack a run may allocate, in bytes
+# (1 GiB); a larger one exits 3 before it is allocated.
+_STACK_LIMIT = 2 ** 30
+
+
 def load_config(path: Path | None,
                 overrides: dict[tuple[str, str], str] | None = None
                 ) -> RunConfig:
@@ -306,7 +312,7 @@ def load_config(path: Path | None,
     ``path`` may be None when all settings come from flags/defaults.
     ``overrides`` maps (section, key) to raw string values and wins over
     the file.  Raises ConfigError with the offending location on any
-    problem.
+    problem (AdmissibilityError for samples past the memory limit).
     """
     cp = configparser.ConfigParser(interpolation=None,
                                    empty_lines_in_values=False)
@@ -362,6 +368,11 @@ def load_config(path: Path | None,
                 raise ConfigError(f"[signal] {key}: {origin} fixes "
                                   f"{key}={shown}, got {have}")
         cfg.update(values)
+    need = cfg["n"] * (16 if cfg["mode"] == "complex" else 8)
+    if need > _STACK_LIMIT:
+        raise AdmissibilityError(
+            f"[signal] n: {cfg['n']} {cfg['mode']} samples would take {need} "
+            f"bytes, more than the {_STACK_LIMIT}-byte limit")
     if cfg["components"] is not None:
         _check_nyquist(cfg["components"], cfg["fs"], cfg["n"], cfg["mode"])
     return RunConfig(**cfg)
@@ -431,9 +442,14 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
             "zero frequency")
 
 
-# Largest transform stack a run may allocate, in bytes (1 GiB); a larger
-# one exits 3 before any scale is allocated.
-_STACK_LIMIT = 2 ** 30
+def _check_stack(scales: int, cfg: RunConfig) -> None:
+    """Exit 3 if a stack of scales by cfg.n times would pass _STACK_LIMIT."""
+    need = len(FIELD_NAMES) * 16 * scales * cfg.n
+    if need > _STACK_LIMIT:
+        raise AdmissibilityError(
+            f"a transform stack of {scales} scales by {cfg.n} times would "
+            f"take {need} bytes, more than the {_STACK_LIMIT}-byte limit; "
+            f"[grid] voices_per_octave is {cfg.voices}")
 
 
 @dataclass(frozen=True)
@@ -441,9 +457,6 @@ class Analysis:
     """One run of the pipeline, shared by the analyze and recover outputs."""
 
     spec: SignalSpec | None
-    sig: SampledSignal
-    wm: WindowModel
-    profile: SigmaProfile
     zs: ZoneSet | None
     stack: CwtStack
     plane: PhasePlane
@@ -452,6 +465,7 @@ class Analysis:
 
 def run_analysis(cfg: RunConfig) -> Analysis:
     """Execute the transform/reassignment pipeline for the configuration."""
+    _check_stack(1, cfg)        # before anything of size n
     spec, sig = build_signal(cfg)
     wm = WindowModel(mu=cfg.mu, tau0=cfg.tau0)
     profile = build_profile(cfg, spec, sig.t, wm)
@@ -474,15 +488,7 @@ def run_analysis(cfg: RunConfig) -> Analysis:
             raise ConfigError(
                 f"{where}: sampling rate {sig.fs:.6g} Hz leaves no band "
                 "between 0.8 Hz and 1.25x Nyquist")
-    # eight complex fields of J scales by n times
-    scales = ScaleGrid.size(a_min, a_max, cfg.voices)
-    need = 8 * 16 * scales * sig.t.size
-    if need > _STACK_LIMIT:
-        raise AdmissibilityError(
-            f"a transform stack of {scales} scales by {sig.t.size} times "
-            f"would take {need} bytes, more than the {_STACK_LIMIT}-byte "
-            "limit; lower [grid] voices_per_octave")
-
+    _check_stack(ScaleGrid.size(a_min, a_max, cfg.voices), cfg)
     grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
     stack = compute_stack(sig, profile, wm, grid)
     if cfg.variant == "T1":
@@ -496,8 +502,7 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         base = SqueezeConfig(xi_min=base.xi_min, xi_max=base.xi_max,
                              dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
     tf = squeeze(stack, plane, base)
-    return Analysis(spec=spec, sig=sig, wm=wm, profile=profile, zs=zs,
-                    stack=stack, plane=plane, tf=tf)
+    return Analysis(spec=spec, zs=zs, stack=stack, plane=plane, tf=tf)
 
 
 def _omega_to_csv(stack: CwtStack, plane: PhasePlane, path) -> None:
@@ -524,23 +529,20 @@ def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
         tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
     _omega_to_csv(res.stack, res.plane, cfg.outdir / "omega.csv")
     zones_to_csv(res.zs, cfg.outdir / "zones.csv")
-    profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
+    profile_to_csv(res.stack.profile, cfg.outdir / "sigma.csv")
 
 
 def _write_report(cfg: RunConfig, res: Analysis) -> None:
-    spec, t = res.spec, res.sig.t
+    spec, stack, t = res.spec, res.stack, res.stack.sig.t
     ridge = tracks(spec, t)[0]
-    if np.any(np.diff(ridge, axis=0) <= 0.0):
-        raise AdmissibilityError("components must be ordered with strictly "
-                                 "increasing instantaneous frequency")
     truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
                        for c in spec.components])
-    eps3 = _resolve_eps3(cfg, ridge)
-
     zs_for_norms = res.zs if cfg.order == 2 else None
     try:
-        norms = normalizers(spec, res.wm, res.profile, zs=zs_for_norms)
-        if not np.any(res.sig.x):
+        check_order(ridge)
+        eps3 = _resolve_eps3(cfg, ridge)
+        norms = normalizers(spec, stack.wm, stack.profile, zs=zs_for_norms)
+        if not np.any(stack.sig.x):
             # Silent signal: every amplitude-driven term of the error
             # budget vanishes and only the threshold-times-zone-measure
             # term survives, so evaluate that limit directly (the full
@@ -551,10 +553,11 @@ def _write_report(cfg: RunConfig, res: Analysis) -> None:
                 else np.abs(norms.c_alpha)[None, :]
             bound = cfg.gamma1 * log_measure / denom
         elif cfg.order == 1:
-            rep = bounds_first(spec, res.wm, res.profile, res.zs, cfg.gamma1)
+            rep = bounds_first(spec, stack.wm, stack.profile, res.zs,
+                               cfg.gamma1)
             bound = rep.recovery_bound
         else:
-            rep = bounds_second(spec, res.wm, res.profile, res.zs,
+            rep = bounds_second(spec, stack.wm, stack.profile, res.zs,
                                 cfg.gamma1, res.plane.gamma2)
             bound = rep.recovery_bound_main / np.abs(norms.c_k)
         result = recover(res.tf, norms, ridge, eps3,
@@ -605,7 +608,7 @@ def cmd_demo(cfg: RunConfig) -> int:
     """synth + analyze + recover with the canned settings, analyzing once."""
     res = run_analysis(cfg)
     _write_analysis(cfg, res)
-    signal_to_csv(res.sig, cfg.outdir / "signal.csv")
+    signal_to_csv(res.stack.sig, cfg.outdir / "signal.csv")
     _write_report(cfg, res)
     return 0
 

@@ -45,7 +45,6 @@ class ScaleGrid:
     """Geometric scale grid a_j = a_min * 2**(j/voices), plus its log step."""
 
     a: Array
-    voices: int
     dlog: float
 
     @staticmethod
@@ -55,13 +54,17 @@ class ScaleGrid:
             raise ValueError(f"need 0 < a_min < a_max, got ({a_min}, {a_max})")
         if voices < 1:
             raise ValueError(f"voices must be >= 1, got {voices}")
-        return int(math.ceil(voices * math.log2(a_max / a_min))) + 1
+        octaves = math.log2(a_max / a_min)
+        if voices >= 2 ** 53:       # past exact float integers: count exactly
+            num, den = octaves.as_integer_ratio()
+            return -(-voices * num // den) + 1
+        return int(math.ceil(voices * octaves)) + 1
 
     @classmethod
     def from_range(cls, a_min: float, a_max: float,
                    voices: int = 32) -> "ScaleGrid":
         a = a_min * 2.0 ** (np.arange(cls.size(a_min, a_max, voices)) / voices)
-        return cls(a=a, voices=voices, dlog=math.log(2.0) / voices)
+        return cls(a=a, dlog=math.log(2.0) / voices)
 
     @classmethod
     def from_zones(cls, zs: ZoneSet, voices: int = 32,
@@ -129,8 +132,8 @@ class CwtStack:
         return self.profile.b
 
 
-_FIELD_NAMES = ("w", "w_tg", "w_tgp", "da_w", "db_w", "da_w_tg", "da_w_tgp",
-                "dadb_w")
+FIELD_NAMES = ("w", "w_tg", "w_tgp", "da_w", "db_w", "da_w_tg", "da_w_tgp",
+               "dadb_w")
 
 
 def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
@@ -158,7 +161,7 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     dd_g = hat_poly_deriv(d_g)
 
     out = {name: np.empty((len(grid.a), len(profile.b)), dtype=complex)
-           for name in _FIELD_NAMES}
+           for name in FIELD_NAMES}
     i2pix = 1j * TWO_PI * xi
     detune = wm.mu - np.outer(grid.a, xi)
     n = len(sig.t)
@@ -188,7 +191,7 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
             # the detuning and each kernel are freed once used, so the next
             # transform's temporaries reuse their memory
             del detune
-            for name in _FIELD_NAMES:
+            for name in FIELD_NAMES:
                 np.multiply(np.fft.ifft(kernels.pop(name) * coef, n=n,
                                         axis=1), n, out=out[name])
             break

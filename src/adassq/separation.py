@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SignalSpec, tracks, write_table
+from .signals import SignalSpec, check_order, tracks, write_table
 from .windows import WindowModel
 
 Array = np.ndarray
@@ -75,10 +75,8 @@ def sigma1(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
     flo, fhi, clo, chi = f[:-1], f[1:], fpp[:-1], fpp[1:]
     scale = wm.alpha / wm.mu
 
+    check_order(f)
     diff = fhi - flo
-    if np.any(diff <= 0.0):
-        raise ValueError("components must be ordered with strictly "
-                         "increasing instantaneous frequency")
     ratios = (fhi + flo) / diff
     # d/db [(f2+f1)/(f2-f1)] = 2 (c1 f2 - c2 f1) / (f2-f1)^2
     dratios = 2.0 * (clo * fhi - chi * flo) / diff ** 2
@@ -142,10 +140,8 @@ def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
 
     def value(bv: Array) -> Array:
         f, fpp, _ = tracks(spec, bv)
+        check_order(f)
         flo, fhi, clo, chi = f[:-1], f[1:], fpp[:-1], fpp[1:]
-        if np.any(fhi <= flo):
-            raise ValueError("components must be ordered with strictly "
-                             "increasing instantaneous frequency")
         qa, qb, qc, disc = sigma2_coefficients(
             flo, clo, fhi, chi, wm.alpha, wm.mu)
         unseparable = np.any(disc < 0.0, axis=1)

@@ -1,53 +1,51 @@
 """Multicomponent test signals with analytic ground truth.
 
-A component is an amplitude-modulated oscillation A(t)*cos(2*pi*phi(t))
-(real mode) or A(t)*exp(i*2*pi*phi(t)) (complex mode), with phase measured
-in cycles.  Every component carries exact callables for A, A', phi and
-phi' to phi''', derived in one place (poly_phase; tone and linear_chirp
-are its shorthands), so window selection, zone geometry, and error bounds
-are evaluated from exact ground truth, never from finite differences.  The
-regularity parameters of the signal class (amplitude drift, chirp rate,
-chirp-rate drift, relative frequency separation) are extracted by scanning
-those callables on an oversampled grid.
+A component is an oscillation A*cos(2*pi*phi(t)) (real mode) or
+A*exp(i*2*pi*phi(t)) (complex mode) with a constant amplitude A and a
+polynomial phase phi measured in cycles.  Its data are the phase
+coefficients and A, and every derivative of phi is exact, so window
+selection, zone geometry, and error bounds are evaluated from exact
+ground truth, never from finite differences.  The regularity parameters
+of the signal class (amplitude drift, chirp rate, chirp-rate drift) are
+extracted by scanning those derivatives on an oversampled grid.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 Array = np.ndarray
-TimeFunc = Callable[[Array], Array]
-
-
-def _const(value: float) -> TimeFunc:
-    def f(t: Array) -> Array:
-        return np.full_like(np.asarray(t, dtype=float), value)
-    return f
 
 
 @dataclass(frozen=True)
 class ComponentTruth:
-    """One oscillatory component with exact phase/amplitude derivatives.
+    """One oscillatory component: a phase polynomial and an amplitude.
 
-    Every field is a required callable of time: amp (A) and damp (A'),
-    phase (phi, in cycles), dphase (phi', the instantaneous frequency),
-    d2phase (phi'', the chirp rate) and d3phase (phi''', the chirp-rate
-    drift).  Nothing is estimated by finite differences.
+    coeffs holds the phase polynomial's coefficients (cycles), ascending;
+    amplitude is the constant A, so A' is 0.  Built by poly_phase (tone
+    and linear_chirp are its shorthands); equal data compare equal.
     """
 
-    amp: TimeFunc
-    phase: TimeFunc
-    dphase: TimeFunc
-    d2phase: TimeFunc
-    damp: TimeFunc
-    d3phase: TimeFunc
+    coeffs: tuple[float, ...]
+    amplitude: float
+
+    def phase(self, t: Array, m: int = 0) -> Array:
+        """The exact m-th derivative of the phase at t: phi (m = 0), the
+        instantaneous frequency phi', the chirp rate phi'', and so on."""
+        p = np.polynomial.Polynomial(list(self.coeffs))
+        return p.deriv(m)(np.asarray(t, dtype=float))
+
+    def dphase(self, t: Array) -> Array:
+        return self.phase(t, 1)
+
+    def amp(self, t: Array) -> Array:
+        return np.full_like(np.asarray(t, dtype=float), self.amplitude)
 
     def evaluate(self, t: Array, analytic: bool) -> Array:
-        t = np.asarray(t, dtype=float)
         osc = np.exp(2j * np.pi * self.phase(t)) if analytic \
             else np.cos(2.0 * np.pi * self.phase(t))
         return self.amp(t) * osc
@@ -67,17 +65,8 @@ def linear_chirp(f0: float, rate: float, amp: float = 1.0) -> ComponentTruth:
 
 def poly_phase(coeffs: Sequence[float], amp: float = 1.0) -> ComponentTruth:
     """Polynomial phase (cycles), coefficients in ascending order, constant
-    amplitude: the one place a component's callables are derived."""
-    p = np.polynomial.Polynomial(list(coeffs))
-    d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
-    return ComponentTruth(
-        amp=_const(amp),
-        phase=lambda t: p(np.asarray(t, dtype=float)),
-        dphase=lambda t: d1(np.asarray(t, dtype=float)),
-        d2phase=lambda t: d2(np.asarray(t, dtype=float)),
-        damp=_const(0.0),
-        d3phase=lambda t: d3(np.asarray(t, dtype=float)),
-    )
+    amplitude."""
+    return ComponentTruth(tuple(map(float, coeffs)), float(amp))
 
 
 @dataclass(frozen=True)
@@ -145,31 +134,36 @@ def tracks(spec: SignalSpec, b) -> tuple[Array, Array, Array]:
     """Frequency phi_k', chirp rate phi_k'' and amplitude A_k on the grid b.
 
     Each is an array of shape (K, len(b)), row k for component k: the one
-    place the component callables are evaluated on a time grid, so that
-    per-pair quantities are broadcasts over rows.
+    place the components are evaluated on a time grid, so that per-pair
+    quantities are broadcasts over rows.
     """
     b = np.asarray(b, dtype=float)
     comps = spec.components
-    return (np.stack([c.dphase(b) for c in comps]),
-            np.stack([c.d2phase(b) for c in comps]),
+    return (np.stack([c.phase(b, 1) for c in comps]),
+            np.stack([c.phase(b, 2) for c in comps]),
             np.stack([c.amp(b) for c in comps]))
+
+
+def check_order(f: Array) -> None:
+    """Raise ValueError unless the (K, n) frequency tracks f increase
+    strictly from each row to the next, at every time."""
+    if np.any(f[1:] <= f[:-1]):
+        raise ValueError("components must be ordered with strictly "
+                         "increasing instantaneous frequency")
 
 
 @dataclass(frozen=True)
 class ClassParams:
     """Regularity parameters of the signal class.
 
-    eps1 -- sup |A_k'(t)|              (amplitude drift)
+    eps1 -- sup |A_k'(t)|              (amplitude drift: 0, A_k constant)
     eps2 -- sup |phi_k''(t)|           (chirp rate)
     eps3 -- sup |phi_k'''(t)|          (chirp-rate drift)
-    sep_ratio -- min over adjacent pairs of
-                 (phi_k' - phi_{k-1}') / (phi_k' + phi_{k-1}')
     """
 
     eps1: float
     eps2: float
     eps3: float
-    sep_ratio: float
 
 
 # class_params scans this many points per sample interval
@@ -177,25 +171,18 @@ _OVERSAMPLE = 8
 
 
 def class_params(spec: SignalSpec) -> ClassParams:
-    """Scan component callables on an oversampled grid for the class bounds."""
+    """Scan the component derivatives on an oversampled grid for the class
+    bounds."""
     t = np.arange(spec.n * _OVERSAMPLE) / (spec.fs * _OVERSAMPLE)
     f, fpp, A = tracks(spec, t)
-    comps = spec.components
-    eps1 = float(np.max(np.abs(np.stack([c.damp(t) for c in comps]))))
-    eps3 = float(np.max(np.abs(np.stack([c.d3phase(t) for c in comps]))))
+    eps3 = float(np.max(np.abs([c.phase(t, 3) for c in spec.components])))
     if np.min(A) <= 0.0:
         raise ValueError("component amplitudes must stay positive over the "
                          "sampled interval")
-    lo, hi = f[:-1], f[1:]
-    if np.any(hi <= lo):
-        raise ValueError("components must be ordered with strictly "
-                         "increasing instantaneous frequency")
+    check_order(f)
     if np.any(f[0] <= 0.0):     # the lowest, given the order
         raise ValueError("instantaneous frequencies must stay positive")
-    # single component: no neighbor to collide with
-    sep = float(np.min((hi - lo) / (hi + lo))) if len(lo) else 1.0
-    return ClassParams(eps1=eps1, eps2=float(np.max(np.abs(fpp))), eps3=eps3,
-                       sep_ratio=sep)
+    return ClassParams(eps1=0.0, eps2=float(np.max(np.abs(fpp))), eps3=eps3)
 
 
 def example1_spec() -> SignalSpec:

@@ -32,13 +32,12 @@ class PhasePlane:
     """Instantaneous-frequency estimates on the stack lattice.
 
     omega is in Hz with NaN marking cells where the estimate is undefined
-    (threshold not met); valid is the corresponding boolean mask.
+    (threshold not met); valid is the corresponding boolean mask, and
+    gamma2 the conditioning floor of a second-order plane.
     """
 
     omega: Array
     valid: Array
-    variant: str
-    gamma1: float
     gamma2: float | None = None
 
 
@@ -64,8 +63,7 @@ def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
         raise ValueError(f"gamma1 must be positive, got {gamma1}")
     valid = np.abs(stack.w) > gamma1
     omega = np.where(valid, _first_order(stack).real, np.nan)
-    return PhasePlane(omega=omega, valid=valid, variant="first",
-                      gamma1=gamma1)
+    return PhasePlane(omega=omega, valid=valid)
 
 
 def chirp_rate_estimate(stack: CwtStack) -> tuple[Array, Array]:
@@ -130,11 +128,9 @@ def phase_second(stack: CwtStack, gamma1: float,
         omega2 = (first - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
     if hybrid:
         omega = np.where(mask2, omega2, np.where(mask1, first.real, np.nan))
-        return PhasePlane(omega=omega, valid=mask1, variant="hybrid",
-                          gamma1=gamma1, gamma2=gamma2)
+        return PhasePlane(omega=omega, valid=mask1, gamma2=gamma2)
     omega = np.where(mask2, omega2, np.nan)
-    return PhasePlane(omega=omega, valid=mask2, variant="second",
-                      gamma1=gamma1, gamma2=gamma2)
+    return PhasePlane(omega=omega, valid=mask2, gamma2=gamma2)
 
 
 @dataclass(frozen=True)
@@ -153,11 +149,10 @@ class SqueezeConfig:
             raise ValueError("xi_max must exceed xi_min")
 
     @classmethod
-    def for_stack(cls, stack: CwtStack, dxi: float = 0.25,
-                  pad: float = 1.25) -> "SqueezeConfig":
-        lo = stack.wm.mu / stack.a[-1] / pad
-        hi = stack.wm.mu / stack.a[0] * pad
-        return cls(xi_min=lo, xi_max=hi, dxi=dxi)
+    def for_stack(cls, stack: CwtStack) -> "SqueezeConfig":
+        """0.25 Hz bins over the stack's frequencies mu/a, padded 25%."""
+        return cls(xi_min=stack.wm.mu / stack.a[-1] / 1.25,
+                   xi_max=stack.wm.mu / stack.a[0] * 1.25)
 
     def bin_centers(self) -> Array:
         l_min = int(math.floor(self.xi_min / self.dxi + 0.5))
@@ -173,8 +168,6 @@ class TfPlane:
     b: Array
     values: Array
     dxi: float
-    dlog: float
-    variant: str
 
 
 def lattice_index(omega: Array, cfg: SqueezeConfig) -> Array:
@@ -218,8 +211,7 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
         cols = np.broadcast_to(np.arange(n), idx.shape)[sel]
         np.add.at(T, (idx[sel], cols),
                   stack.w[sel] * (stack.grid.dlog / cfg.dxi))
-    return TfPlane(xi=centers, b=stack.b, values=T, dxi=cfg.dxi,
-                   dlog=stack.grid.dlog, variant=plane.variant)
+    return TfPlane(xi=centers, b=stack.b, values=T, dxi=cfg.dxi)
 
 
 def conservation_defect(stack: CwtStack, plane: PhasePlane,

@@ -172,7 +172,7 @@ def test_fixed_rule_matches_adaptive_quadrature(make_spec):
     c_k = normalizers(spec, WM, p2, z2).c_k
     strict = bounds_second(spec, WM, p2, z2, 0.01, 1e-3).cross_mass_strict
     f = [c.dphase(T) for c in spec.components]
-    fpp = [c.d2phase(T) for c in spec.components]
+    fpp = [c.phase(T, 2) for c in spec.components]
     for i in range(0, 256, 5):
         s = p1.sigma[i]
         band = (mu - alpha / s, mu + alpha / s)
@@ -256,7 +256,6 @@ def test_tone_recovery_interior():
     assert result.abs_error[0, 26:231].max() < 0.02
     # bins are centered on xi_min + j*dxi, so the open window holds 39
     assert (result.bins_used == 39).all()
-    assert (result.window == 5.0).all()
 
 
 def test_zero_signal_recovers_zero():
@@ -292,7 +291,7 @@ def test_line_integral_matches_unsqueezed_cells():
         lhs = result.estimate[0, i] * norms.c_alpha[i]
         cells = plane.valid[:, i] & (idx[:, i] >= 0)
         cells &= sel_bins[np.clip(idx[:, i], 0, len(centers) - 1)]
-        rhs = (stack.w[cells, i] * tf.dlog).sum()
+        rhs = (stack.w[cells, i] * stack.grid.dlog).sum()
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -476,16 +475,14 @@ def test_structured_residual_triangle_envelope():
 
 def test_report_csv_flags_and_validation(tmp_path):
     result = RecoveryResult(
-        b=T[:2], estimate=np.array([[1 + 0j, 2 + 0j]]), window=np.array([[5.0, 5.0]]),
-        mode="first", bins_used=np.array([[3, 4]]), abs_error=np.array([[0.1, 0.3]]))
+        b=T[:2], estimate=np.array([[1 + 0j, 2 + 0j]]), bins_used=np.array([[3, 4]]),
+        abs_error=np.array([[0.1, 0.3]]))
     path = tmp_path / "report.csv"
     report_to_csv(result, np.array([[0.2, 0.2]]), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "b,k,abs_error,bound,within_bound"
     assert lines[1].endswith(",1") and lines[2].endswith(",0")
-    bare = RecoveryResult(
-        b=T[:2], estimate=result.estimate, window=result.window,
-        mode="first", bins_used=result.bins_used)
+    bare = RecoveryResult(b=T[:2], estimate=result.estimate, bins_used=result.bins_used)
     with pytest.raises(ValueError):
         report_to_csv(bare, np.array([[0.2, 0.2]]), tmp_path / "x.csv")
     with pytest.raises(ValueError):

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import os
 import re
@@ -162,15 +161,6 @@ def _write_cfg(path, settings):
     return path
 
 
-def _comparable(cfg):
-    """RunConfig with components replaced by their sampled tracks (the
-    component callables compare by identity)."""
-    t = np.linspace(0.0, 1.0, 5)
-    tracks = cfg.components and tuple(
-        (tuple(c.dphase(t)), tuple(c.amp(t))) for c in cfg.components)
-    return dataclasses.replace(cfg, components=tracks)
-
-
 @pytest.mark.parametrize("row", cli._KEYS,
                          ids=lambda k: f"{k.section}.{k.key}")
 def test_file_and_flag_give_the_same_config(row, tmp_path, monkeypatch):
@@ -186,7 +176,7 @@ def test_file_and_flag_give_the_same_config(row, tmp_path, monkeypatch):
     assert run("synth", "--config",
                str(_write_cfg(tmp_path / "context.cfg", context)),
                row.flag, value) == 0
-    assert _comparable(seen[0]) == _comparable(from_file)
+    assert seen[0] == from_file
     if row.default is not None:     # the sample really moves the field
         assert getattr(from_file, row.field) != \
             getattr(load_config(None, context), row.field)
@@ -451,8 +441,7 @@ def test_constant_sigma_equals_conventional_path(tmp_path):
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = (res.stack.db_w / (2j * np.pi * res.stack.w)).real
     valid = np.abs(res.stack.w) > 0.01
-    plane = PhasePlane(omega=np.where(valid, omega, np.nan), valid=valid,
-                       variant="first", gamma1=0.01, gamma2=None)
+    plane = PhasePlane(omega=np.where(valid, omega, np.nan), valid=valid)
     tf = squeeze(res.stack, plane, SqueezeConfig.for_stack(res.stack))
     tf_to_csv(tf, tmp_path / "conventional.csv")
     assert (tmp_path / "conventional.csv").read_bytes() == \
@@ -784,15 +773,17 @@ def test_unallocatable_scale_count_exits_3(tmp_path, capsys, preset):
     err = capsys.readouterr().err
     scales, times, need = map(int, _STACK_SIZE.search(err).groups())
     assert scales > 10 ** 17 and times == 256
-    assert need == 8 * 16 * scales * times
+    assert need == len(cwt.FIELD_NAMES) * 16 * scales * times
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_stack_limit_is_the_stack_size(tmp_path, capsys, monkeypatch):
     # the guard's estimate is the size of the stack the run then computes:
-    # a limit one byte below it refuses the run, a limit equal to it runs
-    monkeypatch.setattr(cli, "_STACK_LIMIT", 0)
+    # a limit one byte below it refuses the run, a limit equal to it runs.
+    # The first limit admits a stack of one scale by the preset's 256
+    # times, which the run checks before it synthesizes anything.
+    monkeypatch.setattr(cli, "_STACK_LIMIT", len(cwt.FIELD_NAMES) * 16 * 256)
     argv = ("analyze", "--preset", "example1", "--outdir",
             str(tmp_path / "out"))
     assert run(*argv) == 3
@@ -808,7 +799,48 @@ def test_stack_limit_is_the_stack_size(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_STACK_LIMIT", need)
     assert run(*argv) == 0
     assert sum(getattr(stacks[0], name).nbytes
-               for name in cwt._FIELD_NAMES) == need
+               for name in cwt.FIELD_NAMES) == need
+
+
+def test_one_scale_is_checked_before_synthesis(tmp_path, capsys,
+                                               monkeypatch):
+    one = len(cwt.FIELD_NAMES) * 16 * 256
+    monkeypatch.setattr(cli, "_STACK_LIMIT", one - 1)
+    monkeypatch.setattr(cli, "synthesize",
+                        lambda spec: pytest.fail("synthesized"))
+    assert run("analyze", "--preset", "example1", "--outdir",
+               str(tmp_path / "out")) == 3
+    assert f"1 scales by 256 times would take {one} bytes" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_unallocatable_sample_count_exits_3(tmp_path, capsys, command):
+    # numpy would refuse 10**17 samples at once, as the array is larger
+    # than any address space; the guard names n and the limit before
+    # the Nyquist check or synthesis allocates anything of size n
+    assert run(command, "--components", "tone:20", "--n", str(10 ** 17),
+               "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert f"[signal] n: {10 ** 17} real samples would take " \
+        f"{8 * 10 ** 17} bytes" in err
+    assert f"{cli._STACK_LIMIT}-byte limit" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_voice_count_past_the_float_range_exits_3(tmp_path, capsys):
+    # a 401-digit voice count does not convert to a float; the scale count
+    # is then exact, and the guard names it, the voices and the limit
+    voices = "9" * 401
+    assert run("analyze", "--preset", "example1", "--voices", voices,
+               "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    scales, times, need = map(int, _STACK_SIZE.search(err).groups())
+    assert scales > 10 ** 400 and times == 256
+    assert need == len(cwt.FIELD_NAMES) * 16 * scales * times
+    assert f"voices_per_octave is {voices}" in err
+    assert f"{cli._STACK_LIMIT}-byte limit" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("eps3", ["auto", "1"])

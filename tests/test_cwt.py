@@ -311,10 +311,8 @@ def test_real_mode_approximates_analytic_mode_interior(wm):
 # ---------------------------------------------------------------- group 3
 
 def _fd_pair(sig, wm, base_grid, profile, h):
-    lo = ScaleGrid(a=base_grid.a - h, voices=base_grid.voices,
-                   dlog=base_grid.dlog)
-    hi = ScaleGrid(a=base_grid.a + h, voices=base_grid.voices,
-                   dlog=base_grid.dlog)
+    lo = ScaleGrid(a=base_grid.a - h, dlog=base_grid.dlog)
+    hi = ScaleGrid(a=base_grid.a + h, dlog=base_grid.dlog)
     return compute_stack(sig, profile, wm, lo), \
         compute_stack(sig, profile, wm, hi)
 
@@ -426,6 +424,8 @@ def test_scale_grid_construction():
         ScaleGrid.from_range(0.1, 0.05)
     with pytest.raises(ValueError):
         ScaleGrid.from_range(0.01, 0.08, voices=0)
+    # past the float range the count is exact: 3 octaves of 10**400 voices
+    assert ScaleGrid.size(0.01, 0.08, 10 ** 400) == 3 * 10 ** 400 + 1
 
 
 def test_scale_grid_covers_zones(wm):

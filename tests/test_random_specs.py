@@ -80,7 +80,7 @@ def _loop_quad(f, lo, hi):
 
 def _loop_tracks(spec, b):
     return ([c.dphase(b) for c in spec.components],
-            [c.d2phase(b) for c in spec.components])
+            [c.phase(b, 2) for c in spec.components])
 
 
 def _loop_sigma1(spec, wm, b):
@@ -128,7 +128,7 @@ def _loop_zones(spec, wm, profile, order):
             uppers.append(hi_edge / f)
             valids.append(admissible & (f > 0.0))
         else:
-            c = np.abs(comp.d2phase(b))
+            c = np.abs(comp.phase(b, 2))
             arg_u = f ** 2 - 8.0 * math.pi * alpha * (alpha + mu * sig) * c
             arg_l = f ** 2 + 8.0 * math.pi * alpha * (mu * sig - alpha) * c
             ok = admissible & (arg_u >= 0.0) & (arg_l >= 0.0) & (f > 0.0)
@@ -169,7 +169,7 @@ def _loop_c_k(spec, wm, profile, zs):
     for k, comp in enumerate(spec.components):
         v = zs.valid[k]
         c_k[k, v] = _loop_quad(_loop_window(wm, sig[v], comp.dphase(b)[v],
-                                      comp.d2phase(b)[v]),
+                                      comp.phase(b, 2)[v]),
                          zs.lower[k, v], zs.upper[k, v])
     return c_k
 
@@ -226,7 +226,7 @@ def _loop_bounds_second(spec, wm, profile, zs, eps1_tilde):
     b, sig = profile.b, profile.sigma
     n = len(b)
     f = np.stack([c.dphase(b) for c in spec.components])
-    fpp = np.stack([c.d2phase(b) for c in spec.components])
+    fpp = np.stack([c.phase(b, 2) for c in spec.components])
     A = np.stack([c.amp(b) for c in spec.components])
     amp_total = A.sum(axis=0)
     width = np.where(zs.valid, zs.upper - zs.lower, np.nan)

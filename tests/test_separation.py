@@ -198,6 +198,17 @@ def test_selectors_require_two_components(wm):
         sigma2(spec, wm)
 
 
+def test_selectors_reject_misordered_components(wm):
+    # the one order check: the same message as class_params and recover
+    spec = SignalSpec(components=(linear_chirp(26.0, -0.5),
+                                  linear_chirp(12.0, 0.5)), fs=256.0, n=256)
+    for select in (sigma1, sigma2):
+        with pytest.raises(ValueError, match="^components must be ordered "
+                           "with strictly increasing instantaneous "
+                           "frequency$"):
+            select(spec, wm)
+
+
 def test_sigma2_rejects_unseparable_pair(wm):
     spec = SignalSpec(
         components=(linear_chirp(20.0, 30.0), linear_chirp(24.0, 30.0)),

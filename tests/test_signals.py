@@ -14,10 +14,14 @@ Proof groups:
      of signed zeros, NaN payloads, infinities, subnormals, exact int64
      and bool columns, rows shorter and longer than a chunk, and no rows,
      and on the tf.csv and omega.csv of a real analyze run
-  6. tone and linear_chirp, now shorthands for poly_phase, give every one
-     of their six callables bit for bit what their old hand-written
-     closures (kept here as the oracle) gave, over random frequencies,
-     rates, amplitudes and time grids, negative times included
+  6. tone and linear_chirp, shorthands for poly_phase, give A and phi to
+     phi''' bit for bit what their old hand-written closures (kept
+     here as the oracle) gave, over random frequencies, rates, amplitudes
+     and time grids, negative times included
+  7. a component is its data: phase(t, m) for m = 0..3 and amp give bit
+     for bit, -0.0 included, what the closures poly_phase built before
+     (kept here as the oracle) gave, over random coefficients,
+     amplitudes and time grids; equal data compare and hash equal
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from hypothesis.extra import numpy as hnp
 from adassq import cli, sst
 from adassq.signals import (
     ClassParams,
-    ComponentTruth,
     SignalSpec,
     class_params,
     example1_spec,
@@ -80,7 +83,7 @@ def test_poly_phase_matches_linear_chirp():
     t = np.linspace(0.0, 1.0, 17)
     assert np.allclose(a.phase(t), b.phase(t), rtol=0, atol=1e-13)
     assert np.allclose(a.dphase(t), b.dphase(t), rtol=0, atol=1e-13)
-    assert np.allclose(a.d2phase(t), b.d2phase(t), rtol=0, atol=1e-13)
+    assert np.allclose(a.phase(t, 2), b.phase(t, 2), rtol=0, atol=1e-13)
 
 
 def test_class_params_example1():
@@ -88,9 +91,6 @@ def test_class_params_example1():
     assert cp.eps1 == 0.0
     assert cp.eps2 == pytest.approx(0.5, rel=1e-14)
     assert cp.eps3 == 0.0
-    # separation ratio (14 - t)/38 is minimized at the last grid point
-    t_last = (256 * 8 - 1) / (256.0 * 8)
-    assert cp.sep_ratio == pytest.approx((14.0 - t_last) / 38.0, rel=1e-13)
 
 
 def test_class_params_example2():
@@ -98,10 +98,6 @@ def test_class_params_example2():
     assert cp.eps1 == 0.0
     assert cp.eps2 == pytest.approx(36.0, rel=1e-14)
     assert cp.eps3 == 0.0
-    # (22 + 18 t)/(62 + 54 t) is minimized as t -> 1
-    t_last = (256 * 8 - 1) / (256.0 * 8)
-    assert cp.sep_ratio == pytest.approx(
-        (22.0 + 18.0 * t_last) / (62.0 + 54.0 * t_last), rel=1e-13)
 
 
 def test_class_params_cubic_phase():
@@ -109,11 +105,6 @@ def test_class_params_cubic_phase():
     spec = SignalSpec(components=(poly_phase((0.0, 30.0, 0.0, 2.0)),),
                       fs=256.0, n=256, mode="complex")
     assert class_params(spec).eps3 == pytest.approx(12.0, rel=1e-12)
-
-
-def test_single_component_gets_unit_separation():
-    spec = SignalSpec(components=(tone(40.0),), fs=128.0, n=128)
-    assert class_params(spec).sep_ratio == 1.0
 
 
 def test_misordered_components_rejected():
@@ -125,17 +116,11 @@ def test_misordered_components_rejected():
 
 
 def test_nonpositive_amplitude_rejected():
-    bad = ComponentTruth(
-        amp=lambda t: np.asarray(t) - 0.5,   # crosses zero mid-interval
-        phase=lambda t: 30.0 * np.asarray(t),
-        dphase=lambda t: np.full_like(np.asarray(t, float), 30.0),
-        d2phase=lambda t: np.zeros_like(np.asarray(t, float)),
-        damp=lambda t: np.ones_like(np.asarray(t, float)),
-        d3phase=lambda t: np.zeros_like(np.asarray(t, float)),
-    )
-    spec = SignalSpec(components=(bad,), fs=128.0, n=128)
-    with pytest.raises(ValueError, match="positive"):
-        class_params(spec)
+    for amp in (0.0, -0.0, -1.0):
+        spec = SignalSpec(components=(tone(30.0), tone(60.0, amp)),
+                          fs=128.0, n=128)
+        with pytest.raises(ValueError, match="amplitudes must stay positive"):
+            class_params(spec)
 
 
 def test_spec_validation():
@@ -314,44 +299,58 @@ def _const(value):
 
 
 def _oracle_tone(freq, amp):
-    """tone as it was written before it became poly_phase((0, freq))."""
-    return ComponentTruth(
-        amp=_const(amp), phase=lambda t: freq * np.asarray(t, dtype=float),
-        dphase=_const(freq), d2phase=_const(0.0), damp=_const(0.0),
-        d3phase=_const(0.0))
+    """tone as it was written before it became poly_phase((0, freq)):
+    closures for A and phi to phi'''."""
+    return (_const(amp), lambda t: freq * np.asarray(t, dtype=float),
+            _const(freq), _const(0.0), _const(0.0))
 
 
 def _oracle_chirp(f0, rate, amp):
     """linear_chirp as it was written before it became
     poly_phase((0, f0, rate/2))."""
-    return ComponentTruth(
-        amp=_const(amp),
-        phase=lambda t: (f0 + 0.5 * rate * np.asarray(t, dtype=float))
-        * np.asarray(t, dtype=float),
-        dphase=lambda t: f0 + rate * np.asarray(t, dtype=float),
-        d2phase=_const(rate), damp=_const(0.0), d3phase=_const(0.0))
+    return (_const(amp),
+            lambda t: (f0 + 0.5 * rate * np.asarray(t, dtype=float))
+            * np.asarray(t, dtype=float),
+            lambda t: f0 + rate * np.asarray(t, dtype=float),
+            _const(rate), _const(0.0))
 
 
-_FIELDS = ("amp", "phase", "dphase", "d2phase", "damp", "d3phase")
+def _oracle_poly_phase(coeffs, amp):
+    """poly_phase as it was before a component became its data: closures
+    for A and phi to phi''' over one Polynomial and its derivatives."""
+    p = np.polynomial.Polynomial(list(coeffs))
+    d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
+    return (_const(amp), lambda t: p(np.asarray(t, dtype=float)),
+            lambda t: d1(np.asarray(t, dtype=float)),
+            lambda t: d2(np.asarray(t, dtype=float)),
+            lambda t: d3(np.asarray(t, dtype=float)))
+
+
+def _functions(comp):
+    """A and phi to phi''' of a component, in the oracles' order."""
+    return (comp.amp, *(lambda t, m=m: comp.phase(t, m) for m in range(4)))
+
+
+_NAMES = ("A", "phi", "phi'", "phi''", "phi'''")
 # finite, and 0 or at least 1e-300 in size, so that rate/2 is exact and no
 # product of two draws overflows or leaves the normal range; -0.0 included
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
     -1e6, 1e6, allow_subnormal=False).filter(lambda v: v == 0 or
                                                abs(v) >= 1e-300)
+_TIMES = hnp.arrays(np.float64, st.integers(0, 40),
+                    elements=_VALUES | st.floats(-1e3, 1e3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(1e-300, 1e6), _VALUES, _VALUES, _VALUES,
-       hnp.arrays(np.float64, st.integers(0, 40),
-                  elements=_VALUES | st.floats(-1e3, 1e3)))
+@given(st.floats(1e-300, 1e6), _VALUES, _VALUES, _VALUES, _TIMES)
 def test_tone_and_chirp_equal_their_old_closures(freq, f0, rate, amp, t):
     # np.array_equal compares -0.0 and 0.0 equal, which covers the one
     # sign that moves (see the test below)
     for new, old in ((tone(freq, amp), _oracle_tone(freq, amp)),
                      (linear_chirp(f0, rate, amp),
                       _oracle_chirp(f0, rate, amp))):
-        for name in _FIELDS:
-            got, want = getattr(new, name)(t), getattr(old, name)(t)
+        for name, f, g in zip(_NAMES, _functions(new), old):
+            got, want = f(t), g(t)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want), name
 
@@ -360,7 +359,27 @@ def test_chirp_rate_minus_zero_is_the_one_moved_sign():
     # the old closure returned the rate itself; Horner's -0.0 + t*0 is
     # +0.0 for t >= +0.0, and stays -0.0 only where t*0 is -0.0
     t = np.array([-1.0, 0.0, 1.0])
-    old = _oracle_chirp(10.0, -0.0, 1.0).d2phase(t)
-    new = linear_chirp(10.0, -0.0).d2phase(t)
+    old = _oracle_chirp(10.0, -0.0, 1.0)[3](t)
+    new = linear_chirp(10.0, -0.0).phase(t, 2)
     assert np.array_equal(np.signbit(old), [True, True, True])
     assert np.array_equal(np.signbit(new), [True, False, False])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=5), _VALUES, _TIMES)
+def test_component_data_give_the_closures_bits(coeffs, amp, t):
+    # bit patterns, so a -0.0 for +0.0 (or back) fails too
+    comp = poly_phase(coeffs, amp)
+    for name, f, g in zip(_NAMES, _functions(comp),
+                          _oracle_poly_phase(coeffs, amp)):
+        got, want = f(t), g(t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def test_equal_components_compare_and_hash_equal():
+    a, b = linear_chirp(12.0, 0.5), poly_phase([0, 12, 0.25])
+    assert a == b and hash(a) == hash(b)
+    assert tone(40.0) == poly_phase((0.0, 40.0), 1.0)
+    assert tone(40.0) != tone(40.0, 2.0) and tone(40.0) != tone(41.0)
+    assert len({tone(40.0), tone(40.0), tone(40.0, 2.0), tone(41.0)}) == 3

@@ -197,7 +197,7 @@ def test_squeeze_conserves_mass_hybrid_variant(wm):
 
 def _single_cell_stack(wm, omega_value):
     """Stack with one coefficient and a hand-set phase plane."""
-    grid = ScaleGrid(a=np.array([0.025]), voices=1, dlog=0.1)
+    grid = ScaleGrid(a=np.array([0.025]), dlog=0.1)
     prof = SigmaProfile(b=np.array([0.0]), sigma=np.array([1.0]),
                         dsigma=np.array([0.0]), kind="custom")
     sig = SampledSignal(t=np.array([0.0]), x=np.array([0.0]))
@@ -207,8 +207,7 @@ def _single_cell_stack(wm, omega_value):
                   w_tg=zero, w_tgp=zero, da_w=zero, db_w=zero,
                   da_w_tg=zero, da_w_tgp=zero, dadb_w=zero)
     plane = PhasePlane(omega=np.array([[omega_value]]),
-                       valid=np.array([[np.isfinite(omega_value)]]),
-                       variant="first", gamma1=0.01)
+                       valid=np.array([[np.isfinite(omega_value)]]))
     return st, plane
 
 
