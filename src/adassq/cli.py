@@ -33,8 +33,9 @@ Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
 component above Nyquist, or a rate too low to leave any band), 3
 inadmissible window-width profile for the requested analysis, components
-out of frequency order, or samples or a transform stack over the 1 GiB
-memory limit, 4 recovery requested for a signal without ground truth.
+out of frequency order, or samples, a transform stack or a squeezed plane
+over the 1 GiB memory limit, 4 recovery requested for a signal without
+ground truth.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ class ConfigError(Exception):
 
 
 class AdmissibilityError(Exception):
-    """Inadmissible window width, misordered components, or samples or a
-    transform stack past the memory limit (exit code 3)."""
+    """Inadmissible window width, misordered components, or an array past
+    the memory limit (exit code 3)."""
 
 
 class MissingTruthError(Exception):
@@ -283,25 +284,32 @@ def _fixed_sampling(cfg: dict) -> tuple[str, dict] | None:
     return None
 
 
-def _check_nyquist(components: tuple[ComponentTruth, ...], fs: float,
-                   n: int, mode: str) -> None:
-    """Every instantaneous frequency must fit the sampled band."""
-    spec = SignalSpec(components=components, fs=fs, n=n, mode=mode)
-    top = fs if mode == "complex" else fs / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail below
-        tracks_f = tracks(spec, spec.times())[0]
-    for idx, f in enumerate(tracks_f, start=1):
+def _check_nyquist(spec: SignalSpec) -> None:
+    """Each component's instantaneous frequency must fit the sampled band."""
+    top = spec.fs if spec.mode == "complex" else spec.fs / 2.0
+    t = spec.times()
+    for idx, comp in enumerate(spec.components, start=1):
+        with np.errstate(over="ignore", invalid="ignore"):  # fail below
+            f = comp.phase(t, 1)
         if not (np.min(f) > 0.0 and np.max(f) < top):
             raise ConfigError(
                 f"[signal] components (entry {idx}): instantaneous "
                 f"frequency {np.min(f):g} to {np.max(f):g} Hz leaves "
-                f"(0, {top:g}) Hz, the band of a {mode} signal sampled at "
-                f"{fs:g} Hz")
+                f"(0, {top:g}) Hz, the band of a {spec.mode} signal sampled "
+                f"at {spec.fs:g} Hz")
 
 
-# Largest array of samples or transform stack a run may allocate, in bytes
-# (1 GiB); a larger one exits 3 before it is allocated.
+# Largest array of samples, transform stack or squeezed plane a run may
+# allocate, in bytes (1 GiB); a larger one exits 3 before it is allocated.
 _STACK_LIMIT = 2 ** 30
+
+
+def _check_size(need: int, what: str, hint: str = "") -> None:
+    """Exit 3 if what, taking need bytes, would pass _STACK_LIMIT."""
+    if need > _STACK_LIMIT:
+        raise AdmissibilityError(
+            f"{what} would take {need} bytes, more than the "
+            f"{_STACK_LIMIT}-byte limit{hint}")
 
 
 def load_config(path: Path | None,
@@ -368,13 +376,8 @@ def load_config(path: Path | None,
                 raise ConfigError(f"[signal] {key}: {origin} fixes "
                                   f"{key}={shown}, got {have}")
         cfg.update(values)
-    need = cfg["n"] * (16 if cfg["mode"] == "complex" else 8)
-    if need > _STACK_LIMIT:
-        raise AdmissibilityError(
-            f"[signal] n: {cfg['n']} {cfg['mode']} samples would take {need} "
-            f"bytes, more than the {_STACK_LIMIT}-byte limit")
-    if cfg["components"] is not None:
-        _check_nyquist(cfg["components"], cfg["fs"], cfg["n"], cfg["mode"])
+    _check_size(cfg["n"] * (16 if cfg["mode"] == "complex" else 8),
+                f"[signal] n: {cfg['n']} {cfg['mode']} samples")
     return RunConfig(**cfg)
 
 
@@ -382,7 +385,7 @@ def load_config(path: Path | None,
 # pipeline assembly
 
 def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
-    """Materialize the configured signal (spec is None for file signals)."""
+    """Materialize the signal (spec None for a file), checking Nyquist."""
     if cfg.file is not None:
         return None, _read_samples(cfg.file)
     if cfg.preset in _PRESET_SPECS:
@@ -391,6 +394,8 @@ def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
         comps = (tone(40.0, 0.0),) if cfg.preset == "empty" \
             else cfg.components
         spec = SignalSpec(components=comps, fs=cfg.fs, n=cfg.n, mode=cfg.mode)
+        if cfg.components is not None:
+            _check_nyquist(spec)
     return spec, synthesize(spec)
 
 
@@ -444,12 +449,9 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
 
 def _check_stack(scales: int, cfg: RunConfig) -> None:
     """Exit 3 if a stack of scales by cfg.n times would pass _STACK_LIMIT."""
-    need = len(FIELD_NAMES) * 16 * scales * cfg.n
-    if need > _STACK_LIMIT:
-        raise AdmissibilityError(
-            f"a transform stack of {scales} scales by {cfg.n} times would "
-            f"take {need} bytes, more than the {_STACK_LIMIT}-byte limit; "
-            f"[grid] voices_per_octave is {cfg.voices}")
+    _check_size(len(FIELD_NAMES) * 16 * scales * cfg.n,
+                f"a transform stack of {scales} scales by {cfg.n} times",
+                f"; [grid] voices_per_octave is {cfg.voices}")
 
 
 @dataclass(frozen=True)
@@ -480,8 +482,9 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     if zs is not None and np.any(zs.valid):
         a_min, a_max = zs.span(margin=1.25)
     else:
-        # No usable zones (sample files, silent presets): cover the band
-        # from 1 Hz up to the signal's own Nyquist with a 25% margin.
+        # No valid zone cell (sample files, and synthesized signals none of
+        # whose zone cells is valid): cover the band from 1 Hz up to the
+        # signal's own Nyquist with a 25% margin.
         a_min, a_max = cfg.mu / (sig.fs / 2.0) / 1.25, cfg.mu * 1.25
         if not 0.0 < a_min < a_max:
             where = "[signal] file" if cfg.file is not None else "[signal] fs"
@@ -491,16 +494,20 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     _check_stack(ScaleGrid.size(a_min, a_max, cfg.voices), cfg)
     grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
     stack = compute_stack(sig, profile, wm, grid)
+    base = SqueezeConfig.for_stack(stack)
+    if cfg.xi_bins > 0:
+        base = SqueezeConfig(xi_min=base.xi_min, xi_max=base.xi_max,
+                             dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
+    l_min, l_max = base.bin_limits()
+    bins = l_max - l_min + 1
+    _check_size(16 * bins * cfg.n, f"a squeezed plane of {bins} frequency "
+                f"bins of {base.dxi:.6g} Hz by {cfg.n} times",
+                f"; [grid] xi_bins is {cfg.xi_bins}")
     if cfg.variant == "T1":
         plane = phase_first(stack, cfg.gamma1)
     else:
         plane = phase_second(stack, cfg.gamma1, gamma2=cfg.gamma2,
                              hybrid=(cfg.variant == "S2"))
-
-    base = SqueezeConfig.for_stack(stack)
-    if cfg.xi_bins > 0:
-        base = SqueezeConfig(xi_min=base.xi_min, xi_max=base.xi_max,
-                             dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
     tf = squeeze(stack, plane, base)
     return Analysis(spec=spec, zs=zs, stack=stack, plane=plane, tf=tf)
 

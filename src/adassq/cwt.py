@@ -30,11 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .separation import SigmaProfile, ZoneSet
 from .signals import SampledSignal
-from .windows import WindowKind, WindowModel, hat_poly, hat_poly_deriv
+from .windows import FOUR_PI2, WindowModel
 
 Array = np.ndarray
 TWO_PI = 2.0 * math.pi
@@ -152,14 +151,6 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     xi, coef = spectral_coefficients(sig)
     shift = profile.b - float(sig.t[0])
 
-    # kernel spectra P(nu)*FTg(nu) and their exact derivative polynomials
-    p_tg = hat_poly(WindowKind.TG)
-    p_tgp = hat_poly(WindowKind.TGP)
-    d_g = hat_poly_deriv(hat_poly(WindowKind.G))
-    d_tg = hat_poly_deriv(p_tg)
-    d_tgp = hat_poly_deriv(p_tgp)
-    dd_g = hat_poly_deriv(d_g)
-
     out = {name: np.empty((len(grid.a), len(profile.b)), dtype=complex)
            for name in FIELD_NAMES}
     i2pix = 1j * TWO_PI * xi
@@ -174,18 +165,25 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
         nu = s * detune
         gh = np.exp(-TWO_PI * math.pi * nu * nu)
         dscale = -s * xi                        # d(nu)/da per bin
-        v_dg = npoly.polyval(nu, d_g)
+        # Each kernel is P(nu)*gh: P is 1, -2*pi*i*nu or 4*pi**2*nu**2 - 1,
+        # or a nu-derivative Q = P' - 4*pi**2*nu*P, written in the Horner
+        # order of numpy's polyval over ascending coefficients:
+        # FOUR_PI2 * nu * nu - 1.0, never FOUR_PI2 * (nu * nu).  A complex
+        # Horner step on a real nu adds only exact zeros, so this real
+        # arithmetic gives polyval's floats and the fields keep their bytes.
+        v_dg = -FOUR_PI2 * nu
         kernels = {
             "w": gh,
-            "w_tg": npoly.polyval(nu, p_tg) * gh,
-            "w_tgp": npoly.polyval(nu, p_tgp) * gh,
+            "w_tg": 1j * (-TWO_PI * nu * gh),
+            "w_tgp": (FOUR_PI2 * nu * nu - 1.0) * gh,
             "da_w": dscale * v_dg * gh,
             "db_w": i2pix * gh + dln * nu * v_dg * gh,
-            "da_w_tg": dscale * npoly.polyval(nu, d_tg) * gh,
-            "da_w_tgp": dscale * npoly.polyval(nu, d_tgp) * gh,
-            "dadb_w": dscale * (
-                i2pix * v_dg
-                + dln * (v_dg + nu * npoly.polyval(nu, dd_g))) * gh,
+            "da_w_tg": 1j * (dscale * (FOUR_PI2 * TWO_PI * nu * nu - TWO_PI)
+                             * gh),
+            "da_w_tgp": dscale * ((3.0 * FOUR_PI2 - FOUR_PI2 * FOUR_PI2
+                                   * nu * nu) * nu) * gh,
+            "dadb_w": dscale * (i2pix * v_dg + dln * (
+                v_dg + nu * (FOUR_PI2 * FOUR_PI2 * nu * nu - FOUR_PI2))) * gh,
         }
         if on_grid:
             # the detuning and each kernel are freed once used, so the next

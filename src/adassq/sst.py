@@ -154,9 +154,13 @@ class SqueezeConfig:
         return cls(xi_min=stack.wm.mu / stack.a[-1] / 1.25,
                    xi_max=stack.wm.mu / stack.a[0] * 1.25)
 
+    def bin_limits(self) -> tuple[int, int]:
+        """First and last bin index l, found without allocating."""
+        return (int(math.floor(self.xi_min / self.dxi + 0.5)),
+                int(math.ceil(self.xi_max / self.dxi - 0.5)))
+
     def bin_centers(self) -> Array:
-        l_min = int(math.floor(self.xi_min / self.dxi + 0.5))
-        l_max = int(math.ceil(self.xi_max / self.dxi - 0.5))
+        l_min, l_max = self.bin_limits()
         return np.arange(l_min, l_max + 1) * self.dxi
 
 
@@ -179,16 +183,14 @@ def lattice_index(omega: Array, cfg: SqueezeConfig) -> Array:
     this rule, so window sums over the squeezed plane and direct sums
     over stack cells selected through lattice_index agree cell for cell.
     """
-    centers = cfg.bin_centers()
-    l_min = int(round(centers[0] / cfg.dxi))
-    top = len(centers) - 1
+    l_min, l_max = cfg.bin_limits()
     omega = np.asarray(omega, dtype=float)
     idx = np.full(omega.shape, -1, dtype=np.int64)
     ok = np.isfinite(omega)
     r = omega[ok] / cfg.dxi + 0.5
     j = np.floor(r).astype(np.int64)
     j[r == np.floor(r)] -= 1                # exact ties go to the lower bin
-    idx[ok] = np.clip(j - l_min, 0, top)
+    idx[ok] = np.clip(j - l_min, 0, l_max - l_min)
     return idx
 
 

@@ -6,10 +6,11 @@ The base window is the unit Gaussian
 
 with the Fourier convention FT[f](xi) = integral f(t) exp(-i*2*pi*xi*t) dt.
 The transform stack uses three kernels, g, t*g and t*g'; each has a
-spectrum of the form P(xi)*FT[g](xi) with P a small polynomial.  The
-polynomials are kept explicit so that spectral derivatives (needed for the
-scale/time derivative lattices) stay exact instead of being
-finite-differenced.
+spectrum of the form P(xi)*FT[g](xi) with P a small polynomial.  _HAT_POLY
+keeps their coefficients for window_hat_eval, the reference evaluation of
+the spectra.  The stack writes the kernels and their exact xi-derivatives
+(P' - 4*pi**2*xi*P)*FT[g] in closed form, so its scale/time derivative
+lattices are not finite-differenced.
 
 The closed forms for the transform of a linearly chirped Gaussian,
 
@@ -75,25 +76,6 @@ def window_hat_eval(kind: WindowKind, xi) -> np.ndarray:
     """Spectrum of the kernel at frequency xi (complex in general)."""
     xi = np.asarray(xi, dtype=float)
     return npoly.polyval(xi, _HAT_POLY[kind]) * gauss_hat(xi)
-
-
-def hat_poly(kind: WindowKind) -> np.ndarray:
-    """Polynomial P with spectrum(kind) = P(xi)*FT[g](xi); ascending coeffs."""
-    return _HAT_POLY[kind].copy()
-
-
-def hat_poly_deriv(p: np.ndarray) -> np.ndarray:
-    """Coefficients Q with d/dxi [P(xi)*FT[g](xi)] = Q(xi)*FT[g](xi).
-
-    Q = P' - 4*pi**2 * xi * P, using FT[g]' = -4*pi**2*xi*FT[g].
-    """
-    p = np.asarray(p, dtype=complex)
-    out = np.zeros(len(p) + 1, dtype=complex)
-    if len(p) > 1:
-        dp = npoly.polyder(p)
-        out[: len(dp)] += dp
-    out[1 : len(p) + 1] -= FOUR_PI2 * p
-    return out
 
 
 def essential_alpha(tau0: float) -> float:

@@ -40,7 +40,9 @@ What is proven here
    component value that is not finite or whose track overflows exits 2;
    a transform stack past the memory limit exits 3 before any scale is
    allocated, naming its scale count and bytes, and the limit is the
-   stack's exact size; recover exits 3 on components out of frequency
+   stack's exact size; a squeezed plane past it exits 3 naming its bin
+   count before any bin exists; a stack of one scale is checked before
+   the Nyquist check evaluates any phase; recover exits 3 on components out of frequency
    order, with eps3 auto or set; reruns of the same configuration are
    byte-identical; importing the command loads no scipy module, since
    numpy is the only runtime dependency.
@@ -65,8 +67,9 @@ from hypothesis import strategies as st
 
 import adassq
 from adassq import cli, cwt
-from adassq.cli import ConfigError, load_config, main, run_analysis
-from adassq.signals import example1_spec, example2_spec
+from adassq.cli import ConfigError, build_signal, load_config, main, \
+    run_analysis
+from adassq.signals import ComponentTruth, example1_spec, example2_spec
 from adassq.sst import PhasePlane, SqueezeConfig, squeeze, tf_to_csv
 
 
@@ -270,8 +273,10 @@ def test_component_specs_parse_to_ground_truth():
     ("poly:0,1e308,1e308", "entry 1.: .* nan Hz"),     # so does phi'
 ])
 def test_bad_component_specs(text, fragment):
+    # parsing rejects a spec as the config loads, the Nyquist check as the
+    # signal is built
     with pytest.raises(ConfigError, match=fragment):
-        load_config(None, {("signal", "components"): text})
+        build_signal(load_config(None, {("signal", "components"): text}))
 
 
 def test_signal_source_exclusivity():
@@ -841,6 +846,46 @@ def test_voice_count_past_the_float_range_exits_3(tmp_path, capsys):
     assert f"voices_per_octave is {voices}" in err
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+_PLANE_SIZE = re.compile(r"squeezed plane of (\d+) frequency bins of \S+ Hz "
+                         r"by (\d+) times would take (\d+) bytes")
+_TERAHERTZ = "t,re,im\n0,1,0\n1e-12,0,0\n2e-12,-1,0\n3e-12,0,0\n"
+
+
+@pytest.mark.parametrize("args, bins, times", [
+    (("--preset", "example1", "--xi-bins", str(10 ** 11)), 10 ** 11 + 1, 256),
+    (("--signal-file", "{tmp}/thz.csv"), 3124999999998, 4),
+], ids=["xi-bins", "terahertz-file"])
+def test_unallocatable_squeezed_plane_exits_3(tmp_path, capsys, args, bins,
+                                              times):
+    # 10**11 bins on example1's band, and 0.25 Hz bins up to 1.25x the
+    # Nyquist frequency of four samples at 1 THz: numpy would refuse the
+    # bin centres at once (745 GiB and 22.7 TiB).  The guard names the bin
+    # count, the times and the bytes before either exists.
+    (tmp_path / "thz.csv").write_text(_TERAHERTZ)
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert run("analyze", *args, "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert tuple(map(int, _PLANE_SIZE.search(err).groups())) == \
+        (bins, times, 16 * bins * times)
+    assert f"{cli._STACK_LIMIT}-byte limit" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_one_scale_is_checked_before_the_nyquist_check(tmp_path, capsys,
+                                                       monkeypatch):
+    # 2**23 + 1 real samples pass the sample guard, and a stack of one
+    # scale by them is 128 bytes past the limit: the run exits 3 before
+    # any component's phase is evaluated on the n samples
+    monkeypatch.setattr(ComponentTruth, "phase",
+                        lambda *args: pytest.fail("phase evaluated"))
+    n = 2 ** 23 + 1
+    assert run("analyze", "--components", "tone:20", "--n", str(n),
+               "--outdir", str(tmp_path / "out")) == 3
+    assert f"1 scales by {n} times would take {128 * n} bytes" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("eps3", ["auto", "1"])

@@ -5,7 +5,9 @@ Proof groups:
      spectral sum (independent double loop), and up to n = 4096 an oracle
      whose phase factors are reduced to exact integer multiples of 1/N;
      every column of a stack equals that column computed alone: bit for
-     bit under a kernel product, to rounding under the inverse FFT
+     bit under a kernel product, to rounding under the inverse FFT; and
+     the closed-form kernels give every field bit for bit what numpy's
+     polyval of the spectral-derivative polynomials gave
   2. closed forms -- on-grid tones and interior chirps match the exact
      transform values predicted by the window layer
   3. derivative lattices match central finite differences of the value
@@ -22,6 +24,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from adassq import cwt
 from adassq.cwt import (
@@ -47,6 +50,8 @@ from adassq.signals import (
     tone,
 )
 from adassq.windows import (
+    _HAT_POLY,
+    FOUR_PI2,
     WindowKind,
     WindowModel,
     chirped_transform_G,
@@ -234,6 +239,124 @@ def test_sample_grid_fields_equal_single_column_stacks(wm, n, mode):
     assert np.max(np.abs(st.w - ref)) < 1e-13 * np.max(np.abs(ref))
     res = time_derivative_residual(st)
     assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(st.db_w))
+
+
+def _hat_deriv(p):
+    """Q with d/dxi [P*FTg] = Q*FTg: Q = P' - 4*pi**2*xi*P, as
+    FTg' = -4*pi**2*xi*FTg."""
+    p = np.asarray(p, dtype=complex)
+    out = np.zeros(len(p) + 1, dtype=complex)
+    if len(p) > 1:
+        dp = npoly.polyder(p)
+        out[: len(dp)] += dp
+    out[1 : len(p) + 1] -= FOUR_PI2 * p
+    return out
+
+
+def polyval_stack(sig, profile, wm, grid):
+    """The eight fields with each kernel P(nu)*FTg(nu) evaluated by numpy's
+    complex polyval of _HAT_POLY and its derivative polynomials, taking
+    the columns as compute_stack does (one inverse FFT per field for
+    constant sigma on the sample grid, else one product per column)."""
+    xi, coef = spectral_coefficients(sig)
+    p_tg = _HAT_POLY[WindowKind.TG]
+    p_tgp = _HAT_POLY[WindowKind.TGP]
+    d_g = _hat_deriv(_HAT_POLY[WindowKind.G])
+    d_tg, d_tgp, dd_g = _hat_deriv(p_tg), _hat_deriv(p_tgp), _hat_deriv(d_g)
+    out = {name: np.empty((len(grid.a), len(profile.b)), dtype=complex)
+           for name in FIELDS}
+    i2pix = 1j * TWO_PI * xi
+    detune = wm.mu - np.outer(grid.a, xi)
+    n = len(sig.t)
+    on_grid = (np.all(profile.sigma == profile.sigma[0])
+               and np.all(profile.dsigma == profile.dsigma[0])
+               and np.array_equal(profile.b, sig.t))
+    for i, shift in enumerate(profile.b - float(sig.t[0])):
+        s = profile.sigma[i]
+        dln = profile.dsigma[i] / s
+        nu = s * detune
+        gh = np.exp(-TWO_PI * math.pi * nu * nu)
+        dscale = -s * xi
+        v_dg = npoly.polyval(nu, d_g)
+        kernels = {
+            "w": gh,
+            "w_tg": npoly.polyval(nu, p_tg) * gh,
+            "w_tgp": npoly.polyval(nu, p_tgp) * gh,
+            "da_w": dscale * v_dg * gh,
+            "db_w": i2pix * gh + dln * nu * v_dg * gh,
+            "da_w_tg": dscale * npoly.polyval(nu, d_tg) * gh,
+            "da_w_tgp": dscale * npoly.polyval(nu, d_tgp) * gh,
+            "dadb_w": dscale * (
+                i2pix * v_dg
+                + dln * (v_dg + nu * npoly.polyval(nu, dd_g))) * gh,
+        }
+        if on_grid:
+            for name in FIELDS:
+                np.multiply(np.fft.ifft(kernels[name] * coef, n=n, axis=1),
+                            n, out=out[name])
+            return out
+        ce = coef[:, None] * np.exp(np.outer(i2pix, [shift]))
+        for name, kern in kernels.items():
+            out[name][:, i:i + 1] = kern @ ce
+    return out
+
+
+def _zone_case(spec, profile, order):
+    def make(wm):
+        prof = profile(spec, wm)
+        zs = zones(spec, wm, prof, order=order)
+        return synthesize(spec), prof, ScaleGrid.from_zones(zs)
+    return make
+
+
+def _band_case(spec, profile):
+    # the analyze grid without zones: 1 Hz to 1.25x Nyquist
+    def make(wm):
+        sig = synthesize(spec)
+        grid = ScaleGrid.from_range(1.0 / (spec.fs / 2.0) / 1.25, 1.25)
+        return sig, profile(sig.t), grid
+    return make
+
+
+def _sinusoidal(t):
+    return SigmaProfile(b=t, sigma=1.2 + 0.1 * np.sin(TWO_PI * t),
+                        dsigma=0.1 * TWO_PI * np.cos(TWO_PI * t),
+                        kind="custom")
+
+
+_THREE = SignalSpec(components=(tone(20.0), linear_chirp(40.0, 5.0),
+                                tone(80.0)), fs=256.0, n=256)
+_EX1_CHIRPS = example1_spec().components
+# case -> wm -> (signal, profile, grid)
+_POLYVAL_CASES = {
+    "example2-sigma2": _zone_case(example2_spec(), sigma2, 2),
+    "example1-sigma1": _zone_case(example1_spec(), sigma1, 1),
+    "three-sigma1": _zone_case(_THREE, sigma1, 1),
+    "sinusoidal": _band_case(example1_spec(), _sinusoidal),
+    "fft-real-1024": _band_case(
+        SignalSpec(components=(linear_chirp(20.0, 1.0),
+                               linear_chirp(50.0, 2.0), tone(90.0)),
+                   fs=256.0, n=1024),
+        lambda t: constant_profile(t, 1.0)),
+    "fft-complex-256": _band_case(
+        SignalSpec(components=_EX1_CHIRPS, fs=256.0, n=256, mode="complex"),
+        lambda t: constant_profile(t, 1.0)),
+    "constant-off-grid": _band_case(
+        example1_spec(), lambda t: constant_profile(t + 0.3 / 256.0, 1.1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_POLYVAL_CASES))
+def test_closed_form_kernels_equal_polyval_bit_for_bit(wm, case):
+    # every word of every field, zero signs included; FOUR_PI2 * (nu * nu)
+    # in place of FOUR_PI2 * nu * nu already moves the last bit of about
+    # a third of the w_tgp kernel values
+    sig, prof, grid = _POLYVAL_CASES[case](wm)
+    st = compute_stack(sig, prof, wm, grid)
+    ref = polyval_stack(sig, prof, wm, grid)
+    for name in FIELDS:
+        np.testing.assert_array_equal(getattr(st, name).view(np.uint64),
+                                      ref[name].view(np.uint64), name)
 
 
 # ---------------------------------------------------------------- group 2
@@ -440,22 +563,23 @@ def test_scale_grid_covers_zones(wm):
 # ---------------------------------------------------------------- group 6
 
 def test_constant_sigma_builds_its_kernels_once(wm, monkeypatch):
+    # one Gaussian per kernel build, whatever the number of columns
     calls = []
-    polyval = cwt.npoly.polyval
+    exp = cwt.np.exp
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return polyval(*args, **kwargs)
-    monkeypatch.setattr(cwt.npoly, "polyval", counted)
+        return exp(*args, **kwargs)
     grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
     counts = []
     for n in (2, 64, 128):
         sig = synthesize(SignalSpec(components=(tone(9.0),), fs=64.0, n=n))
-        calls.clear()
-        compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(cwt.np, "exp", counted)
+            calls.clear()
+            compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid)
         counts.append(len(calls))
-    assert counts[0] > 0
-    assert counts == [counts[0]] * 3
+    assert counts == [1, 1, 1]
 
 
 def test_only_constant_sigma_on_the_sample_grid_takes_the_fft(wm,

@@ -5,7 +5,7 @@ Proof groups:
      independently by adaptive quadrature of the defining integrals
   2. random quadrature sweeps   -- spectra and chirped transforms agree with
      direct numerical Fourier integrals at seeded random arguments
-  3. calculus identities        -- spectral-derivative polynomials, the
+  3. calculus identities        -- the reassignment identity, the
      t-weighting recursion, and the lam=0 degeneracy hold exactly
   4. input validation           -- bad orders / parameters raise
 """
@@ -24,8 +24,6 @@ from adassq.windows import (
     chirped_transform_Gj,
     essential_alpha,
     gauss_hat,
-    hat_poly,
-    hat_poly_deriv,
     moment,
     window_eval,
     window_hat_eval,
@@ -168,24 +166,11 @@ def test_alpha_inverts_tail_level():
             tau0, rel=1e-12)
 
 
-def test_hat_poly_deriv_matches_finite_difference():
-    h = 1e-6
-    xi = np.linspace(-1.1, 1.3, 7)
-    for kind in WindowKind:
-        p = hat_poly(kind)
-        q = hat_poly_deriv(p)
-        exact = np.polynomial.polynomial.polyval(xi, q) * gauss_hat(xi)
-        fd = (window_hat_eval(kind, xi + h)
-              - window_hat_eval(kind, xi - h)) / (2.0 * h)
-        assert np.max(np.abs(exact - fd)) < 1e-7, kind
-
-
 def test_reassignment_window_identity():
     # xi * d/dxi FT[g] + FT[g] + FT[t g'] = 0: the cancellation that makes
     # the adaptive phase transform exact on a pure tone.
     xi = np.linspace(-2.0, 2.0, 41)
-    dg = np.polynomial.polynomial.polyval(
-        xi, hat_poly_deriv(hat_poly(WindowKind.G))) * gauss_hat(xi)
+    dg = -4.0 * math.pi ** 2 * xi * gauss_hat(xi)      # d/dxi FT[g]
     total = xi * dg + gauss_hat(xi) + window_hat_eval(WindowKind.TGP, xi)
     assert np.max(np.abs(total)) < 1e-15
 

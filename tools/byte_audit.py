@@ -1,0 +1,122 @@
+"""Compare the output bytes of two source trees of this repository.
+
+    python3 tools/byte_audit.py PARENT_TREE NEW_TREE
+
+Each tree is a directory holding this repository's ``src/`` (for example
+a ``git archive`` of the parent commit, unpacked).  The audit runs one
+fixed list of ``adassq`` command lines in each tree, the benchmark's
+three workloads at seeds 0 and 1 among them, then compares the SHA-256
+of every output file and each run's exit code.  It prints what differs
+and exits 1 if anything does, 0 if every file keeps its bytes.  The
+inputs (the workloads' sample files, a width table) are generated once,
+by perfbench/workloads.py and here, and both trees read the same files.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+_EX1 = "chirp:12:0.5; chirp:26:-0.5"
+_THREE = "tone:20; chirp:40:5; tone:80"
+# run name -> arguments without --outdir, in order: {out} is the tree's
+# output root (a run may read an earlier run's output), {inputs} the
+# shared input directory
+RUNS = {
+    "demo-example1": ["demo", "example1"],
+    "demo-example2": ["demo", "example2"],
+    "analyze-1024": ["analyze", "--n", "1024", "--fs", "256",
+                     "--components", _EX1],
+    "analyze-4096": ["analyze", "--n", "4096", "--fs", "256",
+                     "--components", "chirp:20:1; chirp:50:2; tone:90"],
+    "recover-example2-t2": ["recover", "--preset", "example2", "--sigma",
+                            "sigma2", "--gamma2", "1", "--variant", "T2"],
+    "recover-empty-t1": ["recover", "--preset", "empty"],
+    "recover-empty-s2": ["recover", "--preset", "empty", "--variant", "S2"],
+    "analyze-three-sigma1": ["analyze", "--components", _THREE, "--sigma",
+                             "sigma1"],
+    "recover-three-sigma1": ["recover", "--components", _THREE, "--sigma",
+                             "sigma1"],
+    "recover-three-sigma2-s2": ["recover", "--components", _THREE,
+                                "--sigma", "sigma2", "--variant", "S2"],
+    "synth-example2": ["synth", "--preset", "example2"],
+    "analyze-synth-file-t2": ["analyze", "--signal-file",
+                              "{out}/synth-example2/signal.csv",
+                              "--variant", "T2"],
+    "analyze-complex-s2": ["analyze", "--components", _EX1, "--mode",
+                           "complex", "--variant", "S2", "--xi-bins", "300"],
+    "analyze-sigma-table": ["analyze", "--preset", "example1", "--sigma",
+                            "table", "--sigma-table",
+                            "{inputs}/sigma-table.csv"],
+}
+
+
+def write_inputs(inputs: Path) -> dict[str, list[str]]:
+    """Write the shared inputs; return the benchmark runs they feed."""
+    b = np.arange(256) / 256.0          # example1's time grid
+    with open(inputs / "sigma-table.csv", "w", newline="") as fh:
+        fh.write("b,sigma,dsigma\n")
+        for row in zip(b, 1.2 + 0.1 * np.sin(2.0 * np.pi * b),
+                       0.2 * np.pi * np.cos(2.0 * np.pi * b)):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return {f"bench-{name}-seed{seed}": list(w.make(seed, inputs).args)
+            for name, w in WORKLOADS.items() for seed in (0, 1)}
+
+
+def run_tree(tree: Path, runs: dict[str, list[str]], inputs: Path,
+             out: Path) -> dict[str, str]:
+    """Run every command with tree/src first on the path; return each
+    output file's SHA-256 and each run's exit code, by relative name."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    found = {}
+    for name, args in runs.items():
+        argv = [a.format(out=out, inputs=inputs) for a in args]
+        proc = subprocess.run(
+            [sys.executable, "-m", "adassq.cli", *argv,
+             "--outdir", str(out / name)],
+            env=env, cwd=out, capture_output=True, text=True)
+        found[f"{name} (exit code)"] = str(proc.returncode)
+        print(f"{tree}: {name}: exit {proc.returncode}", file=sys.stderr)
+        for path in sorted((out / name).glob("*")):
+            found[f"{name}/{path.name}"] = \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="tree of the parent")
+    parser.add_argument("new", type=Path, help="tree of the change")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="byte-audit-") as tmp:
+        work = Path(tmp)
+        inputs = work / "inputs"
+        inputs.mkdir()
+        runs = {**RUNS, **write_inputs(inputs)}
+        digests = []
+        for label, tree in (("parent", args.parent), ("new", args.new)):
+            (work / label).mkdir()
+            digests.append(run_tree(tree, runs, inputs, work / label))
+    old, new = digests
+    differ = [key for key in sorted(old.keys() | new.keys())
+              if old.get(key) != new.get(key)]
+    for key in differ:
+        print(f"differs: {key}: {old.get(key, 'missing')} -> "
+              f"{new.get(key, 'missing')}")
+    files = sum(1 for key in old if not key.endswith("(exit code)"))
+    print(f"{files} output files of {len(runs)} runs: "
+          + (f"{len(differ)} differ" if differ else "every SHA-256 equal"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
