@@ -203,14 +203,14 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A priori error budgets on a time grid; unset parts are None.
+    """A priori error budgets on the profile's time grid for the thresholds
+    eps1_tilde (and eps2_tilde); unset parts are None.
 
-    First-order part: res_env/res_env_deriv are the expansion-residual
-    envelopes for the plain and derivative-window transforms (per k, b);
-    omega_bound certifies the frequency estimate; recovery_bound certifies
-    windowed recovery and already includes the 1/|c_alpha| factor;
-    cross_mass[l, k] is the leakage mass of component l into component k's
-    recovery window.
+    First-order part (per k, b): res_env is the expansion-residual
+    envelope of the plain transform; omega_bound certifies the frequency
+    estimate; recovery_bound certifies windowed recovery and already
+    includes the 1/|c_alpha| factor; cross_mass[l, k] is the leakage mass
+    of component l into component k's recovery window.
 
     Second-order part: recovery_bound_main is the budget matching the
     hybrid-squeezed recovery (to be divided by |c_k| by the caller, as the
@@ -218,11 +218,9 @@ class BoundReport:
     chirp-aware leakage mass of component l in component k's zone.
     """
 
-    b: Array
     eps1_tilde: float
     eps2_tilde: float | None = None
     res_env: Array | None = None
-    res_env_deriv: Array | None = None
     omega_bound: Array | None = None
     recovery_bound: Array | None = None
     cross_mass: Array | None = None
@@ -239,10 +237,9 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
         raise ValueError("bounds_first expects first-order zones")
     cp = class_params(spec)
     K = len(spec.components)
-    b = profile.b
     sig = profile.sigma
     alpha, mu = wm.alpha, wm.mu
-    f, _, A = tracks(spec, b)
+    f, _, A = tracks(spec, profile.b)
     amp_total = A.sum(axis=0)
 
     i1, i2 = moment(1), moment(2)
@@ -272,8 +269,8 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     cross = np.sum(A[:, None] * cross_mass, axis=0)
     recovery_bound = (eps1_tilde * log_term + (2.0 * alpha / f) * res_env
                       + cross) / c_alpha
-    return BoundReport(b=b, eps1_tilde=eps1_tilde, res_env=res_env,
-                       res_env_deriv=res_env_deriv, omega_bound=omega_bound,
+    return BoundReport(eps1_tilde=eps1_tilde, res_env=res_env,
+                       omega_bound=omega_bound,
                        recovery_bound=recovery_bound, cross_mass=cross_mass)
 
 
@@ -295,9 +292,8 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
         raise ValueError("bounds_second expects second-order zones")
     cp = class_params(spec)
     K = len(spec.components)
-    b = profile.b
     sig = profile.sigma
-    f, fpp, A = tracks(spec, b)
+    f, fpp, A = tracks(spec, profile.b)
     amp_total = A.sum(axis=0)
     i1, i3 = moment(1), moment(3)
 
@@ -321,7 +317,7 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
 
     cross = np.sum(A[:, None] * cross_mass_strict, axis=0)
     main = eps1_tilde * log_term + drift + curvature + cross
-    return BoundReport(b=b, eps1_tilde=eps1_tilde, eps2_tilde=eps2_tilde,
+    return BoundReport(eps1_tilde=eps1_tilde, eps2_tilde=eps2_tilde,
                        recovery_bound_main=main,
                        cross_mass_strict=cross_mass_strict)
 
@@ -332,20 +328,17 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
 class ResidualDiag:
     """Empirical and structured residuals of the derivative identities.
 
-    All lattices have shape (K, J, n): the identity for component k is
-    meaningful on the cells zone_mask[k] selects (that component's scale
-    zone).  res1 is the defect of the time-derivative identity, res2 of
-    its scale derivative, res3 of the chirp-rate ratio.  The *_struct
-    fields assemble the same quantities from ground truth: cross_freq
-    and cross_rate collect the other components' leakage weighted by
-    frequency resp. chirp-rate gaps; cross_freq_scale/cross_rate_scale
-    are their scale-derivative partners.  For constant-amplitude
-    components with exactly quadratic phase the empirical and structured
-    residuals agree up to discretization.
+    All lattices have shape (K, J, n) on the stack's scales and times:
+    the identity for component k is meaningful on the cells zone_mask[k]
+    selects (that component's scale zone).  res1 is the defect of the
+    time-derivative identity, res2 of its scale derivative, res3 of the
+    chirp-rate ratio.  The *_struct fields assemble the same quantities
+    from ground truth: cross_freq and cross_rate collect the other
+    components' leakage weighted by frequency resp. chirp-rate gaps.  For
+    constant-amplitude components with exactly quadratic phase the
+    empirical and structured residuals agree up to discretization.
     """
 
-    b: Array
-    a: Array
     zone_mask: Array
     res1_emp: Array
     res2_emp: Array
@@ -355,8 +348,6 @@ class ResidualDiag:
     res3_struct: Array
     cross_freq: Array
     cross_rate: Array
-    cross_freq_scale: Array
-    cross_rate_scale: Array
 
 
 def residual_diagnostics(stack: CwtStack, spec: SignalSpec, wm: WindowModel,
@@ -416,13 +407,11 @@ def residual_diagnostics(stack: CwtStack, spec: SignalSpec, wm: WindowModel,
     zone_mask = ((a[None, :, None] > zs.lower[:, None, :])
                  & (a[None, :, None] < zs.upper[:, None, :])
                  & zs.valid[:, None, :])
-    return ResidualDiag(b=b, a=a, zone_mask=zone_mask,
+    return ResidualDiag(zone_mask=zone_mask,
                         res1_emp=res1_emp, res2_emp=res2_emp,
                         res3_emp=res3_emp, res1_struct=res1_struct,
                         res2_struct=res2_struct, res3_struct=res3_struct,
-                        cross_freq=cross_freq, cross_rate=cross_rate,
-                        cross_freq_scale=cross_freq_scale,
-                        cross_rate_scale=cross_rate_scale)
+                        cross_freq=cross_freq, cross_rate=cross_rate)
 
 
 # ------------------------------------------------------------------ output

@@ -468,6 +468,10 @@ class Analysis:
 def run_analysis(cfg: RunConfig) -> Analysis:
     """Execute the transform/reassignment pipeline for the configuration."""
     _check_stack(1, cfg)        # before anything of size n
+    # an xi_bins plane has at least xi_bins bins; counted past float range
+    _check_size(16 * cfg.xi_bins * cfg.n, f"a squeezed plane of at least "
+                f"{cfg.xi_bins} frequency bins by {cfg.n} times",
+                f"; [grid] xi_bins is {cfg.xi_bins}")
     spec, sig = build_signal(cfg)
     wm = WindowModel(mu=cfg.mu, tau0=cfg.tau0)
     profile = build_profile(cfg, spec, sig.t, wm)
@@ -514,8 +518,7 @@ def run_analysis(cfg: RunConfig) -> Analysis:
 
 def _omega_to_csv(stack: CwtStack, plane: PhasePlane, path) -> None:
     """Instantaneous-frequency lattice as a,b,omega (nan when masked)."""
-    write_table(path, "a,b,omega", stack.a[:, None], stack.b,
-                np.where(plane.valid, plane.omega, np.nan))
+    write_table(path, "a,b,omega", stack.a[:, None], stack.b, plane.omega)
 
 
 def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,

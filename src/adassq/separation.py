@@ -95,7 +95,11 @@ def sigma2_coefficients(flo, clo, fhi, chi, alpha: float, mu: float):
 
     Returns (a, b, c, disc) where disc is the discriminant b**2 - 4*a*c in
     the numerically stable factored form; the identity with the expanded
-    form is part of the test suite.
+    form is part of the test suite.  A nonnegative disc is the pair's
+    separability: for ordered positive frequencies it states
+    4*alpha*sqrt(pi*(|phi''_lo| + |phi''_hi|)) <= phi'_hi - phi'_lo,
+    the condition under which some width separates the chirp-corrected
+    zones.
     """
     flo, clo = np.asarray(flo, float), np.abs(np.asarray(clo, float))
     fhi, chi = np.asarray(fhi, float), np.abs(np.asarray(chi, float))
@@ -107,18 +111,6 @@ def sigma2_coefficients(flo, clo, fhi, chi, alpha: float, mu: float):
     disc = s ** 2 * ((fhi - flo) ** 2
                      - 16.0 * math.pi * alpha ** 2 * (chi + clo))
     return qa, qb, qc, disc
-
-
-def separation_condition(flo, clo, fhi, chi, alpha: float):
-    """Adjacent-pair separability: 4*alpha*sqrt(pi*(|c_hi|+|c_lo|)) <= f gap.
-
-    Equivalent to a nonnegative discriminant in sigma2_coefficients.
-    """
-    gap = np.asarray(fhi, float) - np.asarray(flo, float)
-    need = 4.0 * alpha * np.sqrt(
-        math.pi * (np.abs(np.asarray(chi, float))
-                   + np.abs(np.asarray(clo, float))))
-    return need <= gap
 
 
 def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
@@ -247,6 +239,11 @@ def spectral_distance(spec: SignalSpec, wm: WindowModel,
                              (sig * mu - alpha) * ratio - sig * mu))
 
 
+# Rounding allowed in the zone margins and in rho_min >= alpha, which
+# minimal-width profiles meet with equality
+_MARGIN_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     """Admissibility and separation diagnostics for a (signal, profile) pair."""
@@ -265,20 +262,20 @@ class SeparationReport:
                 and self.rho_ok)
 
 
-def separation_report(spec: SignalSpec, wm: WindowModel,
-                      profile: SigmaProfile, order: int = 1,
-                      margin_tol: float = 1e-12) -> SeparationReport:
+def separation_report(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
+                      order: int = 1) -> SeparationReport:
     b = profile.b
     sig = profile.sigma
     admissible = sig * wm.mu - wm.alpha > 0.0
 
     f, fpp, _ = tracks(spec, b)
     order_ok = np.all(f[1:] > f[:-1], axis=0)
-    cond_ok = np.all(separation_condition(f[:-1], fpp[:-1], f[1:], fpp[1:],
-                                          wm.alpha), axis=0)
+    disc = sigma2_coefficients(f[:-1], fpp[:-1], f[1:], fpp[1:],
+                               wm.alpha, wm.mu)[3]
+    cond_ok = np.all(disc >= 0.0, axis=0)
 
     zs = zones(spec, wm, profile, order=order)
-    disjoint = np.all(zone_margins(zs) >= -margin_tol, axis=0) \
+    disjoint = np.all(zone_margins(zs) >= -_MARGIN_TOL, axis=0) \
         & np.all(zs.valid, axis=0)
 
     rho = spectral_distance(spec, wm, profile)
@@ -292,8 +289,7 @@ def separation_report(spec: SignalSpec, wm: WindowModel,
         pair_condition_ok=bool(np.all(cond_ok)),
         zones_disjoint=bool(np.all(disjoint)),
         rho_min=rho_min,
-        # minimal-width profiles achieve rho = alpha exactly; allow rounding
-        rho_ok=bool(rho_min >= wm.alpha - margin_tol),
+        rho_ok=bool(rho_min >= wm.alpha - _MARGIN_TOL),
         bad_times=b[~good],
     )
 

@@ -31,14 +31,18 @@ TWO_PI = 2.0 * math.pi
 class PhasePlane:
     """Instantaneous-frequency estimates on the stack lattice.
 
-    omega is in Hz with NaN marking cells where the estimate is undefined
-    (threshold not met); valid is the corresponding boolean mask, and
-    gamma2 the conditioning floor of a second-order plane.
+    omega is in Hz, NaN on every cell the transform's thresholds drop, so
+    its NaN pattern is the plane's only mask: valid, the finite cells, is
+    derived from it.  gamma2 is the conditioning floor of a second-order
+    plane.
     """
 
     omega: Array
-    valid: Array
     gamma2: float | None = None
+
+    @property
+    def valid(self) -> Array:
+        return np.isfinite(self.omega)
 
 
 def _first_order(stack: CwtStack) -> Array:
@@ -62,8 +66,7 @@ def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     if gamma1 <= 0.0:
         raise ValueError(f"gamma1 must be positive, got {gamma1}")
     valid = np.abs(stack.w) > gamma1
-    omega = np.where(valid, _first_order(stack).real, np.nan)
-    return PhasePlane(omega=omega, valid=valid)
+    return PhasePlane(omega=np.where(valid, _first_order(stack).real, np.nan))
 
 
 def chirp_rate_estimate(stack: CwtStack) -> tuple[Array, Array]:
@@ -126,11 +129,8 @@ def phase_second(stack: CwtStack, gamma1: float,
     first = _first_order(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega2 = (first - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
-    if hybrid:
-        omega = np.where(mask2, omega2, np.where(mask1, first.real, np.nan))
-        return PhasePlane(omega=omega, valid=mask1, gamma2=gamma2)
-    omega = np.where(mask2, omega2, np.nan)
-    return PhasePlane(omega=omega, valid=mask2, gamma2=gamma2)
+    fallback = np.where(mask1, first.real, np.nan) if hybrid else np.nan
+    return PhasePlane(omega=np.where(mask2, omega2, fallback), gamma2=gamma2)
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
     T = np.zeros((L, n), dtype=complex)
 
     idx = lattice_index(plane.omega, cfg)
-    sel = plane.valid & (idx >= 0)
+    sel = idx >= 0
     if np.any(sel):
         cols = np.broadcast_to(np.arange(n), idx.shape)[sel]
         np.add.at(T, (idx[sel], cols),
@@ -219,8 +219,7 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
 def conservation_defect(stack: CwtStack, plane: PhasePlane,
                         tf: TfPlane) -> Array:
     """Per-column |sum_l T*dxi - sum_masked w*dlog| (should be ~rounding)."""
-    sel = plane.valid & np.isfinite(plane.omega)
-    masked = np.where(sel, stack.w, 0.0).sum(axis=0) * stack.grid.dlog
+    masked = np.where(plane.valid, stack.w, 0.0).sum(axis=0) * stack.grid.dlog
     squeezed = tf.values.sum(axis=0) * tf.dxi
     return np.abs(squeezed - masked)
 

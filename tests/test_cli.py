@@ -41,9 +41,10 @@ What is proven here
    a transform stack past the memory limit exits 3 before any scale is
    allocated, naming its scale count and bytes, and the limit is the
    stack's exact size; a squeezed plane past it exits 3 naming its bin
-   count before any bin exists; a stack of one scale is checked before
-   the Nyquist check evaluates any phase; recover exits 3 on components out of frequency
-   order, with eps3 auto or set; reruns of the same configuration are
+   count before any bin exists, and an xi_bins count past the float
+   range before any stack is computed; a stack of one scale is checked
+   before the Nyquist check evaluates any phase; recover exits 3 on
+   components out of frequency order, with eps3 auto or set; reruns of the same configuration are
    byte-identical; importing the command loads no scipy module, since
    numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
@@ -445,8 +446,8 @@ def test_constant_sigma_equals_conventional_path(tmp_path):
     res = run_analysis(load_config(None, overrides))
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = (res.stack.db_w / (2j * np.pi * res.stack.w)).real
-    valid = np.abs(res.stack.w) > 0.01
-    plane = PhasePlane(omega=np.where(valid, omega, np.nan), valid=valid)
+    plane = PhasePlane(omega=np.where(np.abs(res.stack.w) > 0.01, omega,
+                                      np.nan))
     tf = squeeze(res.stack, plane, SqueezeConfig.for_stack(res.stack))
     tf_to_csv(tf, tmp_path / "conventional.csv")
     assert (tmp_path / "conventional.csv").read_bytes() == \
@@ -848,13 +849,14 @@ def test_voice_count_past_the_float_range_exits_3(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-_PLANE_SIZE = re.compile(r"squeezed plane of (\d+) frequency bins of \S+ Hz "
-                         r"by (\d+) times would take (\d+) bytes")
+_PLANE_SIZE = re.compile(r"squeezed plane of (?:at least )?(\d+) frequency "
+                         r"bins (?:of \S+ Hz )?by (\d+) times would take "
+                         r"(\d+) bytes")
 _TERAHERTZ = "t,re,im\n0,1,0\n1e-12,0,0\n2e-12,-1,0\n3e-12,0,0\n"
 
 
 @pytest.mark.parametrize("args, bins, times", [
-    (("--preset", "example1", "--xi-bins", str(10 ** 11)), 10 ** 11 + 1, 256),
+    (("--preset", "example1", "--xi-bins", str(10 ** 11)), 10 ** 11, 256),
     (("--signal-file", "{tmp}/thz.csv"), 3124999999998, 4),
 ], ids=["xi-bins", "terahertz-file"])
 def test_unallocatable_squeezed_plane_exits_3(tmp_path, capsys, args, bins,
@@ -862,13 +864,32 @@ def test_unallocatable_squeezed_plane_exits_3(tmp_path, capsys, args, bins,
     # 10**11 bins on example1's band, and 0.25 Hz bins up to 1.25x the
     # Nyquist frequency of four samples at 1 THz: numpy would refuse the
     # bin centres at once (745 GiB and 22.7 TiB).  The guard names the bin
-    # count, the times and the bytes before either exists.
+    # count (at least the xi_bins asked for, before the stack; the native
+    # count, after it), the times and the bytes before either exists.
     (tmp_path / "thz.csv").write_text(_TERAHERTZ)
     args = [a.format(tmp=tmp_path) for a in args]
     assert run("analyze", *args, "--outdir", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert tuple(map(int, _PLANE_SIZE.search(err).groups())) == \
         (bins, times, 16 * bins * times)
+    assert f"{cli._STACK_LIMIT}-byte limit" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bins", [2 ** 1024, 10 ** 400],
+                         ids=["2**1024", "10**400"])
+def test_xi_bins_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch,
+                                              bins):
+    # a bin count that does not convert to a float is checked in integers
+    # before any stack is computed
+    monkeypatch.setattr(cli, "compute_stack",
+                        lambda *args: pytest.fail("stack computed"))
+    assert run("analyze", "--preset", "example1", "--xi-bins", str(bins),
+               "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert tuple(map(int, _PLANE_SIZE.search(err).groups())) == \
+        (bins, 256, 16 * bins * 256)
+    assert f"[grid] xi_bins is {bins}" in err
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 

@@ -9,7 +9,7 @@ Proof groups:
      tangency, derivative consistency
   3. admissibility -- misordered/unseparable inputs raise (an unseparable
      pair named at a time of the requested grid), reports flag
-     inadmissible widths
+     inadmissible widths and a pair whose discriminant is negative
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import pytest
 from adassq.separation import (
     SigmaProfile,
     constant_profile,
-    separation_condition,
     separation_report,
     sigma1,
     sigma2,
@@ -32,7 +31,7 @@ from adassq.separation import (
     zones,
 )
 from adassq.signals import example1_spec, example2_spec, linear_chirp, \
-    tone, SignalSpec
+    tone, tracks, SignalSpec
 from adassq.windows import WindowModel
 
 
@@ -87,19 +86,6 @@ def test_discriminant_factorization_random():
         qa, qb, qc, disc = sigma2_coefficients(flo, clo, fhi, chi, alpha, mu)
         expanded = qb * qb - 4.0 * qa * qc
         assert disc == pytest.approx(expanded, rel=1e-9, abs=1e-6)
-
-
-def test_separation_condition_matches_discriminant_sign():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        flo = rng.uniform(5.0, 40.0)
-        fhi = flo + rng.uniform(0.5, 30.0)
-        clo = rng.uniform(-40.0, 40.0)
-        chi = rng.uniform(-40.0, 40.0)
-        alpha = rng.uniform(0.2, 0.6)
-        *_, disc = sigma2_coefficients(flo, clo, fhi, chi, alpha, 1.0)
-        assert bool(separation_condition(flo, clo, fhi, chi, alpha)) \
-            == bool(disc >= 0.0)
 
 
 def test_sigma2_zones_exactly_tangent(wm):
@@ -240,6 +226,24 @@ def test_report_flags_inadmissible_width(wm):
     assert not rep.sigma_admissible
     assert not rep.ok()
     assert rep.bad_times.size == spec.n
+
+
+def test_report_flags_one_unseparable_pair(wm):
+    # the lower pair is 4 Hz apart with 30 Hz/s chirps, inside the
+    # 4*alpha*sqrt(pi*60) ~ 21 Hz its chirps need; the upper pair keeps
+    # its gap of 26 Hz or more against the 15 Hz it needs
+    spec = SignalSpec(components=(linear_chirp(20.0, 30.0),
+                                  linear_chirp(24.0, 30.0), tone(80.0)),
+                      fs=256.0, n=256)
+    f, fpp, _ = tracks(spec, spec.times())
+    disc = sigma2_coefficients(f[:-1], fpp[:-1], f[1:], fpp[1:],
+                               wm.alpha, wm.mu)[3]
+    assert np.all(disc[0] < 0.0) and np.all(disc[1] >= 0.0)
+    rep = separation_report(spec, wm, constant_profile(spec.times(), 1.0))
+    assert rep.freq_order_ok and rep.sigma_admissible
+    assert not rep.pair_condition_ok
+    assert not rep.ok()
+    assert rep.bad_times.size > 0
 
 
 def test_profile_validation():

@@ -10,6 +10,11 @@ Proof groups:
   4. squeezing bookkeeping -- mass conservation, tie-to-lower binning,
      range clipping, NaN skipping
   5. output -- CSV/PGM determinism, validation
+  6. one statement of each fact -- a plane's valid mask, read from its
+     NaN pattern, is the threshold mask each variant applies; and the
+     sigma'-free forms: with the time-derivative identity substituted,
+     dadb_w and both phase transforms are built from w, w_tg, da_w and
+     da_w_tg alone, sigma' cancelling
 """
 from __future__ import annotations
 
@@ -19,7 +24,13 @@ import numpy as np
 import pytest
 
 from adassq.cwt import CwtStack, ScaleGrid, compute_stack
-from adassq.separation import SigmaProfile, constant_profile, sigma1, sigma2
+from adassq.separation import (
+    SigmaProfile,
+    constant_profile,
+    sigma1,
+    sigma2,
+    zones,
+)
 from adassq.signals import (
     SampledSignal,
     SignalSpec,
@@ -31,6 +42,7 @@ from adassq.signals import (
 )
 from adassq.sst import (
     PhasePlane,
+    _first_order,
     SqueezeConfig,
     chirp_rate_estimate,
     conservation_defect,
@@ -206,9 +218,7 @@ def _single_cell_stack(wm, omega_value):
     st = CwtStack(grid=grid, profile=prof, wm=wm, sig=sig, w=one,
                   w_tg=zero, w_tgp=zero, da_w=zero, db_w=zero,
                   da_w_tg=zero, da_w_tgp=zero, dadb_w=zero)
-    plane = PhasePlane(omega=np.array([[omega_value]]),
-                       valid=np.array([[np.isfinite(omega_value)]]))
-    return st, plane
+    return st, PhasePlane(omega=np.array([[omega_value]]))
 
 
 def test_halfway_tie_goes_to_lower_bin(wm):
@@ -297,3 +307,91 @@ def test_validation_errors(wm):
         SqueezeConfig(xi_min=0.0, xi_max=1.0, dxi=-0.25)
     with pytest.raises(ValueError):
         SqueezeConfig(xi_min=2.0, xi_max=1.0)
+
+
+# ---------------------------------------------------------------- group 6
+
+def _zone_case(spec, profile, order=1):
+    def make(wm):
+        prof = profile(spec, wm)
+        zs = zones(spec, wm, prof, order=order)
+        return compute_stack(synthesize(spec), prof, wm,
+                             ScaleGrid.from_zones(zs))
+    return make
+
+
+def _constant(sigma):
+    return lambda spec, wm: constant_profile(spec.times(), sigma)
+
+
+_MASK_CASES = {
+    "example1-sigma1": _zone_case(example1_spec(), sigma1),
+    "example2-sigma2": _zone_case(example2_spec(), sigma2, 2),
+    "constant-256": _zone_case(example1_spec(), _constant(1.0)),
+}
+
+
+@pytest.mark.parametrize("variant", ["T1", "T2", "S2"])
+@pytest.mark.parametrize("case", list(_MASK_CASES))
+def test_valid_is_the_threshold_mask(wm, case, variant):
+    # the masks the phase transforms applied: |w| > gamma1 for T1 and
+    # S2, and that with finite conditioning above gamma2 for T2
+    st = _MASK_CASES[case](wm)
+    mask = np.abs(st.w) > 0.01
+    if variant == "T1":
+        plane = phase_first(st, gamma1=0.01)
+    else:
+        plane = phase_second(st, gamma1=0.01, hybrid=(variant == "S2"))
+    if variant == "T2":
+        cond = chirp_rate_estimate(st)[1]
+        with np.errstate(invalid="ignore"):
+            mask &= np.isfinite(cond) & (cond > plane.gamma2)
+    assert mask.any() and not mask.all()
+    np.testing.assert_array_equal(plane.valid, mask)
+
+
+_THREE = SignalSpec(components=(tone(20.0), linear_chirp(40.0, 5.0),
+                                tone(80.0)), fs=256.0, n=256)
+_IDENTITY_CASES = {
+    "example1-sigma1": _zone_case(example1_spec(), sigma1),
+    "example2-sigma2": _zone_case(example2_spec(), sigma2, 2),
+    "sinusoidal-tone": lambda wm: _tone_stack(wm, sigma_varying=True),
+    "three-sigma1": _zone_case(_THREE, sigma1),
+    "constant-1024": _zone_case(
+        SignalSpec(components=(linear_chirp(20.0, 1.0),
+                               linear_chirp(50.0, 2.0), tone(90.0)),
+                   fs=256.0, n=1024), _constant(1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_IDENTITY_CASES))
+def test_phase_transforms_are_sigma_prime_free(wm, case):
+    st = _IDENTITY_CASES[case](wm)
+    a = st.a[:, None]
+    sig = st.profile.sigma[None, :]
+    dln = (st.profile.dsigma / st.profile.sigma)[None, :]
+    w, w_tg, da_w, da_w_tg = st.w, st.w_tg, st.da_w, st.da_w_tg
+    i2pmu = 2j * np.pi * st.wm.mu
+
+    # dadb_w is the scale derivative of the time-derivative identity
+    dadb = (-(i2pmu / a ** 2) * w + (i2pmu / a - dln) * da_w
+            - dln * st.da_w_tgp - w_tg / (a * a * sig)
+            + da_w_tg / (a * sig))
+    assert np.max(np.abs(st.dadb_w - dadb)) \
+        <= 1e-13 * np.max(np.abs(st.dadb_w))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # first order: mu/a + Im(w_tg/w)/(2*pi*a*sigma)
+        valid = np.abs(w) > 0.01
+        first = st.wm.mu / a + (w_tg / w).imag / (TWO_PI * a * sig)
+        assert np.max(np.abs(_first_order(st).real - first)[valid]) <= 1e-10
+
+        # second order: r0 from the four fields, on the conditioned cells
+        denom = w * w_tg + a * (w * da_w_tg - w_tg * da_w)
+        r0 = (-(i2pmu / a ** 2) * w * w
+              + (denom - 2.0 * w * w_tg) / (a * a * sig)) / denom
+        second = (st.wm.mu / a + w_tg / (2j * np.pi * a * sig * w)
+                  - a * (w_tg / (2j * np.pi * w)) * r0).real
+    plane = phase_second(st, gamma1=0.01)
+    assert plane.valid.any()
+    assert np.max(np.abs(plane.omega - second)[plane.valid]) <= 1e-8

@@ -7,9 +7,13 @@ a ``git archive`` of the parent commit, unpacked).  The audit runs one
 fixed list of ``adassq`` command lines in each tree, the benchmark's
 three workloads at seeds 0 and 1 among them, then compares the SHA-256
 of every output file and each run's exit code.  It prints what differs
-and exits 1 if anything does, 0 if every file keeps its bytes.  The
-inputs (the workloads' sample files, a width table) are generated once,
-by perfbench/workloads.py and here, and both trees read the same files.
+and exits 1 if anything does, 0 if every file keeps its bytes.  Under
+each differing file it says how far the file moved: for a CSV with the
+same header and row count in both trees, each column's largest absolute
+difference and whether its NaN cells agree; for tf.pgm, the count of
+differing pixels.  The inputs (the workloads' sample files, a width
+table) are generated once, by perfbench/workloads.py and here, and both
+trees read the same files.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +97,47 @@ def run_tree(tree: Path, runs: dict[str, list[str]], inputs: Path,
     return found
 
 
+def _pixels(path: Path) -> np.ndarray:
+    """The pixels of a binary PGM with a P5, size, 255 header."""
+    data = path.read_bytes().split(b"\n", 3)
+    width, height = map(int, data[1].split())
+    return np.frombuffer(data[3], np.uint8).reshape(height, width)
+
+
+def _table(path: Path) -> tuple[str, np.ndarray]:
+    """A CSV's header line and its cells, one row per line."""
+    with open(path) as fh:
+        head = fh.readline().rstrip("\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # a header-only table
+            return head, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def moved(old: Path, new: Path) -> list[str]:
+    """How far a differing output file moved, one line per finding."""
+    if old.suffix == ".pgm":
+        a, b = _pixels(old), _pixels(new)
+        if a.shape != b.shape:
+            return [f"image size {a.shape} -> {b.shape}"]
+        return [f"{np.count_nonzero(a != b)} of {a.size} pixels differ"]
+    if old.suffix != ".csv":
+        return []
+    (head, a), (new_head, b) = _table(old), _table(new)
+    if head != new_head or a.shape != b.shape:
+        return [f"header or row count differs: {len(a)} -> {len(b)} rows"]
+    found = []
+    for name, x, y in zip(head.split(","), a.T, b.T):
+        nan, new_nan = np.isnan(x), np.isnan(y)
+        both = ~(nan | new_nan)
+        with np.errstate(invalid="ignore"):     # inf - inf
+            diff = np.max(np.abs(x[both] - y[both]), initial=0.0)
+        masks = np.count_nonzero(nan != new_nan)
+        found.append(f"{name}: largest |difference| {diff:.3g}, "
+                     + (f"NaN cells differ in {masks} rows" if masks
+                        else "NaN cells agree"))
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="tree of the parent")
@@ -106,12 +152,15 @@ def main(argv: list[str] | None = None) -> int:
         for label, tree in (("parent", args.parent), ("new", args.new)):
             (work / label).mkdir()
             digests.append(run_tree(tree, runs, inputs, work / label))
-    old, new = digests
-    differ = [key for key in sorted(old.keys() | new.keys())
-              if old.get(key) != new.get(key)]
-    for key in differ:
-        print(f"differs: {key}: {old.get(key, 'missing')} -> "
-              f"{new.get(key, 'missing')}")
+        old, new = digests
+        differ = [key for key in sorted(old.keys() | new.keys())
+                  if old.get(key) != new.get(key)]
+        for key in differ:
+            print(f"differs: {key}: {old.get(key, 'missing')} -> "
+                  f"{new.get(key, 'missing')}")
+            if key in old and key in new and "(exit code)" not in key:
+                for line in moved(work / "parent" / key, work / "new" / key):
+                    print(f"    {line}")
     files = sum(1 for key in old if not key.endswith("(exit code)"))
     print(f"{files} output files of {len(runs)} runs: "
           + (f"{len(differ)} differ" if differ else "every SHA-256 equal"))
