@@ -213,15 +213,6 @@ def example2_spec() -> SignalSpec:
 _CHUNK_CELLS = 1024
 
 
-def _format_cells(values: Array, fmt: str) -> Array:
-    """fmt.format of every cell, called once per distinct bit pattern."""
-    flat = values.ravel()
-    _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"),
-                                  return_index=True, return_inverse=True)
-    text = np.array(list(map(fmt.format, flat[first].tolist())), dtype=object)
-    return text[inverse].reshape(values.shape)
-
-
 def write_table(path, header: str, *columns) -> None:
     """Write broadcast columns as a CSV table under a header line.
 
@@ -232,29 +223,55 @@ def write_table(path, header: str, *columns) -> None:
     ends in LF.
 
     A column smaller than the table (an axis such as xi[:, None] or b) is
-    formatted once, whole.  Full-size columns are formatted a chunk of
-    about _CHUNK_CELLS cells (at least one row) at a time, each distinct
-    bit pattern once per chunk, so memory is bounded by the chunk and the
-    axes, not by the table.
+    formatted once, whole.  A cell whose full-size columns are all
+    bit-equal to zero (most of a squeezed plane) is blank: blank cells
+    share one string per table column, and every other cell is formatted
+    once.  Cells go about _CHUNK_CELLS (at least one row) at a time, so
+    memory is bounded by the chunk and the axes, not by the table.
     """
+    def joined(parts: list, rs: slice) -> Array:
+        """",".join of strings and string arrays, broadcast, in rows rs."""
+        out = np.full((1, 1), "", dtype=object)
+        for i, p in enumerate(parts):
+            out = out + ("," if i else "") + (p[rs] if np.ndim(p) > 1 else p)
+        return out
+
     cols = [np.atleast_2d(c) for c in columns]
-    shape = np.broadcast_shapes((1, 1), *(c.shape for c in cols))
+    rows, width = np.broadcast_shapes((1, 1), *(c.shape for c in cols))
     fmts = ["{:d}" if c.dtype.kind in "biu" else "{:.17g}" for c in cols]
     if fmts:
         fmts[-1] += "\n"
-    # an axis becomes its strings (format None); full-size columns are
-    # formatted chunk by chunk below
-    cols = [(np.broadcast_to(_format_cells(c, f), shape), None)
-            if c.size < math.prod(shape) else (c, f)
-            for c, f in zip(cols, fmts)]
-    step = max(1, _CHUNK_CELLS // max(shape[1], 1))
+    # an axis becomes its strings, 2-D (rows, 1) if they vary by row and
+    # 1-D if not; a full-size column its format, a live cell's slot
+    parts = [np.array(list(map(f.format, c.ravel().tolist())), dtype=object)
+             .reshape(c.shape if len(c) > 1 else -1)
+             if c.size < rows * width else f for c, f in zip(cols, fmts)]
+    # a line is its row's prefix (the leading axes that vary by row) and
+    # its cell's tail; a blank cell's tail prints 0 (+0.0, 0, False) in
+    # each slot
+    lead = next((i for i, p in enumerate(parts) if np.ndim(p) < 2),
+                len(parts))
+    prefix = np.broadcast_to(joined(parts[:lead] + [""], slice(None)),
+                             (rows, 1))[:, 0].tolist()
+    zeros = [p.format(0) if isinstance(p, str) else p for p in parts[lead:]]
+    step = max(1, _CHUNK_CELLS // max(width, 1))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for r in range(0, shape[0], step):
-            cells = [c[r:r + step] if f is None else
-                     _format_cells(c[r:r + step], f) for c, f in cols]
-            fh.write("".join(map(",".join,
-                                 zip(*(c.ravel().tolist() for c in cells)))))
+        for r in range(0, rows, step):
+            rs = slice(r, r + step)
+            if r == 0 or any(np.ndim(p) > 1 for p in zeros):
+                slots, blanks = joined(parts[lead:], rs), joined(zeros, rs)
+            chunk = [np.broadcast_to(c, (rows, width))[rs]
+                     for c, p in zip(cols, parts) if isinstance(p, str)]
+            live = np.zeros((len(prefix[rs]), width), dtype=bool)
+            for c in chunk:
+                live |= c.view(f"u{c.itemsize}") != 0
+            cells = np.broadcast_to(blanks, live.shape).copy()
+            cells[live] = list(map(
+                str.format, np.broadcast_to(slots, live.shape)[live].tolist(),
+                *(c[live].tolist() for c in chunk)))
+            fh.writelines(map(str.__add__, prefix[rs],
+                              map(str.join, prefix[rs], cells.tolist())))
 
 
 def signal_to_csv(sig: SampledSignal, path) -> None:

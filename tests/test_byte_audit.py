@@ -9,6 +9,9 @@ What is proven here
 2. For two PGMs of one size, the differing pixels are counted.
 3. The audit prints those findings under each differing file and still
    exits 1.
+4. Each run gets one line, its SHA-256 verdict and its CLI wall time in
+   either tree, whether its files differ or not; exit codes are as
+   before.
 """
 from __future__ import annotations
 
@@ -51,24 +54,38 @@ def test_pgm_reports_its_differing_pixels(tmp_path):
         ["2 of 6 pixels differ"]
 
 
-def test_audit_prints_the_move_under_the_file(monkeypatch, capsys):
-    # each tree's one run writes its own omega.csv; the runs are faked so
-    # the test starts no command
-    bodies = {"parent": _OLD, "new": _OLD.replace("nan", "7")}
-
-    def run_tree(tree, runs, inputs, out):
-        (out / "run").mkdir()
+def _fake_audit(monkeypatch, bodies, walls):
+    """Run main on one faked run per tree: tree `label` writes omega.csv
+    as bodies[label] and took walls[label] seconds.  No command starts."""
+    def run_in_tree(tree, name, args, inputs, out):
+        (out / name).mkdir()
         body = bodies[out.name]
-        (out / "run" / "omega.csv").write_text(body)
-        return {"run (exit code)": "0",
-                "run/omega.csv": hashlib.sha256(body.encode()).hexdigest()}
-    monkeypatch.setattr(byte_audit, "run_tree", run_tree)
+        (out / name / "omega.csv").write_text(body)
+        return ({f"{name} (exit code)": "0", f"{name}/omega.csv":
+                 hashlib.sha256(body.encode()).hexdigest()}, walls[out.name])
+    monkeypatch.setattr(byte_audit, "run_in_tree", run_in_tree)
     monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
-    monkeypatch.setattr(byte_audit, "RUNS", {})
-    assert byte_audit.main(["parent-tree", "new-tree"]) == 1
+    monkeypatch.setattr(byte_audit, "RUNS", {"run": []})
+    return byte_audit.main(["parent-tree", "new-tree"])
+
+
+def test_audit_prints_the_move_under_the_file(monkeypatch, capsys):
+    bodies = {"parent": _OLD, "new": _OLD.replace("nan", "7")}
+    assert _fake_audit(monkeypatch, bodies,
+                       {"parent": 1.0, "new": 1.0}) == 1
     out = capsys.readouterr().out.splitlines()
+    assert out[0] == "run: 1 differ; wall 1.00 s -> 1.00 s"
     at = next(i for i, line in enumerate(out)
               if line.startswith("differs: run/omega.csv: "))
     assert out[at + 3] == \
         "    omega: largest |difference| 0, NaN cells differ in 1 rows"
-    assert out[-1] == "1 output files of 0 runs: 1 differ"
+    assert out[-1] == "1 output files of 1 runs: 1 differ"
+
+
+def test_audit_prints_each_runs_wall_time_beside_its_verdict(monkeypatch,
+                                                             capsys):
+    assert _fake_audit(monkeypatch, {"parent": _OLD, "new": _OLD},
+                       {"parent": 0.2734, "new": 0.1821}) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "run: every SHA-256 equal; wall 0.27 s -> 0.18 s",
+        "1 output files of 1 runs: every SHA-256 equal"]

@@ -13,7 +13,11 @@ Proof groups:
      it replaced (kept here as the oracle), over random broadcast tables
      of signed zeros, NaN payloads, infinities, subnormals, exact int64
      and bool columns, rows shorter and longer than a chunk, and no rows,
-     and on the tf.csv and omega.csv of a real analyze run
+     over sparse planes whose blank cells (+0.0, 0, False in every full
+     column) share a string while -0.0 and partly zero cells do not, in
+     the tf.csv (xi, b) and report.csv (b, k) axis orders, and on the
+     tf.csv and omega.csv of a real analyze run; its tracemalloc peak on
+     a mostly blank plane does not grow with the plane's height
   6. tone and linear_chirp, shorthands for poly_phase, give A and phi to
      phi''' bit for bit what their old hand-written closures (kept
      here as the oracle) gave, over random frequencies, rates, amplitudes
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from hypothesis.extra import numpy as hnp
 
 from adassq import cli, sst
 from adassq.signals import (
+    _CHUNK_CELLS,
     ClassParams,
     SignalSpec,
     class_params,
@@ -236,21 +242,55 @@ _INT_CELLS = st.sampled_from([0, -1, 2 ** 53 + 1, -2 ** 63, 2 ** 63 - 1]) \
     | st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
+def _plane(draw, rng, height, width):
+    """Axes in the tf.csv order (xi, b) or the report.csv order (b, k: a
+    row axis after a column axis), then full float, int and bool columns
+    that share one support and are blank (+0.0, 0, False) off it.  On the
+    support some columns are zero and others not, and one cell is -0.0 in
+    one column, a live cell that prints -0."""
+    axes = [np.arange(height)[:, None] / 8.0, np.arange(width) / 256.0]
+    if draw(st.booleans()):
+        axes.reverse()
+    support = rng.random((height, width)) < draw(
+        st.sampled_from([0.0, 0.05, 0.5]))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "bool"]),
+                              min_size=1, max_size=4)):
+        cells, dtype = {"float": (_FLOAT_CELLS, np.float64),
+                        "int": (_INT_CELLS, np.int64),
+                        "bool": (st.booleans(), np.bool_)}[kind]
+        pool = np.array(draw(st.lists(cells, min_size=1, max_size=6)),
+                        dtype=dtype)
+        col = np.zeros((height, width), dtype=dtype)
+        on = support & (rng.random(support.shape) < 0.8)
+        col[on] = pool[rng.integers(len(pool), size=int(on.sum()))]
+        columns.append(col)
+    floats = [c for c in columns if c.dtype == np.float64]
+    if floats and support.size:
+        floats[0].flat[rng.integers(support.size)] = -0.0
+    return axes + columns
+
+
 @st.composite
 def _tables(draw):
-    """Broadcast columns of one dominant value mixed with others.
+    """Broadcast columns of one dominant value mixed with others, and
+    sparse planes.
 
-    Widths 1024 and 1100 make rows as long as and longer than one
-    1024-cell chunk; narrower tables get up to ~3000 cells, so several
-    chunks of many rows, and 0 rows or 0 columns occur too.
+    Widths of one chunk and more make rows as long as and longer than a
+    chunk; narrower tables get up to three chunks' worth of cells, so
+    several chunks of many rows, and 0 rows or 0 columns occur too.
     """
-    width = draw(st.sampled_from([0, 1, 3, 31, 1024, 1100]))
-    height = draw(st.integers(0, 3000 // max(width, 1)))
+    width = draw(st.sampled_from([0, 1, 3, 31, _CHUNK_CELLS,
+                                  _CHUNK_CELLS + 76]))
+    height = draw(st.integers(0, 3 * _CHUNK_CELLS // max(width, 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from(
-            ["rows", "cols", "flat", "float", "int", "bool"]),
+            ["rows", "cols", "flat", "float", "int", "bool", "plane"]),
             min_size=1, max_size=5)):
+        if kind == "plane":
+            columns.extend(_plane(draw, rng, height, width))
+            continue
         shape = {"rows": (height, 1), "cols": (1, width), "flat": (width,)}\
             .get(kind, (height, width))
         if kind == "bool":
@@ -275,6 +315,31 @@ def test_write_table_matches_per_cell_oracle(tmp_path_factory, columns):
     write_table(d / "new.csv", header, *columns)
     _oracle_write_table(d / "old.csv", header, *columns)
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def _plane_peak(path, rows: int) -> int:
+    """tracemalloc peak of writing a 5%-live 1,024-column plane, tf.csv's
+    layout, with the columns allocated before tracing starts."""
+    rng = np.random.default_rng(0)
+    v = np.zeros((rows, 1024), dtype=complex)
+    on = rng.random(v.shape) < 0.05
+    v[on] = rng.normal(size=(int(on.sum()), 2)) @ [1, 1j]
+    cols = (np.arange(rows)[:, None] / 8.0, np.arange(1024) / 256.0,
+            v.real, v.imag, np.hypot(v.real, v.imag))
+    tracemalloc.start()
+    try:
+        write_table(path, "xi,b,re,im,abs", *cols)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_table_memory_is_bounded_by_the_chunk(tmp_path):
+    # 1,400 more rows are 1.4M more cells: a writer holding one 8-byte
+    # reference per cell would peak 11 MB higher, where one bounded by
+    # the chunk and the axes peaks a fraction of a MB higher
+    low, high = (_plane_peak(tmp_path / "p.csv", rows) for rows in (200, 1600))
+    assert high - low < 1_000_000, (low, high)
 
 
 def test_write_table_matches_oracle_on_an_analyze_run(tmp_path, monkeypatch):

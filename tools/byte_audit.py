@@ -6,14 +6,18 @@ Each tree is a directory holding this repository's ``src/`` (for example
 a ``git archive`` of the parent commit, unpacked).  The audit runs one
 fixed list of ``adassq`` command lines in each tree, the benchmark's
 three workloads at seeds 0 and 1 among them, then compares the SHA-256
-of every output file and each run's exit code.  It prints what differs
-and exits 1 if anything does, 0 if every file keeps its bytes.  Under
-each differing file it says how far the file moved: for a CSV with the
-same header and row count in both trees, each column's largest absolute
-difference and whether its NaN cells agree; for tf.pgm, the count of
-differing pixels.  The inputs (the workloads' sample files, a width
-table) are generated once, by perfbench/workloads.py and here, and both
-trees read the same files.
+of every output file and each run's exit code.  It prints one line per
+run, its verdict and its CLI wall time (spawn to exit) in the parent and
+the new tree, then what differs, and exits 1 if anything does, 0 if
+every file keeps its bytes.  The trees take each run back to back, the
+parent first, and a wall time is one cold sample (the very first, of the
+parent, also pays for cold file caches).  Under each differing file it
+says how far the file moved: for a CSV with the same header and row
+count in both trees, each column's largest absolute difference and
+whether its NaN cells agree; for tf.pgm, the count of differing
+pixels.  The inputs (the workloads' sample files, a width table) are
+generated once, by perfbench/workloads.py and here, and both trees read
+the same files.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -77,24 +82,25 @@ def write_inputs(inputs: Path) -> dict[str, list[str]]:
             for name, w in WORKLOADS.items() for seed in (0, 1)}
 
 
-def run_tree(tree: Path, runs: dict[str, list[str]], inputs: Path,
-             out: Path) -> dict[str, str]:
-    """Run every command with tree/src first on the path; return each
-    output file's SHA-256 and each run's exit code, by relative name."""
+def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
+                out: Path) -> tuple[dict[str, str], float]:
+    """Run one command with tree/src first on the path; return each
+    output file's SHA-256 and the run's exit code, by relative name, and
+    the run's wall time in seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-    found = {}
-    for name, args in runs.items():
-        argv = [a.format(out=out, inputs=inputs) for a in args]
-        proc = subprocess.run(
-            [sys.executable, "-m", "adassq.cli", *argv,
-             "--outdir", str(out / name)],
-            env=env, cwd=out, capture_output=True, text=True)
-        found[f"{name} (exit code)"] = str(proc.returncode)
-        print(f"{tree}: {name}: exit {proc.returncode}", file=sys.stderr)
-        for path in sorted((out / name).glob("*")):
-            found[f"{name}/{path.name}"] = \
-                hashlib.sha256(path.read_bytes()).hexdigest()
-    return found
+    argv = [a.format(out=out, inputs=inputs) for a in args]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "adassq.cli", *argv,
+         "--outdir", str(out / name)],
+        env=env, cwd=out, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    print(f"{tree}: {name}: exit {proc.returncode}", file=sys.stderr)
+    found = {f"{name} (exit code)": str(proc.returncode)}
+    for path in sorted((out / name).glob("*")):
+        found[f"{name}/{path.name}"] = \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+    return found, wall
 
 
 def _pixels(path: Path) -> np.ndarray:
@@ -148,13 +154,27 @@ def main(argv: list[str] | None = None) -> int:
         inputs = work / "inputs"
         inputs.mkdir()
         runs = {**RUNS, **write_inputs(inputs)}
-        digests = []
-        for label, tree in (("parent", args.parent), ("new", args.new)):
+        # run by run, the two trees back to back, so that drift in the
+        # machine's load moves both wall times of a run alike
+        old, new, old_wall, new_wall = {}, {}, {}, {}
+        for label in ("parent", "new"):
             (work / label).mkdir()
-            digests.append(run_tree(tree, runs, inputs, work / label))
-        old, new = digests
+        for name, run in runs.items():
+            for label, tree, digests, wall in (
+                    ("parent", args.parent, old, old_wall),
+                    ("new", args.new, new, new_wall)):
+                found, wall[name] = run_in_tree(tree, name, run, inputs,
+                                                work / label)
+                digests.update(found)
         differ = [key for key in sorted(old.keys() | new.keys())
                   if old.get(key) != new.get(key)]
+        for name in runs:
+            mine = [key for key in differ if key.partition("/")[0]
+                    in (name, f"{name} (exit code)")]
+            print(f"{name}: "
+                  + (f"{len(mine)} differ" if mine else "every SHA-256 equal")
+                  + f"; wall {old_wall[name]:.2f} s -> "
+                  f"{new_wall[name]:.2f} s")
         for key in differ:
             print(f"differs: {key}: {old.get(key, 'missing')} -> "
                   f"{new.get(key, 'missing')}")
