@@ -33,9 +33,9 @@ Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
 component above Nyquist, or a rate too low to leave any band), 3
 inadmissible window-width profile for the requested analysis, components
-out of frequency order, or samples, a transform stack or a squeezed plane
-over the 1 GiB memory limit, 4 recovery requested for a signal without
-ground truth.
+out of frequency order, a negative component amplitude (recover), or
+samples, a transform stack or a squeezed plane over the 1 GiB memory
+limit, 4 recovery requested for a signal without ground truth.
 """
 from __future__ import annotations
 
@@ -56,9 +56,8 @@ from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
-    check_order, example1_spec, example2_spec, linear_chirp, poly_phase, \
-    read_table, signal_from_csv, signal_to_csv, synthesize, tone, tracks, \
-    write_table
+    example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
+    signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
 from .sst import PhasePlane, SqueezeConfig, TfPlane, phase_first, \
     phase_second, squeeze, tf_to_csv, tf_to_pgm
 # Not called here (phase_second derives its own floor), but perfbench's
@@ -549,20 +548,9 @@ def _write_report(cfg: RunConfig, res: Analysis) -> None:
                        for c in spec.components])
     zs_for_norms = res.zs if cfg.order == 2 else None
     try:
-        check_order(ridge)
         eps3 = _resolve_eps3(cfg, ridge)
         norms = normalizers(spec, stack.wm, stack.profile, zs=zs_for_norms)
-        if not np.any(stack.sig.x):
-            # Silent signal: every amplitude-driven term of the error
-            # budget vanishes and only the threshold-times-zone-measure
-            # term survives, so evaluate that limit directly (the full
-            # budget is undefined because the class model requires
-            # positive amplitudes).
-            log_measure = np.log(res.zs.upper / res.zs.lower)
-            denom = np.abs(norms.c_k) if cfg.order == 2 \
-                else np.abs(norms.c_alpha)[None, :]
-            bound = cfg.gamma1 * log_measure / denom
-        elif cfg.order == 1:
+        if cfg.order == 1:
             rep = bounds_first(spec, stack.wm, stack.profile, res.zs,
                                cfg.gamma1)
             bound = rep.recovery_bound

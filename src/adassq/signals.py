@@ -154,7 +154,9 @@ def check_order(f: Array) -> None:
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Regularity parameters of the signal class.
+    """Regularity parameters of the signal class: components with constant
+    amplitudes A_k >= 0 (zero for a silent one) and ordered, positive
+    instantaneous frequencies.
 
     eps1 -- sup |A_k'(t)|              (amplitude drift: 0, A_k constant)
     eps2 -- sup |phi_k''(t)|           (chirp rate)
@@ -171,14 +173,21 @@ _OVERSAMPLE = 8
 
 
 def class_params(spec: SignalSpec) -> ClassParams:
-    """Scan the component derivatives on an oversampled grid for the class
-    bounds."""
+    """Scan the phase derivatives on an oversampled grid for the class
+    bounds.
+
+    A zero amplitude is admitted: no budget term divides by an amplitude,
+    so a silent component adds exact zeros to every term it enters.  A
+    negative one raises ValueError naming the component (1-based), as do
+    misordered or nonpositive frequencies.
+    """
+    for idx, comp in enumerate(spec.components, start=1):
+        if comp.amplitude < 0.0:
+            raise ValueError(f"component {idx}: amplitude must not be "
+                             f"negative, got {comp.amplitude:g}")
     t = np.arange(spec.n * _OVERSAMPLE) / (spec.fs * _OVERSAMPLE)
-    f, fpp, A = tracks(spec, t)
+    f, fpp, _ = tracks(spec, t)
     eps3 = float(np.max(np.abs([c.phase(t, 3) for c in spec.components])))
-    if np.min(A) <= 0.0:
-        raise ValueError("component amplitudes must stay positive over the "
-                         "sampled interval")
     check_order(f)
     if np.any(f[0] <= 0.0):     # the lowest, given the order
         raise ValueError("instantaneous frequencies must stay positive")

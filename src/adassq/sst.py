@@ -209,10 +209,8 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
 
     idx = lattice_index(plane.omega, cfg)
     sel = idx >= 0
-    if np.any(sel):
-        cols = np.broadcast_to(np.arange(n), idx.shape)[sel]
-        np.add.at(T, (idx[sel], cols),
-                  stack.w[sel] * (stack.grid.dlog / cfg.dxi))
+    cols = np.broadcast_to(np.arange(n), idx.shape)[sel]
+    np.add.at(T, (idx[sel], cols), stack.w[sel] * (stack.grid.dlog / cfg.dxi))
     return TfPlane(xi=centers, b=stack.b, values=T, dxi=cfg.dxi)
 
 

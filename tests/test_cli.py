@@ -24,8 +24,9 @@ What is proven here
    signals get a header-only zone table and a band set by their own
    sampling rate, and the frequency-bin count follows the grid setting.
 4. recover: the per-cell error respects the theoretical bound on the
-   interior for both running examples, and a silent signal reports zero
-   error everywhere.
+   interior for both running examples, a silent signal reports zero
+   error everywhere, and a silent component beside a live one is
+   certified on the interior under T1 and S2.
 5. Contract: exit codes 0/2/3/4 distinguish success, configuration
    failures, inadmissible window widths, and recovery without ground
    truth; a malformed sample file exits 2 naming its line, before any
@@ -44,9 +45,10 @@ What is proven here
    count before any bin exists, and an xi_bins count past the float
    range before any stack is computed; a stack of one scale is checked
    before the Nyquist check evaluates any phase; recover exits 3 on
-   components out of frequency order, with eps3 auto or set; reruns of the same configuration are
-   byte-identical; importing the command loads no scipy module, since
-   numpy is the only runtime dependency.
+   components out of frequency order, with eps3 auto or set, and on a
+   negative amplitude, naming its component, with no output; reruns of
+   the same configuration are byte-identical; importing the command
+   loads no scipy module, since numpy is the only runtime dependency.
 6. demo: one transform stack per run, and the same bytes as separate
    synth, analyze and recover runs with the demo's settings.
 """
@@ -528,6 +530,15 @@ def test_recover_zero_signal_reports_zero_error(tmp_path):
     assert all(r[4] == "1" for r in rows[1:])
 
 
+@pytest.mark.parametrize("variant", ["T1", "S2"])
+def test_recover_silent_component_beside_a_live_one(tmp_path, variant):
+    assert run("recover", "--components", "tone:20:0; tone:40",
+               "--variant", variant, "--outdir", str(tmp_path)) == 0
+    _, inner = _interior_report(tmp_path)
+    assert all(flag == "1" and err <= bound
+               for _, _, err, bound, flag in inner)
+
+
 # ---------------------------------------------------------------------------
 # 5. exit codes and determinism
 
@@ -919,6 +930,14 @@ def test_misordered_components_exit_3(tmp_path, capsys, comps, eps3):
                "--outdir", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert "components must be ordered with strictly increasing" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_amplitude_exits_3(tmp_path, capsys):
+    assert run("recover", "--components", "tone:20; tone:40:-1",
+               "--outdir", str(tmp_path / "out")) == 3
+    assert "component 2: amplitude must not be negative" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,8 @@
 Proof groups:
   1. synthesis matches the closed-form sample values
   2. class parameters extracted from ground truth are exact for the presets
-  3. admissibility guards catch bad truth
+  3. admissibility guards catch bad truth: misordered components, and a
+     negative amplitude, named by its component; a zero one is admitted
   4. CSV round trip is lossless and byte-deterministic; the table writer
      every output file goes through writes 17-digit floats, integer
      int/bool columns, broadcast columns row-major, and LF line endings;
@@ -121,12 +122,16 @@ def test_misordered_components_rejected():
         class_params(spec)
 
 
-def test_nonpositive_amplitude_rejected():
-    for amp in (0.0, -0.0, -1.0):
-        spec = SignalSpec(components=(tone(30.0), tone(60.0, amp)),
+def test_negative_amplitude_rejected():
+    # a silent component is in the class; a negative one is named
+    def spec(amp):
+        return SignalSpec(components=(tone(30.0), tone(60.0, amp)),
                           fs=128.0, n=128)
-        with pytest.raises(ValueError, match="amplitudes must stay positive"):
-            class_params(spec)
+    with pytest.raises(ValueError, match="component 2: amplitude must not "
+                                         "be negative, got -1"):
+        class_params(spec(-1.0))
+    for amp in (0.0, -0.0):
+        assert class_params(spec(amp)) == ClassParams(0.0, 0.0, 0.0)
 
 
 def test_spec_validation():

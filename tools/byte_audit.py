@@ -38,6 +38,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 _EX1 = "chirp:12:0.5; chirp:26:-0.5"
 _THREE = "tone:20; chirp:40:5; tone:80"
+_SILENT = "tone:20:0; tone:40:0"
 # run name -> arguments without --outdir, in order: {out} is the tree's
 # output root (a run may read an earlier run's output), {inputs} the
 # shared input directory
@@ -52,6 +53,10 @@ RUNS = {
                             "sigma2", "--gamma2", "1", "--variant", "T2"],
     "recover-empty-t1": ["recover", "--preset", "empty"],
     "recover-empty-s2": ["recover", "--preset", "empty", "--variant", "S2"],
+    "recover-empty-t2": ["recover", "--preset", "empty", "--variant", "T2"],
+    "recover-silent-pair-t1": ["recover", "--components", _SILENT],
+    "recover-silent-pair-s2": ["recover", "--components", _SILENT,
+                               "--variant", "S2"],
     "analyze-three-sigma1": ["analyze", "--components", _THREE, "--sigma",
                              "sigma1"],
     "recover-three-sigma1": ["recover", "--components", _THREE, "--sigma",
