@@ -7,15 +7,17 @@ the window (second-order estimates).  Both constants are integrals of the
 window's spectral profile against dxi/xi resp. da/a.
 
 The error budgets certify those recoveries a priori: given the signal-class
-parameters (bounds on amplitude drift and on phase curvature or its
-derivative), each budget is a sum of a threshold term, residual-envelope
-terms built from closed-form window moments, and cross-component leakage
-masses.  Every integral here has the form h(a) da/a, and ``quad`` evaluates
-all of them with one fixed Gauss-Legendre rule in log a.  The residual
-diagnostics make the underlying identities checkable on a computed stack:
-the time-derivative of the transform equals a known combination of
-companion transforms up to a residual that is itself an explicit sum of
-chirp-distorted window evaluations of the other components.
+parameters (bounds on phase curvature or its derivative), each budget is a
+sum of a threshold term, residual-envelope terms built from closed-form
+window moments, and cross-component leakage masses.  The paper's
+amplitude-drift terms (its eps1) vanish here, because every amplitude A_k
+is constant.  Every integral here has the form h(a) da/a, and ``quad``
+evaluates all of them with one fixed Gauss-Legendre rule in log a.  The
+residual diagnostics make the underlying identities checkable on a
+computed stack: the time-derivative of the transform equals a known
+combination of companion transforms up to a residual that is itself an
+explicit sum of chirp-distorted window evaluations of the other
+components.
 
 Per-pair quantities are (K, K, ...) arrays indexed [l, k]: component l seen
 in component k's window.  The diagonal l == k is masked to exactly 0, so a
@@ -203,8 +205,8 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A priori error budgets on the profile's time grid for the thresholds
-    eps1_tilde (and eps2_tilde); unset parts are None.
+    """A priori error budgets on the profile's time grid; unset parts are
+    None.
 
     First-order part (per k, b): res_env is the expansion-residual
     envelope of the plain transform; omega_bound certifies the frequency
@@ -218,8 +220,6 @@ class BoundReport:
     chirp-aware leakage mass of component l in component k's zone.
     """
 
-    eps1_tilde: float
-    eps2_tilde: float | None = None
     res_env: Array | None = None
     omega_bound: Array | None = None
     recovery_bound: Array | None = None
@@ -242,11 +242,10 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     f, _, A = tracks(spec, profile.b)
     amp_total = A.sum(axis=0)
 
-    i1, i2 = moment(1), moment(2)
-    d1, d2 = moment(1, of_derivative=True), moment(2, of_derivative=True)
     shape_term = (mu * sig + alpha)[None, :] / f * amp_total[None, :]
-    res_env = K * cp.eps1 * i1 + math.pi * cp.eps2 * i2 * shape_term
-    res_env_deriv = K * cp.eps1 * d1 + math.pi * cp.eps2 * d2 * shape_term
+    res_env = math.pi * cp.eps2 * moment(2) * shape_term
+    res_env_deriv = (math.pi * cp.eps2 * moment(2, of_derivative=True)
+                     * shape_term)
 
     # leak[l, k] is 0 on the diagonal (f_l - f_k = 0); the axis-0 sum adds
     # the base term first, then leak[0, k], leak[1, k], ... left to right
@@ -269,8 +268,7 @@ def bounds_first(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     cross = np.sum(A[:, None] * cross_mass, axis=0)
     recovery_bound = (eps1_tilde * log_term + (2.0 * alpha / f) * res_env
                       + cross) / c_alpha
-    return BoundReport(eps1_tilde=eps1_tilde, res_env=res_env,
-                       omega_bound=omega_bound,
+    return BoundReport(res_env=res_env, omega_bound=omega_bound,
                        recovery_bound=recovery_bound, cross_mass=cross_mass)
 
 
@@ -281,10 +279,10 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
 
     recovery_bound_main certifies the hybrid-squeezed windowed recovery
     once divided by |c_k|: a threshold term eps1_tilde * log(u_k/l_k) over
-    the zone, amplitude-drift and phase-curvature terms, and the chirp-aware
-    leakage of the other components.  eps2_tilde is only recorded in the
-    report: the budget is for the hybrid plane, which keeps the cells that
-    the conditioning threshold drops from the strict plane.
+    the zone, a phase-curvature term, and the chirp-aware leakage of the
+    other components.  eps2_tilde is validated and enters no term: the
+    budget is for the hybrid plane, which keeps the cells that the
+    conditioning threshold drops from the strict plane.
     """
     if eps1_tilde <= 0.0 or eps2_tilde <= 0.0:
         raise ValueError("thresholds must be positive")
@@ -295,12 +293,10 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     sig = profile.sigma
     f, fpp, A = tracks(spec, profile.b)
     amp_total = A.sum(axis=0)
-    i1, i3 = moment(1), moment(3)
 
     width = np.where(zs.valid, zs.upper - zs.lower, np.nan)
     log_term = np.where(zs.valid, np.log(zs.upper / zs.lower), np.nan)
-    drift = sig[None, :] * K * cp.eps1 * i1 * width
-    curvature = ((math.pi / 9.0) * cp.eps3 * i3 * width ** 3
+    curvature = ((math.pi / 9.0) * cp.eps3 * moment(3) * width ** 3
                  * (sig ** 3 * amp_total)[None, :])
 
     # [l, k] cells off the diagonal where k's zone is valid; the other
@@ -316,9 +312,8 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
         _at(cells, sig), _at(cells, f[:, None]), _at(cells, fpp[:, None]))
 
     cross = np.sum(A[:, None] * cross_mass_strict, axis=0)
-    main = eps1_tilde * log_term + drift + curvature + cross
-    return BoundReport(eps1_tilde=eps1_tilde, eps2_tilde=eps2_tilde,
-                       recovery_bound_main=main,
+    main = eps1_tilde * log_term + curvature + cross
+    return BoundReport(recovery_bound_main=main,
                        cross_mass_strict=cross_mass_strict)
 
 

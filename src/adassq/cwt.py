@@ -33,7 +33,7 @@ import numpy as np
 
 from .separation import SigmaProfile, ZoneSet
 from .signals import SampledSignal
-from .windows import FOUR_PI2, WindowModel
+from .windows import FOUR_PI2, WindowModel, gauss_hat
 
 Array = np.ndarray
 TWO_PI = 2.0 * math.pi
@@ -48,16 +48,15 @@ class ScaleGrid:
 
     @staticmethod
     def size(a_min: float, a_max: float, voices: int) -> int:
-        """Number of scales from_range puts on [a_min, a_max]."""
+        """Number of scales from_range puts on [a_min, a_max]: one more
+        than voices * log2(a_max / a_min) rounded up, counted in integers
+        so that the product never rounds onto a whole number."""
         if a_min <= 0.0 or a_max <= a_min:
             raise ValueError(f"need 0 < a_min < a_max, got ({a_min}, {a_max})")
         if voices < 1:
             raise ValueError(f"voices must be >= 1, got {voices}")
-        octaves = math.log2(a_max / a_min)
-        if voices >= 2 ** 53:       # past exact float integers: count exactly
-            num, den = octaves.as_integer_ratio()
-            return -(-voices * num // den) + 1
-        return int(math.ceil(voices * octaves)) + 1
+        num, den = math.log2(a_max / a_min).as_integer_ratio()
+        return -(-voices * num // den) + 1
 
     @classmethod
     def from_range(cls, a_min: float, a_max: float,
@@ -163,7 +162,7 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
         s = profile.sigma[i]
         dln = profile.dsigma[i] / s
         nu = s * detune
-        gh = np.exp(-TWO_PI * math.pi * nu * nu)
+        gh = gauss_hat(nu)
         dscale = -s * xi                        # d(nu)/da per bin
         # Each kernel is P(nu)*gh: P is 1, -2*pi*i*nu or 4*pi**2*nu**2 - 1,
         # or a nu-derivative Q = P' - 4*pi**2*nu*P, written in the Horner

@@ -6,8 +6,8 @@ polynomial phase phi measured in cycles.  Its data are the phase
 coefficients and A, and every derivative of phi is exact, so window
 selection, zone geometry, and error bounds are evaluated from exact
 ground truth, never from finite differences.  The regularity parameters
-of the signal class (amplitude drift, chirp rate, chirp-rate drift) are
-extracted by scanning those derivatives on an oversampled grid.
+of the signal class (chirp rate, chirp-rate drift) are extracted by
+scanning those derivatives on an oversampled grid.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ class ComponentTruth:
     def evaluate(self, t: Array, analytic: bool) -> Array:
         osc = np.exp(2j * np.pi * self.phase(t)) if analytic \
             else np.cos(2.0 * np.pi * self.phase(t))
-        return self.amp(t) * osc
+        return self.amplitude * osc
 
 
 def tone(freq: float, amp: float = 1.0) -> ComponentTruth:
@@ -156,14 +156,13 @@ def check_order(f: Array) -> None:
 class ClassParams:
     """Regularity parameters of the signal class: components with constant
     amplitudes A_k >= 0 (zero for a silent one) and ordered, positive
-    instantaneous frequencies.
+    instantaneous frequencies.  A constant A_k has A_k' = 0, so the class
+    has no amplitude-drift parameter.
 
-    eps1 -- sup |A_k'(t)|              (amplitude drift: 0, A_k constant)
     eps2 -- sup |phi_k''(t)|           (chirp rate)
     eps3 -- sup |phi_k'''(t)|          (chirp-rate drift)
     """
 
-    eps1: float
     eps2: float
     eps3: float
 
@@ -191,7 +190,7 @@ def class_params(spec: SignalSpec) -> ClassParams:
     check_order(f)
     if np.any(f[0] <= 0.0):     # the lowest, given the order
         raise ValueError("instantaneous frequencies must stay positive")
-    return ClassParams(eps1=0.0, eps2=float(np.max(np.abs(fpp))), eps3=eps3)
+    return ClassParams(eps2=float(np.max(np.abs(fpp))), eps3=eps3)
 
 
 def example1_spec() -> SignalSpec:

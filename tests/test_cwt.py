@@ -13,7 +13,8 @@ Proof groups:
   3. derivative lattices match central finite differences of the value
      lattices in scale and time (including time-varying sigma)
   4. the exact time-derivative identity holds at rounding level
-  5. conventions -- real-mode folding, grid construction
+  5. conventions -- real-mode folding, grid construction (its scale
+     count exact where a float product would round)
   6. structure -- constant sigma on the sample grid, and only it, builds
      its kernels once and takes one inverse FFT per field
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -549,6 +551,19 @@ def test_scale_grid_construction():
         ScaleGrid.from_range(0.01, 0.08, voices=0)
     # past the float range the count is exact: 3 octaves of 10**400 voices
     assert ScaleGrid.size(0.01, 0.08, 10 ** 400) == 3 * 10 ** 400 + 1
+
+
+def test_scale_count_is_exact_where_the_float_product_rounds():
+    # log2 of this a_max is a hair above 1/3, and 3 times it rounds to 1.0
+    # in floats: the exact count is 3 scales, not 2
+    a_max = 1.2599210498948732
+    octaves = Fraction(math.log2(a_max))
+    assert 3 * math.log2(a_max) == 1.0 and 3 * octaves > 1
+    assert ScaleGrid.size(1.0, a_max, 3) == 3
+    assert ScaleGrid.from_range(1.0, a_max, 3).a[-1] >= a_max
+    voices = 10 ** 17
+    assert ScaleGrid.size(1.0, a_max, voices) == \
+        math.ceil(voices * octaves) + 1 == 33333333333333339
 
 
 def test_scale_grid_covers_zones(wm):

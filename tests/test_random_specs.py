@@ -184,10 +184,9 @@ def _loop_bounds_first(spec, wm, profile, eps1_tilde):
     A = np.stack([c.amp(b) for c in spec.components])
     amp_total = A.sum(axis=0)
     shape_term = (mu * sig + alpha)[None, :] / f * amp_total[None, :]
-    res_env = K * cp.eps1 * moment(1) + math.pi * cp.eps2 * moment(2) \
+    res_env = math.pi * cp.eps2 * moment(2) * shape_term
+    res_env_deriv = math.pi * cp.eps2 * moment(2, of_derivative=True) \
         * shape_term
-    res_env_deriv = K * cp.eps1 * moment(1, of_derivative=True) \
-        + math.pi * cp.eps2 * moment(2, of_derivative=True) * shape_term
 
     rho = _loop_spectral_distance(spec, wm, profile)
     omega_bound = (alpha * res_env + res_env_deriv / TWO_PI) / eps1_tilde
@@ -231,7 +230,6 @@ def _loop_bounds_second(spec, wm, profile, zs, eps1_tilde):
     amp_total = A.sum(axis=0)
     width = np.where(zs.valid, zs.upper - zs.lower, np.nan)
     log_term = np.where(zs.valid, np.log(zs.upper / zs.lower), np.nan)
-    drift = sig[None, :] * K * cp.eps1 * moment(1) * width
     curvature = ((math.pi / 9.0) * cp.eps3 * moment(3) * width ** 3
                  * (sig ** 3 * amp_total)[None, :])
 
@@ -250,7 +248,7 @@ def _loop_bounds_second(spec, wm, profile, zs, eps1_tilde):
     for k in range(K):
         cross[k] = sum(A[l] * cross_mass_strict[l, k]
                        for l in range(K) if l != k)
-    main = eps1_tilde * log_term + drift + curvature + cross
+    main = eps1_tilde * log_term + curvature + cross
     return cross_mass_strict, main
 
 

@@ -95,14 +95,12 @@ def test_poly_phase_matches_linear_chirp():
 
 def test_class_params_example1():
     cp = class_params(example1_spec())
-    assert cp.eps1 == 0.0
     assert cp.eps2 == pytest.approx(0.5, rel=1e-14)
     assert cp.eps3 == 0.0
 
 
 def test_class_params_example2():
     cp = class_params(example2_spec())
-    assert cp.eps1 == 0.0
     assert cp.eps2 == pytest.approx(36.0, rel=1e-14)
     assert cp.eps3 == 0.0
 
@@ -131,7 +129,7 @@ def test_negative_amplitude_rejected():
                                          "be negative, got -1"):
         class_params(spec(-1.0))
     for amp in (0.0, -0.0):
-        assert class_params(spec(amp)) == ClassParams(0.0, 0.0, 0.0)
+        assert class_params(spec(amp)) == ClassParams(0.0, 0.0)
 
 
 def test_spec_validation():

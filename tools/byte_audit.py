@@ -39,6 +39,9 @@ from workloads import WORKLOADS  # noqa: E402
 _EX1 = "chirp:12:0.5; chirp:26:-0.5"
 _THREE = "tone:20; chirp:40:5; tone:80"
 _SILENT = "tone:20:0; tone:40:0"
+# a cubic phase, phi''' = 12: every other audited signal has phi''' = 0,
+# so bounds_second's curvature term is zero in all of their reports
+_CUBIC = "poly:0,30,0,2; tone:80"
 # run name -> arguments without --outdir, in order: {out} is the tree's
 # output root (a run may read an earlier run's output), {inputs} the
 # shared input directory
@@ -63,6 +66,10 @@ RUNS = {
                              "sigma1"],
     "recover-three-sigma2-s2": ["recover", "--components", _THREE,
                                 "--sigma", "sigma2", "--variant", "S2"],
+    "recover-cubic-sigma2-s2": ["recover", "--components", _CUBIC,
+                                "--sigma", "sigma2", "--variant", "S2"],
+    "recover-cubic-sigma1": ["recover", "--components", _CUBIC, "--sigma",
+                             "sigma1"],
     "synth-example2": ["synth", "--preset", "example2"],
     "analyze-synth-file-t2": ["analyze", "--signal-file",
                               "{out}/synth-example2/signal.csv",
