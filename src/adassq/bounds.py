@@ -35,11 +35,10 @@ from .cwt import CwtStack
 from .separation import SigmaProfile, ZoneSet, spectral_distance
 from .signals import SignalSpec, class_params, tracks, write_table
 from .sst import TfPlane, chirp_rate_estimate
-from .windows import (WindowModel, chirped_transform_G,
+from .windows import (TWO_PI, WindowModel, chirped_transform_G,
                       chirped_transform_Gj, gauss_hat, moment)
 
 Array = np.ndarray
-TWO_PI = 2.0 * math.pi
 
 # Gauss-Legendre on the plain variable loses digits as a band's lower edge
 # nears the 1/a pole (9e-3 relative at sigma*mu/alpha = 1.001 with 32

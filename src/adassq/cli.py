@@ -23,11 +23,12 @@ All output files are deterministic: the same configuration produces
 byte-identical CSVs on every run.  Floats are written with 17 significant
 digits, ``.`` decimal separator, no locale, and every line ends in LF.
 
-The signal source decides fs, n and mode where it can: an example preset
-fixes them, and a sample file takes them from its t column, its row count
-and whether any im value is nonzero.  An explicit value that disagrees is
-an error.  Synthesized components must keep their instantaneous frequency
-inside (0, fs/2), or (0, fs) in complex mode.
+The signal source is resolved once, as the configuration loads.  It
+decides fs, n and mode where it can: an example preset fixes them, and a
+sample file takes them from its t column, its row count and whether any
+im value is nonzero.  An explicit value that disagrees is an error.
+Synthesized components must keep their instantaneous frequency inside
+(0, fs/2), or (0, fs) in complex mode.
 
 Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
@@ -44,7 +45,7 @@ import configparser
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from .bounds import bounds_first, bounds_second, normalizers, recover, \
     report_to_csv
-from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack
+from .cwt import FIELD_NAMES, ScaleGrid, compute_stack
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
@@ -105,6 +106,8 @@ class RunConfig:
     variant: str
     outdir: Path
     pgm: bool
+    # not a key: load_config reads a sample file or builds the spec here
+    source: SampledSignal | SignalSpec = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -260,27 +263,28 @@ _SECTIONS = {sec: tuple(k.key for k in _KEYS if k.section == sec)
 _PRESET_SPECS = {"example1": example1_spec, "example2": example2_spec}
 
 
-def _read_samples(path: Path) -> SampledSignal:
-    try:
-        return signal_from_csv(path)
-    except OSError as exc:
-        raise ConfigError(f"[signal] file: cannot read: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"[signal] file: {exc}") from None
-
-
-def _fixed_sampling(cfg: dict) -> tuple[str, dict] | None:
-    """(origin, {fs, n, mode}) of a source that fixes its own sampling."""
+def _signal_source(cfg: dict) -> tuple[SampledSignal | SignalSpec, str, dict]:
+    """(source, origin, the {fs, n, mode} it fixes): a sample file's
+    samples, a preset's spec, or the spec of the components or the empty
+    preset, which fixes nothing."""
     if cfg["file"] is not None:
-        sig = _read_samples(cfg["file"])
-        return "the sample file", dict(
+        try:
+            sig = signal_from_csv(cfg["file"])
+        except OSError as exc:
+            raise ConfigError(f"[signal] file: cannot read: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"[signal] file: {exc}") from None
+        return sig, "the sample file", dict(
             fs=float(sig.fs), n=sig.t.size,
             mode="complex" if np.iscomplexobj(sig.x) else "real")
     if cfg["preset"] in _PRESET_SPECS:
         spec = _PRESET_SPECS[cfg["preset"]]()
-        return (f"preset {cfg['preset']}",
-                dict(fs=spec.fs, n=spec.n, mode=spec.mode))
-    return None
+        return spec, f"preset {cfg['preset']}", dict(fs=spec.fs, n=spec.n,
+                                                     mode=spec.mode)
+    comps = (tone(40.0, 0.0),) if cfg["preset"] == "empty" \
+        else cfg["components"]
+    return SignalSpec(components=comps, fs=cfg["fs"], n=cfg["n"],
+                      mode=cfg["mode"]), "", {}
 
 
 def _check_nyquist(spec: SignalSpec) -> None:
@@ -363,39 +367,31 @@ def load_config(path: Path | None,
     if cfg["sigma_kind"] == "table" and cfg["sigma_table"] is None:
         raise ConfigError("[sigma] table: required when kind = table")
 
-    fixed = _fixed_sampling(cfg)
-    if fixed is not None:
-        origin, values = fixed
-        for key, want in values.items():
-            have = cfg[key]
-            agrees = math.isclose(have, want, rel_tol=1e-9) if key == "fs" \
-                else have == want
-            if ("signal", key) in raw and not agrees:
-                shown = f"{want:g}" if key == "fs" else want
-                raise ConfigError(f"[signal] {key}: {origin} fixes "
-                                  f"{key}={shown}, got {have}")
-        cfg.update(values)
+    source, origin, fixed = _signal_source(cfg)
+    for key, want in fixed.items():
+        have = cfg[key]
+        agrees = math.isclose(have, want, rel_tol=1e-9) if key == "fs" \
+            else have == want
+        if ("signal", key) in raw and not agrees:
+            shown = f"{want:g}" if key == "fs" else want
+            raise ConfigError(f"[signal] {key}: {origin} fixes "
+                              f"{key}={shown}, got {have}")
+    cfg.update(fixed)
     _check_size(cfg["n"] * (16 if cfg["mode"] == "complex" else 8),
                 f"[signal] n: {cfg['n']} {cfg['mode']} samples")
-    return RunConfig(**cfg)
+    return RunConfig(**cfg, source=source)
 
 
 # ---------------------------------------------------------------------------
 # pipeline assembly
 
 def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
-    """Materialize the signal (spec None for a file), checking Nyquist."""
+    """(spec, signal) of cfg's source, spec None for a sample file."""
     if cfg.file is not None:
-        return None, _read_samples(cfg.file)
-    if cfg.preset in _PRESET_SPECS:
-        spec = _PRESET_SPECS[cfg.preset]()
-    else:
-        comps = (tone(40.0, 0.0),) if cfg.preset == "empty" \
-            else cfg.components
-        spec = SignalSpec(components=comps, fs=cfg.fs, n=cfg.n, mode=cfg.mode)
-        if cfg.components is not None:
-            _check_nyquist(spec)
-    return spec, synthesize(spec)
+        return None, cfg.source
+    if cfg.components is not None:
+        _check_nyquist(cfg.source)
+    return cfg.source, synthesize(cfg.source)
 
 
 def _read_sigma_table(path: Path, t: np.ndarray) -> SigmaProfile:
@@ -455,11 +451,13 @@ def _check_stack(scales: int, cfg: RunConfig) -> None:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One run of the pipeline, shared by the analyze and recover outputs."""
+    """What the outputs read of one run: no stack outlives the squeeze."""
 
-    spec: SignalSpec | None
+    sig: SampledSignal
+    wm: WindowModel
+    profile: SigmaProfile
     zs: ZoneSet | None
-    stack: CwtStack
+    grid: ScaleGrid
     plane: PhasePlane
     tf: TfPlane
 
@@ -512,12 +510,14 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         plane = phase_second(stack, cfg.gamma1, gamma2=cfg.gamma2,
                              hybrid=(cfg.variant == "S2"))
     tf = squeeze(stack, plane, base)
-    return Analysis(spec=spec, zs=zs, stack=stack, plane=plane, tf=tf)
+    return Analysis(sig=sig, wm=wm, profile=profile, zs=zs, grid=grid,
+                    plane=plane, tf=tf)
 
 
-def _omega_to_csv(stack: CwtStack, plane: PhasePlane, path) -> None:
+def _omega_to_csv(res: Analysis, path) -> None:
     """Instantaneous-frequency lattice as a,b,omega (nan when masked)."""
-    write_table(path, "a,b,omega", stack.a[:, None], stack.b, plane.omega)
+    write_table(path, "a,b,omega", res.grid.a[:, None], res.profile.b,
+                res.plane.omega)
 
 
 def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,
@@ -536,31 +536,30 @@ def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
     tf_to_csv(res.tf, cfg.outdir / "tf.csv")
     if cfg.pgm:
         tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
-    _omega_to_csv(res.stack, res.plane, cfg.outdir / "omega.csv")
+    _omega_to_csv(res, cfg.outdir / "omega.csv")
     zones_to_csv(res.zs, cfg.outdir / "zones.csv")
-    profile_to_csv(res.stack.profile, cfg.outdir / "sigma.csv")
+    profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
 
 
 def _write_report(cfg: RunConfig, res: Analysis) -> None:
-    spec, stack, t = res.spec, res.stack, res.stack.sig.t
+    # cmd_recover has rejected a sample file: the source is a spec
+    spec, wm, profile, t = cfg.source, res.wm, res.profile, res.sig.t
     ridge = tracks(spec, t)[0]
     truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
                        for c in spec.components])
-    zs_for_norms = res.zs if cfg.order == 2 else None
     try:
         eps3 = _resolve_eps3(cfg, ridge)
-        norms = normalizers(spec, stack.wm, stack.profile, zs=zs_for_norms)
         if cfg.order == 1:
-            rep = bounds_first(spec, stack.wm, stack.profile, res.zs,
-                               cfg.gamma1)
-            bound = rep.recovery_bound
+            norms = normalizers(spec, wm, profile)
+            rep = bounds_first(spec, wm, profile, res.zs, cfg.gamma1)
+            bound, mode = rep.recovery_bound, "first"
         else:
-            rep = bounds_second(spec, stack.wm, stack.profile, res.zs,
-                                cfg.gamma1, res.plane.gamma2)
-            bound = rep.recovery_bound_main / np.abs(norms.c_k)
-        result = recover(res.tf, norms, ridge, eps3,
-                         mode="first" if cfg.order == 1 else "second",
-                         truth=truth, real_signal=(spec.mode == "real"))
+            norms = normalizers(spec, wm, profile, zs=res.zs)
+            rep = bounds_second(spec, wm, profile, res.zs, cfg.gamma1,
+                                res.plane.gamma2)
+            bound, mode = rep.recovery_bound_main / np.abs(norms.c_k), "second"
+        result = recover(res.tf, norms, ridge, eps3, mode=mode, truth=truth,
+                         real_signal=(spec.mode == "real"))
     except ValueError as exc:
         raise AdmissibilityError(str(exc)) from None
 
@@ -606,7 +605,7 @@ def cmd_demo(cfg: RunConfig) -> int:
     """synth + analyze + recover with the canned settings, analyzing once."""
     res = run_analysis(cfg)
     _write_analysis(cfg, res)
-    signal_to_csv(res.stack.sig, cfg.outdir / "signal.csv")
+    signal_to_csv(res.sig, cfg.outdir / "signal.csv")
     _write_report(cfg, res)
     return 0
 

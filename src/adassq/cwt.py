@@ -33,10 +33,9 @@ import numpy as np
 
 from .separation import SigmaProfile, ZoneSet
 from .signals import SampledSignal
-from .windows import FOUR_PI2, WindowModel, gauss_hat
+from .windows import FOUR_PI2, TWO_PI, WindowModel, gauss_hat
 
 Array = np.ndarray
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

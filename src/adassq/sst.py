@@ -24,7 +24,6 @@ from .cwt import CwtStack
 from .signals import write_table
 
 Array = np.ndarray
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,13 @@ def _first_order(stack: CwtStack) -> Array:
             + (dln / (2j * np.pi)) * (1.0 + stack.w_tgp / stack.w)
 
 
+def _above_gamma1(stack: CwtStack, gamma1: float) -> Array:
+    """Cells with |w| > gamma1, the coefficient threshold of every plane."""
+    if gamma1 <= 0.0:
+        raise ValueError(f"gamma1 must be positive, got {gamma1}")
+    return np.abs(stack.w) > gamma1
+
+
 def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     """First-order adaptive phase transform.
 
@@ -63,9 +69,7 @@ def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     on cells with |w| > gamma1.  The two sigma' terms vanish for constant
     window width, recovering the conventional estimate.
     """
-    if gamma1 <= 0.0:
-        raise ValueError(f"gamma1 must be positive, got {gamma1}")
-    valid = np.abs(stack.w) > gamma1
+    valid = _above_gamma1(stack, gamma1)
     return PhasePlane(omega=np.where(valid, _first_order(stack).real, np.nan))
 
 
@@ -98,8 +102,9 @@ def _gamma2_floor(cond: Array, mask: Array) -> float:
 
 def default_gamma2(stack: CwtStack, gamma1: float) -> float:
     """Median-based conditioning floor: 1e-4 of the typical |d/da(a*w_tg/w)|."""
+    mask = _above_gamma1(stack, gamma1)
     _, cond = chirp_rate_estimate(stack)
-    return _gamma2_floor(cond, np.abs(stack.w) > gamma1)
+    return _gamma2_floor(cond, mask)
 
 
 def phase_second(stack: CwtStack, gamma1: float,
@@ -114,9 +119,7 @@ def phase_second(stack: CwtStack, gamma1: float,
     thresholded cells).  With hybrid=True, poorly conditioned cells fall
     back to the first-order estimate instead of NaN.
     """
-    if gamma1 <= 0.0:
-        raise ValueError(f"gamma1 must be positive, got {gamma1}")
-    mask1 = np.abs(stack.w) > gamma1
+    mask1 = _above_gamma1(stack, gamma1)
     r0, cond = chirp_rate_estimate(stack)
     if gamma2 is None:
         gamma2 = _gamma2_floor(cond, mask1)

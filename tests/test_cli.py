@@ -10,7 +10,8 @@ What is proven here
    sections/keys/presets are rejected with their location spelled out,
    numeric ranges are enforced, inline component specs parse to the right
    ground truth and must stay below Nyquist, presets and sample files fix
-   their sampling parameters, and window-width tables are validated
+   their sampling parameters, synth and analyze read a sample file once,
+   and window-width tables are validated
    against the signal's time grid, with an off-grid time, a nonpositive
    width, a short row or a non-finite value reported by its file line.
 2. synth: the presets write the documented signal.csv files (256 rows for
@@ -20,7 +21,8 @@ What is proven here
    the per-column maxima of the squeezed plane track both chirp ridges to
    within two frequency bins on the interior for both running examples,
    a constant-width run is byte-identical to squeezing the conventional
-   phase transform built directly from the transform stack, sample-file
+   phase transform built directly from a transform stack recomputed from
+   the run's signal, width profile, window model and grid, sample-file
    signals get a header-only zone table and a band set by their own
    sampling rate, and the frequency-bin count follows the grid setting.
 4. recover: the per-cell error respects the theoretical bound on the
@@ -49,8 +51,9 @@ What is proven here
    negative amplitude, naming its component, with no output; reruns of
    the same configuration are byte-identical; importing the command
    loads no scipy module, since numpy is the only runtime dependency.
-6. demo: one transform stack per run, and the same bytes as separate
-   synth, analyze and recover runs with the demo's settings.
+6. demo: one transform stack per run, freed when run_analysis returns
+   while its result lives on, and the same bytes as separate synth,
+   analyze and recover runs with the demo's settings.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +76,7 @@ import adassq
 from adassq import cli, cwt
 from adassq.cli import ConfigError, build_signal, load_config, main, \
     run_analysis
+from adassq.cwt import compute_stack
 from adassq.signals import ComponentTruth, example1_spec, example2_spec
 from adassq.sst import PhasePlane, SqueezeConfig, squeeze, tf_to_csv
 
@@ -446,14 +451,31 @@ def test_constant_sigma_equals_conventional_path(tmp_path):
                "--outdir", str(tmp_path / "cli")) == 0
 
     res = run_analysis(load_config(None, overrides))
+    stack = compute_stack(res.sig, res.profile, res.wm, res.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega = (res.stack.db_w / (2j * np.pi * res.stack.w)).real
-    plane = PhasePlane(omega=np.where(np.abs(res.stack.w) > 0.01, omega,
-                                      np.nan))
-    tf = squeeze(res.stack, plane, SqueezeConfig.for_stack(res.stack))
+        omega = (stack.db_w / (2j * np.pi * stack.w)).real
+    plane = PhasePlane(omega=np.where(np.abs(stack.w) > 0.01, omega, np.nan))
+    tf = squeeze(stack, plane, SqueezeConfig.for_stack(stack))
     tf_to_csv(tf, tmp_path / "conventional.csv")
     assert (tmp_path / "conventional.csv").read_bytes() == \
         (tmp_path / "cli" / "tf.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth"])
+def test_sample_file_is_read_once(tmp_path, monkeypatch, command):
+    src = tmp_path / "src"
+    assert run("synth", "--components", "tone:8", "--fs", "32", "--n", "32",
+               "--outdir", str(src)) == 0
+    reads = []
+    read = cli.signal_from_csv
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+    monkeypatch.setattr(cli, "signal_from_csv", counted)
+    assert run(command, "--signal-file", str(src / "signal.csv"), "--pgm",
+               "no", "--outdir", str(tmp_path / "out")) == 0
+    assert reads == [src / "signal.csv"]
 
 
 def test_sample_file_analysis_has_no_zones(tmp_path):
@@ -965,6 +987,21 @@ def test_demo_computes_one_stack(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "compute_stack", counted)
     assert run("demo", "example1", "--outdir", str(tmp_path)) == 0
     assert len(calls) == 1
+
+
+def test_stack_is_freed_when_run_analysis_returns(monkeypatch):
+    refs = []
+    stack = cli.compute_stack
+
+    def tracked(*args, **kwargs):
+        result = stack(*args, **kwargs)
+        refs.append(weakref.ref(result))
+        return result
+    monkeypatch.setattr(cli, "compute_stack", tracked)
+    res = run_analysis(load_config(None, {("signal", "preset"): "example1"}))
+    assert len(refs) == 1
+    assert refs[0]() is None
+    assert res.tf.values.shape[1] == res.sig.t.size == 256
 
 
 def test_demo_matches_separate_commands(demo1, tmp_path):

@@ -356,7 +356,7 @@ def test_write_table_matches_oracle_on_an_analyze_run(tmp_path, monkeypatch):
             monkeypatch.setattr(sst, "write_table", _oracle_write_table)
             monkeypatch.setattr(cli, "write_table", _oracle_write_table)
         sst.tf_to_csv(res.tf, tmp_path / f"tf-{name}.csv")
-        cli._omega_to_csv(res.stack, res.plane, tmp_path / f"omega-{name}.csv")
+        cli._omega_to_csv(res, tmp_path / f"omega-{name}.csv")
     for stem in ("tf", "omega"):
         assert (tmp_path / f"{stem}-new.csv").read_bytes() == \
             (tmp_path / f"{stem}-old.csv").read_bytes(), stem

@@ -9,7 +9,8 @@ Proof groups:
      conventional formulas when sigma is constant
   4. squeezing bookkeeping -- mass conservation, tie-to-lower binning,
      range clipping, NaN skipping
-  5. output -- CSV/PGM determinism, validation
+  5. output -- CSV/PGM determinism, validation (default_gamma2 rejects
+     a nonpositive gamma1 as both phase transforms do)
   6. one statement of each fact -- a plane's valid mask, read from its
      NaN pattern, is the threshold mask each variant applies; and the
      sigma'-free forms: with the time-derivative identity substituted,
@@ -307,6 +308,13 @@ def test_validation_errors(wm):
         SqueezeConfig(xi_min=0.0, xi_max=1.0, dxi=-0.25)
     with pytest.raises(ValueError):
         SqueezeConfig(xi_min=2.0, xi_max=1.0)
+
+
+@pytest.mark.parametrize("gamma1", [0.0, -1.0])
+def test_default_gamma2_rejects_nonpositive_gamma1(wm, gamma1):
+    st = _tone_stack(wm, sigma_varying=False)
+    with pytest.raises(ValueError, match="gamma1 must be positive"):
+        default_gamma2(st, gamma1)
 
 
 # ---------------------------------------------------------------- group 6

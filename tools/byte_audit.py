@@ -74,6 +74,11 @@ RUNS = {
     "analyze-synth-file-t2": ["analyze", "--signal-file",
                               "{out}/synth-example2/signal.csv",
                               "--variant", "T2"],
+    "synth-complex": ["synth", "--components", _EX1, "--mode", "complex"],
+    # the first sample file with a nonzero im column: its mode is complex
+    "analyze-complex-file-s2": ["analyze", "--signal-file",
+                                "{out}/synth-complex/signal.csv",
+                                "--variant", "S2"],
     "analyze-complex-s2": ["analyze", "--components", _EX1, "--mode",
                            "complex", "--variant", "S2", "--xi-bins", "300"],
     "analyze-sigma-table": ["analyze", "--preset", "example1", "--sigma",
