@@ -32,7 +32,8 @@ Synthesized components must keep their instantaneous frequency inside
 
 Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
-component above Nyquist, or a rate too low to leave any band), 3
+component above Nyquist, a rate too low to leave any band, or an
+output directory or output file that cannot be created), 3
 inadmissible window-width profile for the requested analysis, components
 out of frequency order, a negative component amplitude (recover), or
 samples, a transform stack or a squeezed plane over the 1 GiB memory
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import re
 import sys
@@ -531,14 +533,26 @@ def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,
     return float(np.min(ridge)) / 2.0
 
 
+@contextlib.contextmanager
+def _writing(outdir: Path):
+    """Create outdir for the writes in the block: an OSError making the
+    directory or a file in it is a ConfigError naming [run] outdir."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"[run] outdir: cannot write to {outdir}: "
+                          f"{exc}") from None
+
+
 def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    tf_to_csv(res.tf, cfg.outdir / "tf.csv")
-    if cfg.pgm:
-        tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
-    _omega_to_csv(res, cfg.outdir / "omega.csv")
-    zones_to_csv(res.zs, cfg.outdir / "zones.csv")
-    profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
+    with _writing(cfg.outdir):
+        tf_to_csv(res.tf, cfg.outdir / "tf.csv")
+        if cfg.pgm:
+            tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
+        _omega_to_csv(res, cfg.outdir / "omega.csv")
+        zones_to_csv(res.zs, cfg.outdir / "zones.csv")
+        profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
 
 
 def _write_report(cfg: RunConfig, res: Analysis) -> None:
@@ -563,8 +577,8 @@ def _write_report(cfg: RunConfig, res: Analysis) -> None:
     except ValueError as exc:
         raise AdmissibilityError(str(exc)) from None
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    report_to_csv(result, bound, cfg.outdir / "report.csv")
+    with _writing(cfg.outdir):
+        report_to_csv(result, bound, cfg.outdir / "report.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +587,8 @@ def _write_report(cfg: RunConfig, res: Analysis) -> None:
 def cmd_synth(cfg: RunConfig) -> int:
     """Write the configured signal as <outdir>/signal.csv."""
     _, sig = build_signal(cfg)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    signal_to_csv(sig, cfg.outdir / "signal.csv")
+    with _writing(cfg.outdir):
+        signal_to_csv(sig, cfg.outdir / "signal.csv")
     return 0
 
 
@@ -605,7 +619,8 @@ def cmd_demo(cfg: RunConfig) -> int:
     """synth + analyze + recover with the canned settings, analyzing once."""
     res = run_analysis(cfg)
     _write_analysis(cfg, res)
-    signal_to_csv(res.sig, cfg.outdir / "signal.csv")
+    with _writing(cfg.outdir):
+        signal_to_csv(res.sig, cfg.outdir / "signal.csv")
     _write_report(cfg, res)
     return 0
 

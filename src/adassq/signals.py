@@ -218,7 +218,7 @@ def example2_spec() -> SignalSpec:
 # ------------------------------------------------------------------ CSV I/O
 
 # cells per chunk of write_table: the writer's memory grows with the chunk
-_CHUNK_CELLS = 1024
+_CHUNK_CELLS = 8192
 
 
 def write_table(path, header: str, *columns) -> None:
@@ -232,10 +232,13 @@ def write_table(path, header: str, *columns) -> None:
 
     A column smaller than the table (an axis such as xi[:, None] or b) is
     formatted once, whole.  A cell whose full-size columns are all
-    bit-equal to zero (most of a squeezed plane) is blank: blank cells
-    share one string per table column, and every other cell is formatted
-    once.  Cells go about _CHUNK_CELLS (at least one row) at a time, so
-    memory is bounded by the chunk and the axes, not by the table.
+    bit-equal to zero (most of a squeezed plane) is blank, and one whose
+    full-size columns are all NaN floats (omega.csv off its support) is
+    void: blank and void cells share one string per table column.  Cells
+    go about _CHUNK_CELLS (at least one row) at a time, so memory is
+    bounded by the chunk and the axes, not by the table: a chunk's lines
+    are one "%" template, with a %.17g or %d slot per live cell and
+    full-size column, filled by one "%" call.
     """
     def joined(parts: list, rs: slice) -> Array:
         """",".join of strings and string arrays, broadcast, in rows rs."""
@@ -246,22 +249,27 @@ def write_table(path, header: str, *columns) -> None:
 
     cols = [np.atleast_2d(c) for c in columns]
     rows, width = np.broadcast_shapes((1, 1), *(c.shape for c in cols))
-    fmts = ["{:d}" if c.dtype.kind in "biu" else "{:.17g}" for c in cols]
+    fmts = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in cols]
     if fmts:
         fmts[-1] += "\n"
     # an axis becomes its strings, 2-D (rows, 1) if they vary by row and
     # 1-D if not; a full-size column its format, a live cell's slot
-    parts = [np.array(list(map(f.format, c.ravel().tolist())), dtype=object)
+    parts = [np.array(list(map(f.__mod__, c.ravel().tolist())), dtype=object)
              .reshape(c.shape if len(c) > 1 else -1)
              if c.size < rows * width else f for c, f in zip(cols, fmts)]
+    full = [c for c, p in zip(cols, parts) if isinstance(p, str)]
     # a line is its row's prefix (the leading axes that vary by row) and
     # its cell's tail; a blank cell's tail prints 0 (+0.0, 0, False) in
-    # each slot
+    # each slot and, where every full-size column is a float, a void
+    # cell's prints nan; formatted numbers hold no "%", so the slots are
+    # a chunk template's only directives
     lead = next((i for i, p in enumerate(parts) if np.ndim(p) < 2),
                 len(parts))
     prefix = np.broadcast_to(joined(parts[:lead] + [""], slice(None)),
                              (rows, 1))[:, 0].tolist()
-    zeros = [p.format(0) if isinstance(p, str) else p for p in parts[lead:]]
+    zeros = [p % 0 if isinstance(p, str) else p for p in parts[lead:]]
+    nans = [p % math.nan if isinstance(p, str) else p for p in parts[lead:]] \
+        if full and all(c.dtype.kind == "f" for c in full) else []
     step = max(1, _CHUNK_CELLS // max(width, 1))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
@@ -269,17 +277,21 @@ def write_table(path, header: str, *columns) -> None:
             rs = slice(r, r + step)
             if r == 0 or any(np.ndim(p) > 1 for p in zeros):
                 slots, blanks = joined(parts[lead:], rs), joined(zeros, rs)
-            chunk = [np.broadcast_to(c, (rows, width))[rs]
-                     for c, p in zip(cols, parts) if isinstance(p, str)]
+                voids = joined(nans, rs)
+            chunk = [np.broadcast_to(c, (rows, width))[rs] for c in full]
             live = np.zeros((len(prefix[rs]), width), dtype=bool)
             for c in chunk:
                 live |= c.view(f"u{c.itemsize}") != 0
-            cells = np.broadcast_to(blanks, live.shape).copy()
-            cells[live] = list(map(
-                str.format, np.broadcast_to(slots, live.shape)[live].tolist(),
-                *(c[live].tolist() for c in chunk)))
-            fh.writelines(map(str.__add__, prefix[rs],
-                              map(str.join, prefix[rs], cells.tolist())))
+            cells = np.where(live, slots, blanks)
+            if nans:
+                void = np.logical_and.reduce([np.isnan(c) for c in chunk])
+                live &= ~void
+                cells[void] = np.broadcast_to(voids, void.shape)[void]
+            values = [None] * (int(live.sum()) * len(chunk))
+            for j, c in enumerate(chunk):
+                values[j::len(chunk)] = c[live].tolist()
+            fh.write("".join(map(str.__add__, prefix[rs], map(
+                str.join, prefix[rs], cells.tolist()))) % tuple(values))
 
 
 def signal_to_csv(sig: SampledSignal, path) -> None:

@@ -31,9 +31,11 @@ What is proven here
    certified on the interior under T1 and S2.
 5. Contract: exit codes 0/2/3/4 distinguish success, configuration
    failures, inadmissible window widths, and recovery without ground
-   truth; a malformed sample file exits 2 naming its line, before any
-   output is written, and so does one whose sampling rate leaves no band
-   to analyze; so does every Hypothesis mutation of a valid file (short
+   truth; an outdir that is a regular file or lies below one, and an
+   output file that cannot be opened, exit 2 naming [run] outdir, for
+   every command; a malformed sample file exits 2 naming its line,
+   before any output is written, and so does one whose sampling rate
+   leaves no band to analyze; so does every Hypothesis mutation of a valid file (short
    rows, non-numeric, non-UTF-8 and non-finite cells, a quoted cell that
    runs on to the next line, off-grid, swapped, decreasing or overflowing
    times, an empty body, a bad header), never with a traceback; a
@@ -588,6 +590,37 @@ def test_exit_codes(tmp_path, capsys):
     # width rules that need component knowledge reject sample files early
     assert run("analyze", "--signal-file", str(src), "--sigma", "sigma1",
                "--outdir", str(ok)) == 2
+
+
+_COMMAND_ARGS = {
+    "synth": ("synth", "--preset", "example1"),
+    "analyze": ("analyze", "--n", "256", "--fs", "256", "--components",
+                "tone:20"),
+    "recover": ("recover", "--preset", "example1"),
+    "demo": ("demo", "example1"),
+}
+
+
+@pytest.mark.parametrize("below", ["", "out"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_unusable_outdir_exits_2(tmp_path, capsys, command, below):
+    # the outdir is a regular file, or a directory below one
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    outdir = blocker / below if below else blocker
+    assert run(*_COMMAND_ARGS[command], "--outdir", str(outdir)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: [run] outdir: cannot write to {outdir}:" in err
+    assert "Traceback" not in err and blocker.read_text() == ""
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "signal.csv").mkdir(parents=True)
+    assert run("synth", "--preset", "example1", "--outdir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"[run] outdir: cannot write to {out}:" in err
+    assert "signal.csv" in err and "Traceback" not in err
 
 
 def test_reruns_are_byte_identical(demo1, tmp_path):

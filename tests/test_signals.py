@@ -16,9 +16,14 @@ Proof groups:
      and bool columns, rows shorter and longer than a chunk, and no rows,
      over sparse planes whose blank cells (+0.0, 0, False in every full
      column) share a string while -0.0 and partly zero cells do not, in
-     the tf.csv (xi, b) and report.csv (b, k) axis orders, and on the
-     tf.csv and omega.csv of a real analyze run; its tracemalloc peak on
-     a mostly blank plane does not grow with the plane's height
+     the tf.csv (xi, b) and report.csv (b, k) axis orders, over
+     omega-like float planes that are NaN off their support (all-NaN
+     cells share a string while cells that mix NaN with numbers do not),
+     and on the tf.csv and omega.csv of a real analyze run; its "%.17g"
+     and "%d" slots print what "{:.17g}" and "{:d}" printed, over signed
+     zeros, NaN payloads, infinities, subnormals, exact int64 and bools;
+     its tracemalloc peak on a mostly blank plane does not grow with the
+     plane's height
   6. tone and linear_chirp, shorthands for poly_phase, give A and phi to
      phi''' bit for bit what their old hand-written closures (kept
      here as the oracle) gave, over random frequencies, rates, amplitudes
@@ -274,10 +279,36 @@ def _plane(draw, rng, height, width):
     return axes + columns
 
 
+@settings(max_examples=500, deadline=None)
+@given(_FLOAT_CELLS, _INT_CELLS | st.booleans())
+def test_percent_slots_print_what_str_format_printed(x, v):
+    assert "%.17g" % x == "{:.17g}".format(x)
+    assert "%d" % v == "{:d}".format(v)
+
+
+def _omega_plane(draw, rng, height, width):
+    """omega.csv's layout: axes (a, b), then one to three float columns
+    that are NaN, of either sign and any payload, off one support.  On the
+    support a column's cell is NaN with probability 0.3, so some cells mix
+    NaN with numbers and some are NaN in every column."""
+    axes = [np.arange(height)[:, None] / 8.0, np.arange(width) / 256.0]
+    support = rng.random((height, width)) < draw(
+        st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+    nans = np.array(_NANS)
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = np.array(draw(st.lists(_FLOAT_CELLS, min_size=1, max_size=6)))
+        col = nans[rng.integers(len(nans), size=support.shape)]
+        on = support & (rng.random(support.shape) < 0.7)
+        col[on] = pool[rng.integers(len(pool), size=int(on.sum()))]
+        columns.append(col)
+    return axes + columns
+
+
 @st.composite
 def _tables(draw):
-    """Broadcast columns of one dominant value mixed with others, and
-    sparse planes.
+    """Broadcast columns of one dominant value mixed with others and
+    sparse planes, or (a quarter of the tables) an omega-like plane.
 
     Widths of one chunk and more make rows as long as and longer than a
     chunk; narrower tables get up to three chunks' worth of cells, so
@@ -287,6 +318,8 @@ def _tables(draw):
                                   _CHUNK_CELLS + 76]))
     height = draw(st.integers(0, 3 * _CHUNK_CELLS // max(width, 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        return _omega_plane(draw, rng, height, width)
     columns = []
     for kind in draw(st.lists(st.sampled_from(
             ["rows", "cols", "flat", "float", "int", "bool", "plane"]),

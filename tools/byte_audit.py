@@ -50,6 +50,10 @@ RUNS = {
     "demo-example2": ["demo", "example2"],
     "analyze-1024": ["analyze", "--n", "1024", "--fs", "256",
                      "--components", _EX1],
+    # a raised threshold masks most of omega.csv: its NaN cells are the
+    # bulk of the file, not a border
+    "analyze-1024-gamma1": ["analyze", "--n", "1024", "--fs", "256",
+                            "--components", _EX1, "--gamma1", "0.6"],
     "analyze-4096": ["analyze", "--n", "4096", "--fs", "256",
                      "--components", "chirp:20:1; chirp:50:2; tone:90"],
     "recover-example2-t2": ["recover", "--preset", "example2", "--sigma",
