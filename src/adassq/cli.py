@@ -9,9 +9,14 @@ analyze   run the adaptive transform and frequency reassignment; write
 recover   reconstruct each component along its ground-truth ridge, compare
           against the exact component, and write report.csv with the
           theoretical error bound and a within_bound flag per cell
-demo      canned end-to-end runs: ``demo example1`` (first-order pipeline
-          with the automatic order-1 window profile) and ``demo example2``
+demo      analyze + synth + recover from one analysis, with canned
+          settings: ``demo example1`` (first-order pipeline with the
+          automatic order-1 window profile) and ``demo example2``
           (second-order pipeline with the order-2 profile)
+
+One function, ``run_command``, runs every command: it computes everything
+the command writes before it writes any of it, so a command that fails
+writes nothing.
 
 Configuration is a flat ``key = value`` text file with ``[section]``
 headers.  One table, ``_KEYS``, gives each key its section, default, flag
@@ -33,11 +38,17 @@ Synthesized components must keep their instantaneous frequency inside
 Exit codes: 0 success, 2 malformed configuration (including a malformed
 sample file or width table, a sampling value the source contradicts, a
 component above Nyquist, a rate too low to leave any band, or an
-output directory or output file that cannot be created), 3
-inadmissible window-width profile for the requested analysis, components
-out of frequency order, a negative component amplitude (recover), or
-samples, a transform stack or a squeezed plane over the 1 GiB memory
-limit, 4 recovery requested for a signal without ground truth.
+output directory or output file that cannot be created, components
+whose sum overflows), 3 inadmissible window-width profile for the
+requested analysis, components out of frequency order, a negative
+component amplitude (recover), samples, a transform stack or a squeezed
+plane over the 1 GiB memory limit, or a non-finite result: widths, a
+scale range, a transform stack (or one whose products overflow in a
+second-order phase transform) or a recovery error or bound that is not
+finite, named with the inputs that set its range, 4 recovery requested
+for a signal without ground truth.  Finite or fail: the stages that can
+overflow run with numpy's warnings off and their results are checked,
+so no run exits 0 after an overflow.
 """
 from __future__ import annotations
 
@@ -53,9 +64,9 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import bounds_first, bounds_second, normalizers, recover, \
-    report_to_csv
-from .cwt import FIELD_NAMES, ScaleGrid, compute_stack
+from .bounds import RecoveryResult, bounds_first, bounds_second, \
+    normalizers, recover, report_to_csv
+from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
@@ -393,7 +404,12 @@ def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
         return None, cfg.source
     if cfg.components is not None:
         _check_nyquist(cfg.source)
-    return cfg.source, synthesize(cfg.source)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        sig = synthesize(cfg.source)
+    if not np.isfinite(sig.x).all():
+        raise ConfigError("[signal] components: the sum of the components "
+                          "overflows; lower their amplitudes")
+    return cfg.source, sig
 
 
 def _read_sigma_table(path: Path, t: np.ndarray) -> SigmaProfile:
@@ -427,11 +443,18 @@ def build_profile(cfg: RunConfig, spec: SignalSpec | None, t: np.ndarray,
         raise ConfigError(f"[sigma] kind: {cfg.sigma_kind} needs a signal "
                           "with known components, not a sample file")
     try:
-        if cfg.sigma_kind == "sigma1":
-            return sigma1(spec, wm)
-        return sigma2(spec, wm)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            profile = (sigma1 if cfg.sigma_kind == "sigma1" else sigma2)(
+                spec, wm)
     except ValueError as exc:
         raise AdmissibilityError(str(exc)) from None
+    if not (np.isfinite(profile.sigma).all()
+            and np.isfinite(profile.dsigma).all()):
+        raise AdmissibilityError(
+            f"[sigma] kind: the {cfg.sigma_kind} widths are not finite; "
+            f"[window] mu = {cfg.mu:g} sets their scale alpha/mu = "
+            f"{wm.alpha / wm.mu:g}")
+    return profile
 
 
 def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
@@ -449,6 +472,55 @@ def _check_stack(scales: int, cfg: RunConfig) -> None:
     _check_size(len(FIELD_NAMES) * 16 * scales * cfg.n,
                 f"a transform stack of {scales} scales by {cfg.n} times",
                 f"; [grid] voices_per_octave is {cfg.voices}")
+
+
+# the stack fields phase_first reads; the second-order variants read all
+_FIRST_ORDER_FIELDS = ("w", "db_w", "w_tgp")
+
+
+def _check_finite(stack: CwtStack, cfg: RunConfig) -> None:
+    """Exit 3 unless every stack field the variant reads is finite and,
+    for a second-order variant, small enough that the products of two
+    fields in chirp_rate_estimate stay finite; the message names the
+    inputs that set the stack's range."""
+    names = _FIRST_ORDER_FIELDS if cfg.order == 1 else FIELD_NAMES
+    # largest |re| or |im| of each field, nan if any cell is nan: two
+    # passes over a float view, no temporary the size of a field
+    top = {}
+    for name in names:
+        parts = getattr(stack, name).view(np.float64)
+        top[name] = max(float(np.max(parts)), -float(np.min(parts)))
+    bad = next((name for name in names if not math.isfinite(top[name])),
+               None)
+    if bad is not None:
+        what = f"{bad} is not finite"
+    else:
+        bad = max(top, key=top.get)
+        dln = float(np.max(np.abs(stack.profile.dsigma
+                                  / stack.profile.sigma)))
+        # a cell's modulus is at most sqrt(2) * top, so |numerator| and
+        # |denominator| of the chirp-rate estimate are at most
+        # 4 * top**2 * (1 + a + |sigma'/sigma|); Python floats, so an
+        # overflow is inf, not a warning
+        if cfg.order == 1 or math.isfinite(
+                4.0 * top[bad] * top[bad] * (1.0 + float(stack.a[-1]) + dln)):
+            return
+        what = (f"{bad} reaches {top[bad]:g}, so the products of two fields "
+                f"in the {cfg.variant} phase transform overflow")
+    with np.errstate(over="ignore"):
+        x_top = np.max(np.abs(stack.sig.x))
+    raise AdmissibilityError(
+        f"transform stack: {what}; its range is set by "
+        f"{_window_inputs(cfg, stack.profile)} and the largest sample "
+        f"magnitude {x_top:g}")
+
+
+def _window_inputs(cfg: RunConfig, profile: SigmaProfile) -> str:
+    """The window's inputs, for a message about a non-finite result."""
+    width = f"[sigma] value = {cfg.sigma_value:g}" \
+        if cfg.sigma_kind == "constant" else f"{cfg.sigma_kind} widths " \
+        f"{np.min(profile.sigma):g} to {np.max(profile.sigma):g}"
+    return f"[window] mu = {cfg.mu:g}, {width}"
 
 
 @dataclass(frozen=True)
@@ -476,12 +548,8 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     profile = build_profile(cfg, spec, sig.t, wm)
     check_admissible(profile, wm)
 
-    zs = None
-    if spec is not None:
-        try:
-            zs = zones(spec, wm, profile, order=cfg.order)
-        except ValueError as exc:
-            raise AdmissibilityError(str(exc)) from None
+    with np.errstate(over="ignore"):    # the scale range is checked below
+        zs = None if spec is None else zones(spec, wm, profile, cfg.order)
     if zs is not None and np.any(zs.valid):
         a_min, a_max = zs.span(margin=1.25)
     else:
@@ -494,9 +562,16 @@ def run_analysis(cfg: RunConfig) -> Analysis:
             raise ConfigError(
                 f"{where}: sampling rate {sig.fs:.6g} Hz leaves no band "
                 "between 0.8 Hz and 1.25x Nyquist")
+    # the grid's top scale is below 2 * a_max
+    if not (a_min > 0.0 and math.isfinite(2.0 * a_max / a_min)):
+        raise AdmissibilityError(
+            f"[window] mu = {cfg.mu:g} puts the scales at {a_min:g} to "
+            f"{a_max:g}, past the float range")
     _check_stack(ScaleGrid.size(a_min, a_max, cfg.voices), cfg)
     grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
-    stack = compute_stack(sig, profile, wm, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        stack = compute_stack(sig, profile, wm, grid)
+    _check_finite(stack, cfg)
     base = SqueezeConfig.for_stack(stack)
     if cfg.xi_bins > 0:
         base = SqueezeConfig(xi_min=base.xi_min, xi_max=base.xi_max,
@@ -545,69 +620,49 @@ def _writing(outdir: Path):
                           f"{exc}") from None
 
 
-def _write_analysis(cfg: RunConfig, res: Analysis) -> None:
-    with _writing(cfg.outdir):
-        tf_to_csv(res.tf, cfg.outdir / "tf.csv")
-        if cfg.pgm:
-            tf_to_pgm(res.tf, cfg.outdir / "tf.pgm")
-        _omega_to_csv(res, cfg.outdir / "omega.csv")
-        zones_to_csv(res.zs, cfg.outdir / "zones.csv")
-        profile_to_csv(res.profile, cfg.outdir / "sigma.csv")
-
-
-def _write_report(cfg: RunConfig, res: Analysis) -> None:
-    # cmd_recover has rejected a sample file: the source is a spec
+def _report(cfg: RunConfig, res: Analysis) -> tuple[RecoveryResult,
+                                                   np.ndarray]:
+    """(recovery against the truth, its error bound); run_command has
+    rejected a sample file, so the source is a spec."""
     spec, wm, profile, t = cfg.source, res.wm, res.profile, res.sig.t
     ridge = tracks(spec, t)[0]
     truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
                        for c in spec.components])
     try:
-        eps3 = _resolve_eps3(cfg, ridge)
-        if cfg.order == 1:
-            norms = normalizers(spec, wm, profile)
-            rep = bounds_first(spec, wm, profile, res.zs, cfg.gamma1)
-            bound, mode = rep.recovery_bound, "first"
-        else:
-            norms = normalizers(spec, wm, profile, zs=res.zs)
-            rep = bounds_second(spec, wm, profile, res.zs, cfg.gamma1,
-                                res.plane.gamma2)
-            bound, mode = rep.recovery_bound_main / np.abs(norms.c_k), "second"
-        result = recover(res.tf, norms, ridge, eps3, mode=mode, truth=truth,
-                         real_signal=(spec.mode == "real"))
+        # checked below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            eps3 = _resolve_eps3(cfg, ridge)
+            if cfg.order == 1:
+                norms = normalizers(spec, wm, profile)
+                rep = bounds_first(spec, wm, profile, res.zs, cfg.gamma1)
+                bound, mode = rep.recovery_bound, "first"
+            else:
+                norms = normalizers(spec, wm, profile, zs=res.zs)
+                rep = bounds_second(spec, wm, profile, res.zs, cfg.gamma1,
+                                    res.plane.gamma2)
+                bound = rep.recovery_bound_main / np.abs(norms.c_k)
+                mode = "second"
+            result = recover(res.tf, norms, ridge, eps3, mode=mode,
+                             truth=truth, real_signal=(spec.mode == "real"))
     except ValueError as exc:
         raise AdmissibilityError(str(exc)) from None
-
-    with _writing(cfg.outdir):
-        report_to_csv(result, bound, cfg.outdir / "report.csv")
+    # nan marks a row whose zone is undefined (no certificate); an
+    # infinity is an overflow or a normalizer that underflowed to zero
+    for what, values in (("error bound", bound),
+                         ("recovery error", result.abs_error)):
+        if np.isinf(values).any():
+            raise AdmissibilityError(
+                f"recovery: the {what} overflows; the normalizers and "
+                f"bounds are set by {_window_inputs(cfg, profile)}")
+    return result, bound
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_synth(cfg: RunConfig) -> int:
-    """Write the configured signal as <outdir>/signal.csv."""
-    _, sig = build_signal(cfg)
-    with _writing(cfg.outdir):
-        signal_to_csv(sig, cfg.outdir / "signal.csv")
-    return 0
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
-    """Write tf.csv (+ tf.pgm), omega.csv, zones.csv, sigma.csv."""
-    _write_analysis(cfg, run_analysis(cfg))
-    return 0
-
-
-def cmd_recover(cfg: RunConfig) -> int:
-    """Write report.csv: estimates vs. truth against the error bound."""
-    if cfg.file is not None:
-        raise MissingTruthError(
-            "recovery compares against ground truth, which a sample file "
-            "does not carry; define the signal by preset or components")
-    _write_report(cfg, run_analysis(cfg))
-    return 0
-
-
+# command -> the commands whose files it writes; demo is the three at once
+_PARTS = {"synth": ("synth",), "analyze": ("analyze",),
+          "recover": ("recover",), "demo": ("analyze", "synth", "recover")}
 _DEMO_OVERRIDES = {
     preset: {("signal", "preset"): preset, ("sigma", "kind"): kind,
              ("run", "variant"): variant}
@@ -615,13 +670,32 @@ _DEMO_OVERRIDES = {
                                   ("example2", "sigma2", "S2"))}
 
 
-def cmd_demo(cfg: RunConfig) -> int:
-    """synth + analyze + recover with the canned settings, analyzing once."""
-    res = run_analysis(cfg)
-    _write_analysis(cfg, res)
-    with _writing(cfg.outdir):
-        signal_to_csv(res.sig, cfg.outdir / "signal.csv")
-    _write_report(cfg, res)
+def run_command(command: str, cfg: RunConfig) -> int:
+    """Compute everything the command writes, then write it: a failing
+    command writes nothing, and demo writes what analyze, synth and
+    recover write, from one analysis."""
+    parts = _PARTS[command]
+    if "recover" in parts and cfg.file is not None:
+        raise MissingTruthError(
+            "recovery compares against ground truth, which a sample file "
+            "does not carry; define the signal by preset or components")
+    res = None if command == "synth" else run_analysis(cfg)
+    sig = build_signal(cfg)[1] if res is None else res.sig
+    if "recover" in parts:
+        result, bound = _report(cfg, res)
+    out = cfg.outdir
+    with _writing(out):
+        if "analyze" in parts:
+            tf_to_csv(res.tf, out / "tf.csv")
+            if cfg.pgm:
+                tf_to_pgm(res.tf, out / "tf.pgm")
+            _omega_to_csv(res, out / "omega.csv")
+            zones_to_csv(res.zs, out / "zones.csv")
+            profile_to_csv(res.profile, out / "sigma.csv")
+        if "synth" in parts:
+            signal_to_csv(sig, out / "signal.csv")
+        if "recover" in parts:
+            report_to_csv(result, bound, out / "report.csv")
     return 0
 
 
@@ -665,8 +739,6 @@ def _make_parser() -> argparse.ArgumentParser:
     return top
 
 
-_COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
-             "recover": cmd_recover, "demo": cmd_demo}
 _EXITS = {ConfigError: (2, "config"), AdmissibilityError: (3, "admissibility"),
           MissingTruthError: (4, "recovery")}
 
@@ -681,7 +753,7 @@ def main(argv: list[str] | None = None) -> int:
     config = getattr(args, "config", None)
     try:
         cfg = load_config(Path(config) if config else None, overrides)
-        return _COMMANDS[args.command](cfg)
+        return run_command(args.command, cfg)
     except tuple(_EXITS) as exc:
         code, label = _EXITS[type(exc)]
         print(f"{label} error: {exc}", file=sys.stderr)

@@ -86,7 +86,7 @@ def spectral_coefficients(sig: SampledSignal) -> tuple[Array, Array]:
     X = np.fft.fft(x) / n
     if np.iscomplexobj(x):
         xi = np.arange(n) * fs / n
-        return xi, X.astype(complex)
+        return xi, X
     half = n // 2
     xi = np.arange(half + 1) * fs / n
     c = 2.0 * X[: half + 1]

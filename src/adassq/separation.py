@@ -154,7 +154,7 @@ def sigma2(spec: SignalSpec, wm: WindowModel, b=None) -> SigmaProfile:
         return np.maximum(wm.alpha / wm.mu, np.max(pair, axis=0))
 
     sigma = value(b)        # first, so a failure is named at a time of b
-    h = 1e-4 * max(spec.duration, 1.0 / spec.fs)
+    h = 1e-4 * spec.duration
     dsig = (-value(b + 2 * h) + 8 * value(b + h)
             - 8 * value(b - h) + value(b - 2 * h)) / (12.0 * h)
     return SigmaProfile(b=b, sigma=sigma, dsigma=dsig, kind="sigma2")

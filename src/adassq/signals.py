@@ -125,8 +125,7 @@ def synthesize(spec: SignalSpec) -> SampledSignal:
     analytic = spec.mode == "complex"
     x = np.zeros(spec.n, dtype=complex if analytic else float)
     for comp in spec.components:
-        term = comp.evaluate(t, analytic)
-        x = x + (term if analytic else term.real)
+        x = x + comp.evaluate(t, analytic)
     return SampledSignal(t=t, x=x)
 
 

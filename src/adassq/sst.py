@@ -49,7 +49,7 @@ def _first_order(stack: CwtStack) -> Array:
     cell: the one first-order estimate, phase_first's and the fallback's."""
     dln = (stack.profile.dsigma / stack.profile.sigma)[None, :]
     # one expression, so numpy reuses its temporaries
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return stack.db_w / (2j * np.pi * stack.w) \
             + (dln / (2j * np.pi)) * (1.0 + stack.w_tgp / stack.w)
 
@@ -86,25 +86,15 @@ def chirp_rate_estimate(stack: CwtStack) -> tuple[Array, Array]:
         + a * (stack.w * stack.da_w_tg - stack.w_tg * stack.da_w)
     numer = stack.w * stack.dadb_w - stack.da_w * stack.db_w \
         + dln * (stack.w * stack.da_w_tgp - stack.w_tgp * stack.da_w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r0 = numer / denom
         cond = np.abs(denom) / np.square(np.abs(stack.w))
     return r0, cond
 
 
-def _gamma2_floor(cond: Array, mask: Array) -> float:
-    vals = cond[mask]
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        return 1e-4
-    return 1e-4 * float(np.median(vals))
-
-
 def default_gamma2(stack: CwtStack, gamma1: float) -> float:
     """Median-based conditioning floor: 1e-4 of the typical |d/da(a*w_tg/w)|."""
-    mask = _above_gamma1(stack, gamma1)
-    _, cond = chirp_rate_estimate(stack)
-    return _gamma2_floor(cond, mask)
+    return phase_second(stack, gamma1).gamma2
 
 
 def phase_second(stack: CwtStack, gamma1: float,
@@ -122,7 +112,9 @@ def phase_second(stack: CwtStack, gamma1: float,
     mask1 = _above_gamma1(stack, gamma1)
     r0, cond = chirp_rate_estimate(stack)
     if gamma2 is None:
-        gamma2 = _gamma2_floor(cond, mask1)
+        vals = cond[mask1]
+        vals = vals[np.isfinite(vals)]
+        gamma2 = 1e-4 * (float(np.median(vals)) if vals.size else 1.0)
     if gamma2 < 0.0:
         raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
     with np.errstate(invalid="ignore"):
@@ -130,7 +122,7 @@ def phase_second(stack: CwtStack, gamma1: float,
 
     a = stack.a[:, None]
     first = _first_order(stack)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         omega2 = (first - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
     fallback = np.where(mask1, first.real, np.nan) if hybrid else np.nan
     return PhasePlane(omega=np.where(mask2, omega2, fallback), gamma2=gamma2)

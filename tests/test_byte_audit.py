@@ -12,11 +12,16 @@ What is proven here
 4. Each run gets one line, its SHA-256 verdict and its CLI wall time in
    either tree, whether its files differ or not; exit codes are as
    before.
+5. A run whose stderr has lines with "Warning" in either tree shows both
+   counts on its line, and the last line adds both totals; the verdict
+   and the exit code do not change.
 """
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +94,24 @@ def test_audit_prints_each_runs_wall_time_beside_its_verdict(monkeypatch,
     assert capsys.readouterr().out.splitlines() == [
         "run: every SHA-256 equal; wall 0.27 s -> 0.18 s",
         "1 output files of 1 runs: every SHA-256 equal"]
+
+
+def test_audit_counts_each_runs_warning_lines(monkeypatch, capsys):
+    # no command starts: the run named "loud" warns twice in the parent
+    warning = "x.py:1: RuntimeWarning: overflow\n  y = 2 * x\n"
+
+    def run(argv, env, cwd, capture_output, text):
+        loud = argv[-1].endswith("loud") and cwd.name == "parent"
+        return subprocess.CompletedProcess(argv, 0, "",
+                                           2 * warning if loud else "")
+    monkeypatch.setattr(byte_audit.subprocess, "run", run)
+    monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
+    monkeypatch.setattr(byte_audit, "RUNS", {"quiet": [], "loud": []})
+    assert byte_audit.main(["parent-tree", "new-tree"]) == 0
+    out = [re.sub(r"wall [\d.]+ s -> [\d.]+ s", "wall", line)
+           for line in capsys.readouterr().out.splitlines()]
+    assert out == [
+        "quiet: every SHA-256 equal; wall",
+        "loud: every SHA-256 equal; wall; warning lines 2 -> 0",
+        "0 output files of 2 runs: every SHA-256 equal; "
+        "warning lines 2 -> 0"]

@@ -13,7 +13,9 @@ What is proven here
    their sampling parameters, synth and analyze read a sample file once,
    and window-width tables are validated
    against the signal's time grid, with an off-grid time, a nonpositive
-   width, a short row or a non-finite value reported by its file line.
+   width, a short row or a non-finite value reported by its file line,
+   while a valid table is the run's profile and comes back as sigma.csv
+   byte for byte.
 2. synth: the presets write the documented signal.csv files (256 rows for
    both running examples, zero-filled rows for the silent preset) and the
    bytes agree with the library's own writer.
@@ -52,10 +54,16 @@ What is proven here
    components out of frequency order, with eps3 auto or set, and on a
    negative amplitude, naming its component, with no output; reruns of
    the same configuration are byte-identical; importing the command
-   loads no scipy module, since numpy is the only runtime dependency.
+   loads no scipy module, since numpy is the only runtime dependency;
+   with RuntimeWarning an error, Hypothesis runs with mu, width,
+   amplitudes or sample magnitude near either end of the float range
+   exit 0, 2, 3 or 4 without a traceback, and on exit 0 no output file
+   holds an infinity (finite or fail).
 6. demo: one transform stack per run, freed when run_analysis returns
    while its result lives on, and the same bytes as separate synth,
-   analyze and recover runs with the demo's settings.
+   analyze and recover runs with the demo's settings; a demo whose
+   report step fails exits 3 and writes nothing, and recover of a sample
+   file exits 4 before any analysis.
 """
 from __future__ import annotations
 
@@ -66,6 +74,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -184,8 +193,8 @@ def test_file_and_flag_give_the_same_config(row, tmp_path, monkeypatch):
     from_file = load_config(_write_cfg(
         tmp_path / "key.cfg", {**context, (row.section, row.key): value}))
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "synth",
-                        lambda cfg: seen.append(cfg) or 0)
+    monkeypatch.setattr(cli, "run_command",
+                        lambda command, cfg: seen.append(cfg) or 0)
     assert run("synth", "--config",
                str(_write_cfg(tmp_path / "context.cfg", context)),
                row.flag, value) == 0
@@ -369,6 +378,25 @@ def test_sigma_table_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "[sigma] table: line 7:" in err, err
         assert not (tmp_path / name).exists()
+
+
+def test_valid_sigma_table_is_the_profile(tmp_path):
+    t = np.arange(256) / 256.0          # example1's time grid
+    table = tmp_path / "widths.csv"
+    table.write_text("b,sigma,dsigma\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row
+        for row in zip(t, 1.2 + 0.1 * np.sin(2.0 * np.pi * t),
+                       0.2 * np.pi * np.cos(2.0 * np.pi * t))))
+    out = tmp_path / "out"
+    cfg = load_config(None, {("signal", "preset"): "example1",
+                             ("sigma", "kind"): "table",
+                             ("sigma", "table"): str(table),
+                             ("run", "outdir"): str(out)})
+    profile = run_analysis(cfg).profile
+    assert profile.kind == "table"
+    assert np.array_equal(profile.sigma, 1.2 + 0.1 * np.sin(2.0 * np.pi * t))
+    assert cli.run_command("analyze", cfg) == 0
+    assert (out / "sigma.csv").read_bytes() == table.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +1024,61 @@ def test_negative_amplitude_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_MAX = 1.7976931348623157e308
+# every positive float, and the float range's two ends more often
+_EXTREME = st.one_of(st.floats(5e-324, _MAX),
+                     st.sampled_from([5e-324, 1e-320, 1e-200, 1e200, 1e300,
+                                      1e308, _MAX]))
+
+
+@st.composite
+def _extreme_runs(draw):
+    """(argv without --outdir, sample file body or None): a run of at most
+    64 samples whose mu, width, amplitudes or sample magnitude may sit near
+    either end of the float range."""
+    argv = [draw(st.sampled_from(["synth", "analyze", "recover"])),
+            "--variant", draw(st.sampled_from(["T1", "T2", "S2"])),
+            "--pgm", "no"]
+    for flag in ("--mu", "--sigma-value"):
+        if draw(st.booleans()):
+            argv += [flag, repr(draw(_EXTREME))]
+    n = draw(st.integers(4, 64))
+    if draw(st.booleans()):
+        amp = [draw(st.one_of(st.just(0.0), _EXTREME)) for _ in range(2)]
+        argv += ["--n", str(n), "--fs", "64", "--components",
+                 f"tone:8:{amp[0]!r}; chirp:20:4:{amp[1]!r}",
+                 "--sigma", draw(st.sampled_from(["constant", "sigma1",
+                                                  "sigma2"]))]
+        return argv, None
+    mag, t = draw(_EXTREME), np.arange(n) / 64.0
+    im = np.sin(2.0 * np.pi * 8.0 * t) if draw(st.booleans()) else 0.0 * t
+    return argv, "t,re,im\n" + "".join(     # tolist: Python floats' repr
+        f"{ti!r},{mag * c!r},{mag * s!r}\n" for ti, c, s in
+        zip(t.tolist(), np.cos(2.0 * np.pi * 8.0 * t).tolist(), im.tolist()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_extreme_runs())
+def test_extreme_inputs_fail_cleanly_or_stay_finite(tmp_path_factory, case):
+    argv, body = case
+    d = tmp_path_factory.mktemp("extreme")
+    if body is not None:
+        (d / "samples.csv").write_text(body)
+        argv = [*argv, "--signal-file", str(d / "samples.csv")]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, "--outdir", str(d / "out")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:   # nan marks masked ω, undefined zones, uncertified rows
+        for path in (d / "out").iterdir():
+            text = path.read_text()
+            assert "inf" not in text, path.name
+            assert path.name in ("omega.csv", "zones.csv", "report.csv") \
+                or "nan" not in text, path.name
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(adassq.__file__).resolve().parents[1]
     code = ("import sys, adassq.cli; print(sorted(m for m in sys.modules "
@@ -1035,6 +1118,29 @@ def test_stack_is_freed_when_run_analysis_returns(monkeypatch):
     assert len(refs) == 1
     assert refs[0]() is None
     assert res.tf.values.shape[1] == res.sig.t.size == 256
+
+
+def test_failing_demo_writes_nothing(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("no bound for this run")
+    monkeypatch.setattr(cli, "bounds_first", broken)
+    out = tmp_path / "out"
+    assert run("demo", "example1", "--outdir", str(out)) == 3
+    assert "admissibility error: no bound for this run" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_of_a_sample_file_exits_4_before_analysis(tmp_path,
+                                                           monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_analysis", calls.append)
+    src = tmp_path / "samples.csv"
+    src.write_text("t,re,im\n0,1,0\n0.5,0,0\n")
+    out = tmp_path / "out"
+    assert run("recover", "--signal-file", str(src), "--outdir",
+               str(out)) == 4
+    assert calls == [] and not out.exists()
 
 
 def test_demo_matches_separate_commands(demo1, tmp_path):

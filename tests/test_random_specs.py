@@ -10,6 +10,11 @@ Proof groups:
      spectral sum for any n from 2 to 300
   3. a known defect -- sigma2 loses its digits for chirp rates near 0
      (a strict xfail, so fixing it fails the suite until the mark goes)
+  4. an exact relation -- scaling every amplitude and gamma1 by 2**k keeps
+     omega, sigma and the zones bit for bit and scales the squeezed plane
+     and the report's abs_error and bound by exactly 2**k, in process on
+     random specs under T1 constant, T1 sigma1, T2 sigma2 and S2 sigma2,
+     and through the command line's files
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from adassq.bounds import (_NODES, _WEIGHTS, _band_normalizer, bounds_first,
                            bounds_second, normalizers, quad)
+from adassq.cli import _report, load_config, main, run_analysis
 from adassq.cwt import ScaleGrid, compute_stack, time_derivative_residual
 from adassq.separation import (constant_profile, sigma1, sigma2,
                                sigma2_coefficients, spectral_distance, zones)
@@ -375,3 +381,69 @@ def test_sigma2_tends_to_sigma1_as_the_chirp_vanishes(rate):
                       fs=64.0, n=64)
     np.testing.assert_allclose(sigma2(spec, WM).sigma,
                                sigma1(spec, WM).sigma, rtol=1e-6)
+
+
+# ---------------------------------------------------------------- group 4
+
+def _scaled_run(spec, variant, kind, scale):
+    """run_analysis and _report of spec with every amplitude and gamma1
+    (0.01) multiplied by scale."""
+    comps = "; ".join(
+        f"poly:{','.join(repr(float(c)) for c in comp.coeffs)}:"
+        f"{float(comp.amplitude) * scale!r}" for comp in spec.components)
+    cfg = load_config(None, {
+        ("signal", "components"): comps, ("signal", "fs"): "64",
+        ("signal", "n"): "64", ("signal", "mode"): spec.mode,
+        ("sigma", "kind"): kind, ("run", "variant"): variant,
+        ("thresholds", "gamma1"): repr(0.01 * scale)})
+    res = run_analysis(cfg)
+    return res, _report(cfg, res)
+
+
+# From a base level 2**j, not 1: at j = -40 the threshold is about 1e-14,
+# so an absolute offset in it (the relation's target) shows at any k.
+@settings(max_examples=25, deadline=None)
+@given(_specs(), st.integers(-40, 0), st.integers(-8, 8),
+       st.sampled_from([("T1", "constant"), ("T1", "sigma1"),
+                        ("T2", "sigma2"), ("S2", "sigma2")]))
+def test_amplitude_scaling_is_exact(spec, j, k, setting):
+    res, (rec, bound) = _scaled_run(spec, *setting, 2.0 ** j)
+    res2, (rec2, bound2) = _scaled_run(spec, *setting, 2.0 ** (j + k))
+    for got, want in ((res2.plane.omega, res.plane.omega),
+                      (res2.profile.sigma, res.profile.sigma),
+                      (res2.profile.dsigma, res.profile.dsigma),
+                      (res2.zs.lower, res.zs.lower),
+                      (res2.zs.upper, res.zs.upper),
+                      (res2.zs.valid, res.zs.valid),
+                      (res2.tf.values, res.tf.values * 2.0 ** k),
+                      (rec2.abs_error, rec.abs_error * 2.0 ** k),
+                      (bound2, bound * 2.0 ** k)):
+        _same_bits(got, want)
+
+
+def _cells(path):
+    """A CSV's header and its cells, parsed by Python's float."""
+    head, *rows = path.read_text().splitlines()
+    return head, np.array([[float(v) for v in row.split(",")]
+                           for row in rows])
+
+
+def test_amplitude_scaling_is_exact_through_the_files(tmp_path):
+    k = -3
+    for scale in (1.0, 2.0 ** k):
+        for command in ("analyze", "recover"):
+            assert main([command, "--n", "128", "--components",
+                         f"chirp:20:5:{scale!r}; tone:60:{1.5 * scale!r}",
+                         "--sigma", "sigma1", "--gamma1", repr(0.01 * scale),
+                         "--xi-bins", "200", "--pgm", "no",
+                         "--outdir", str(tmp_path / repr(scale))]) == 0
+    one, scaled = tmp_path / "1.0", tmp_path / repr(2.0 ** k)
+    for name in ("omega.csv", "sigma.csv", "zones.csv"):
+        assert (scaled / name).read_bytes() == (one / name).read_bytes()
+    # tf.csv: xi,b,re,im,abs; report.csv: b,k,abs_error,bound,within_bound
+    for name, kept in (("tf.csv", [0, 1]), ("report.csv", [0, 1, 4])):
+        (head, want), (head2, got) = _cells(one / name), _cells(scaled / name)
+        moved = [i for i in range(want.shape[1]) if i not in kept]
+        assert head2 == head
+        _same_bits(got[:, kept], want[:, kept])
+        _same_bits(got[:, moved], want[:, moved] * 2.0 ** k)

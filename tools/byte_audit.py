@@ -9,7 +9,11 @@ three workloads at seeds 0 and 1 among them, then compares the SHA-256
 of every output file and each run's exit code.  It prints one line per
 run, its verdict and its CLI wall time (spawn to exit) in the parent and
 the new tree, then what differs, and exits 1 if anything does, 0 if
-every file keeps its bytes.  The trees take each run back to back, the
+every file keeps its bytes.  It also counts the lines of each run's
+stderr that contain ``Warning`` (a numpy RuntimeWarning, say): a run that
+warns in either tree shows both counts on its line, and the last line
+adds the totals when any run warned.  Warnings never change the verdict
+or the exit code.  The trees take each run back to back, the
 parent first, and a wall time is one cold sample (the very first, of the
 parent, also pays for cold file caches).  Under each differing file it
 says how far the file moved: for a CSV with the same header and row
@@ -103,11 +107,16 @@ def write_inputs(inputs: Path) -> dict[str, list[str]]:
             for name, w in WORKLOADS.items() for seed in (0, 1)}
 
 
+# key under which run_in_tree returns a run's count of warning lines
+WARNED = " (warning lines)"
+
+
 def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
                 out: Path) -> tuple[dict[str, str], float]:
     """Run one command with tree/src first on the path; return each
-    output file's SHA-256 and the run's exit code, by relative name, and
-    the run's wall time in seconds."""
+    output file's SHA-256 and the run's exit code, by relative name (and
+    under name + WARNED its stderr lines that contain "Warning", if any),
+    and the run's wall time in seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     argv = [a.format(out=out, inputs=inputs) for a in args]
     start = time.perf_counter()
@@ -118,6 +127,9 @@ def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
     wall = time.perf_counter() - start
     print(f"{tree}: {name}: exit {proc.returncode}", file=sys.stderr)
     found = {f"{name} (exit code)": str(proc.returncode)}
+    warned = sum("Warning" in line for line in proc.stderr.splitlines())
+    if warned:
+        found[name + WARNED] = str(warned)
     for path in sorted((out / name).glob("*")):
         found[f"{name}/{path.name}"] = \
             hashlib.sha256(path.read_bytes()).hexdigest()
@@ -178,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         # run by run, the two trees back to back, so that drift in the
         # machine's load moves both wall times of a run alike
         old, new, old_wall, new_wall = {}, {}, {}, {}
+        warned = {"parent": {}, "new": {}}
         for label in ("parent", "new"):
             (work / label).mkdir()
         for name, run in runs.items():
@@ -186,16 +199,20 @@ def main(argv: list[str] | None = None) -> int:
                     ("new", args.new, new, new_wall)):
                 found, wall[name] = run_in_tree(tree, name, run, inputs,
                                                 work / label)
+                warned[label][name] = int(found.pop(name + WARNED, 0))
                 digests.update(found)
         differ = [key for key in sorted(old.keys() | new.keys())
                   if old.get(key) != new.get(key)]
         for name in runs:
             mine = [key for key in differ if key.partition("/")[0]
                     in (name, f"{name} (exit code)")]
+            counts = warned["parent"][name], warned["new"][name]
             print(f"{name}: "
                   + (f"{len(mine)} differ" if mine else "every SHA-256 equal")
                   + f"; wall {old_wall[name]:.2f} s -> "
-                  f"{new_wall[name]:.2f} s")
+                  f"{new_wall[name]:.2f} s"
+                  + ("; warning lines {} -> {}".format(*counts)
+                     if any(counts) else ""))
         for key in differ:
             print(f"differs: {key}: {old.get(key, 'missing')} -> "
                   f"{new.get(key, 'missing')}")
@@ -203,8 +220,11 @@ def main(argv: list[str] | None = None) -> int:
                 for line in moved(work / "parent" / key, work / "new" / key):
                     print(f"    {line}")
     files = sum(1 for key in old if not key.endswith("(exit code)"))
+    totals = [sum(warned[label].values()) for label in ("parent", "new")]
     print(f"{files} output files of {len(runs)} runs: "
-          + (f"{len(differ)} differ" if differ else "every SHA-256 equal"))
+          + (f"{len(differ)} differ" if differ else "every SHA-256 equal")
+          + ("; warning lines {} -> {}".format(*totals) if any(totals)
+             else ""))
     return 1 if differ else 0
 
 
