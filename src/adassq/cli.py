@@ -41,11 +41,13 @@ component above Nyquist, a rate too low to leave any band, or an
 output directory or output file that cannot be created, components
 whose sum overflows), 3 inadmissible window-width profile for the
 requested analysis, components out of frequency order, a negative
-component amplitude (recover), samples, a transform stack or a squeezed
-plane over the 1 GiB memory limit, or a non-finite result: widths, a
-scale range, a transform stack (or one whose products overflow in a
-second-order phase transform) or a recovery error or bound that is not
-finite, named with the inputs that set its range, 4 recovery requested
+component amplitude (recover), samples, an analysis (its squeezed plane,
+per-cell arrays, one block of the stack it walks in blocks and, where the
+stack takes the kernel product, a column's kernels) or a squeezed plane
+over the 1 GiB memory limit, or a non-finite result:
+widths, a scale range, a transform stack (or one whose products overflow
+in a second-order phase transform) or a recovery error or bound that is
+not finite, named with the inputs that set its range, 4 recovery requested
 for a signal without ground truth.  Finite or fail: the stages that can
 overflow run with numpy's warnings off and their results are checked,
 so no run exits 0 after an overflow.
@@ -66,16 +68,17 @@ import numpy as np
 
 from .bounds import RecoveryResult, bounds_first, bounds_second, \
     normalizers, recover, report_to_csv
-from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack
+from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack, takes_fft
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
     example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
     signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
-from .sst import PhasePlane, SqueezeConfig, TfPlane, phase_first, \
-    phase_second, squeeze, tf_to_csv, tf_to_pgm
-# Not called here (phase_second derives its own floor), but perfbench's
-# span recorder looks the name up on this module.
+from .sst import PhasePlane, SecondOrderCells, SqueezeConfig, TfPlane, \
+    phase_first, phase_second, scatter_add, squeeze, tf_to_csv, \
+    tf_to_pgm
+# Not called here (a plane derives its own floor), but perfbench's span
+# recorder looks this name up on this module.
 from .sst import default_gamma2  # noqa: F401
 from .windows import WindowModel
 
@@ -318,6 +321,17 @@ def _check_nyquist(spec: SignalSpec) -> None:
 # Largest array of samples, transform stack or squeezed plane a run may
 # allocate, in bytes (1 GiB); a larger one exits 3 before it is allocated.
 _STACK_LIMIT = 2 ** 30
+# Bytes of stack fields in one block of run_analysis's walk over the
+# lattice (1 MiB): the walk never holds more of a stack than one block.
+_BLOCK_BYTES = 2 ** 20
+# By the count of fields the variant reads (3 for T1, 8 for T2 and S2),
+# bytes a block holds per cell (its fields, the transform's temporaries
+# and the phase transform's), and bytes the kernel-product path holds per
+# scale and spectral bin (the detuning and two columns' kernels, as a
+# column's kernels live until the next column's are built); upper bounds
+# of tracemalloc peaks.
+_BLOCK_CELL_BYTES = {3: 128, 8: 256}
+_KERNEL_BYTES = {3: 100, 8: 240}
 
 
 def _check_size(need: int, what: str, hint: str = "") -> None:
@@ -467,52 +481,76 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
             "zero frequency")
 
 
-def _check_stack(scales: int, cfg: RunConfig) -> None:
-    """Exit 3 if a stack of scales by cfg.n times would pass _STACK_LIMIT."""
-    _check_size(len(FIELD_NAMES) * 16 * scales * cfg.n,
-                f"a transform stack of {scales} scales by {cfg.n} times",
-                f"; [grid] voices_per_octave is {cfg.voices}")
-
-
 # the stack fields phase_first reads; the second-order variants read all
 _FIRST_ORDER_FIELDS = ("w", "db_w", "w_tgp")
 
 
-def _check_finite(stack: CwtStack, cfg: RunConfig) -> None:
-    """Exit 3 unless every stack field the variant reads is finite and,
-    for a second-order variant, small enough that the products of two
-    fields in chirp_rate_estimate stay finite; the message names the
-    inputs that set the stack's range."""
-    names = _FIRST_ORDER_FIELDS if cfg.order == 1 else FIELD_NAMES
-    # largest |re| or |im| of each field, nan if any cell is nan: two
-    # passes over a float view, no temporary the size of a field
-    top = {}
-    for name in names:
+def _fields(cfg: RunConfig) -> tuple[str, ...]:
+    """The stack fields cfg's variant reads, in FIELD_NAMES order."""
+    return _FIRST_ORDER_FIELDS if cfg.order == 1 else FIELD_NAMES
+
+
+def _block_step(scales: int, n: int, fft: bool, fields: int) -> int:
+    """Scales (on the inverse-FFT path) or columns (on the kernel-product
+    path) in one block of run_analysis's walk: as many as keep the block's
+    fields within _BLOCK_BYTES, at least one and at most all."""
+    unit = 16 * fields * (n if fft else scales)
+    return min(max(1, _BLOCK_BYTES // unit), scales if fft else n)
+
+
+def _check_stack(scales: int, cfg: RunConfig, spectrum: int | None = None,
+                 bins: int = 1) -> None:
+    """Exit 3 if what a run of scales by cfg.n times holds would pass
+    _STACK_LIMIT: the squeezed plane of bins frequency bins (at least one
+    until the grid gives the count), the per-cell arrays, one block of
+    the walk with its working memory and, where compute_stack takes the
+    kernel product over a spectrum of that many bins (None: the inverse
+    FFT), its per-column kernels.  The per-cell arrays are omega (8 bytes
+    a cell) or, for a second-order plane waiting for its default gamma2,
+    SecondOrderCells and the plane phase_second makes of them (58)."""
+    n, fields = cfg.n, len(_fields(cfg))
+    cell = 58 if cfg.order == 2 and cfg.gamma2 is None else 8
+    fft = spectrum is None
+    need = 16 * bins * n + cell * scales * n + _BLOCK_CELL_BYTES[fields] \
+        * _block_step(scales, n, fft, fields) * (n if fft else scales)
+    if not fft:
+        need += _KERNEL_BYTES[fields] * scales * spectrum
+    _check_size(need, f"a transform stack of {scales} scales by {n} times",
+                f"; [grid] voices_per_octave is {cfg.voices}")
+
+
+def _add_tops(top: dict[str, float], stack: CwtStack) -> None:
+    """Raise each top[name] to the largest |re| or |im| of stack's field,
+    nan if any cell is nan: two passes over a float view, no temporary
+    the size of a field."""
+    for name in top:
         parts = getattr(stack, name).view(np.float64)
-        top[name] = max(float(np.max(parts)), -float(np.min(parts)))
-    bad = next((name for name in names if not math.isfinite(top[name])),
-               None)
+        top[name] = float(np.maximum(top[name], max(
+            float(np.max(parts)), -float(np.min(parts)))))
+
+
+def _stack_defect(top: dict[str, float], cfg: RunConfig, grid: ScaleGrid,
+                  profile: SigmaProfile) -> str | None:
+    """Why a stack whose fields reach top fails the run, or None: a field
+    the variant reads is not finite or, for a second-order variant, so
+    large that the products of two fields in chirp_rate_estimate
+    overflow."""
+    bad = next((name for name in top if not math.isfinite(top[name])), None)
     if bad is not None:
-        what = f"{bad} is not finite"
-    else:
-        bad = max(top, key=top.get)
-        dln = float(np.max(np.abs(stack.profile.dsigma
-                                  / stack.profile.sigma)))
-        # a cell's modulus is at most sqrt(2) * top, so |numerator| and
-        # |denominator| of the chirp-rate estimate are at most
-        # 4 * top**2 * (1 + a + |sigma'/sigma|); Python floats, so an
-        # overflow is inf, not a warning
-        if cfg.order == 1 or math.isfinite(
-                4.0 * top[bad] * top[bad] * (1.0 + float(stack.a[-1]) + dln)):
-            return
-        what = (f"{bad} reaches {top[bad]:g}, so the products of two fields "
-                f"in the {cfg.variant} phase transform overflow")
-    with np.errstate(over="ignore"):
-        x_top = np.max(np.abs(stack.sig.x))
-    raise AdmissibilityError(
-        f"transform stack: {what}; its range is set by "
-        f"{_window_inputs(cfg, stack.profile)} and the largest sample "
-        f"magnitude {x_top:g}")
+        return f"{bad} is not finite"
+    if cfg.order == 1:
+        return None
+    bad = max(top, key=top.get)
+    dln = float(np.max(np.abs(profile.dsigma / profile.sigma)))
+    # a cell's modulus is at most sqrt(2) * top, so |numerator| and
+    # |denominator| of the chirp-rate estimate are at most
+    # 4 * top**2 * (1 + a + |sigma'/sigma|); Python floats, so an
+    # overflow is inf, not a warning
+    if math.isfinite(4.0 * top[bad] * top[bad]
+                     * (1.0 + float(grid.a[-1]) + dln)):
+        return None
+    return (f"{bad} reaches {top[bad]:g}, so the products of two fields "
+            f"in the {cfg.variant} phase transform overflow")
 
 
 def _window_inputs(cfg: RunConfig, profile: SigmaProfile) -> str:
@@ -525,7 +563,7 @@ def _window_inputs(cfg: RunConfig, profile: SigmaProfile) -> str:
 
 @dataclass(frozen=True)
 class Analysis:
-    """What the outputs read of one run: no stack outlives the squeeze."""
+    """What the outputs read of one run: no stack outlives its block."""
 
     sig: SampledSignal
     wm: WindowModel
@@ -536,8 +574,84 @@ class Analysis:
     tf: TfPlane
 
 
+def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
+          wm: WindowModel, grid: ScaleGrid, base: SqueezeConfig,
+          fft: bool) -> tuple[PhasePlane, TfPlane]:
+    """(phase plane, squeezed plane) of the run, its stack taken a block
+    at a time and only in the fields the variant reads.
+
+    A block is a range of scales where compute_stack takes the inverse
+    FFT (fft), a range of columns where it takes the kernel product
+    (whose per-column loop would rerun for every block of scales), and
+    _block_step sizes it.  The phase transform is local to a cell, so each
+    block gets the finite check, its phase transform and its scatter-add
+    into the squeezed plane, and is dropped; a plane cell still receives
+    its column's cells in ascending scale order, so every output has the
+    bits of the whole stack's run.  A second-order plane with the default
+    gamma2 needs the median conditioning of every cell first: its blocks
+    leave their SecondOrderCells, which phase_second finishes once the
+    walk ends, and the plane is squeezed then.  Once a block fails the
+    finite check the rest are only measured, so the message names what a
+    check of the whole stack would.
+    """
+    fields, (scales, n) = _fields(cfg), (grid.a.size, sig.t.size)
+    hybrid = cfg.variant == "S2"
+    deferred = cfg.order == 2 and cfg.gamma2 is None
+    if deferred:
+        cells = SecondOrderCells(
+            *(np.empty((scales, n), dtype=t)
+              for t in (complex, bool, float, float, float)))
+    else:
+        omega = np.empty((scales, n))
+        T = np.zeros((base.bin_centers().size, n), dtype=complex)
+    top = dict.fromkeys(fields, 0.0)
+    step = _block_step(scales, n, fft, len(fields))
+    for k in range(0, scales if fft else n, step):
+        rows, cols = (slice(k, k + step), slice(None)) if fft \
+            else (slice(None), slice(k, k + step))
+        stack = None            # the last block goes before the next is built
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            stack = compute_stack(
+                sig, SigmaProfile(b=profile.b[cols], sigma=profile.sigma[cols],
+                                  dsigma=profile.dsigma[cols],
+                                  kind=profile.kind),
+                wm, ScaleGrid(a=grid.a[rows], dlog=grid.dlog), fields=fields)
+        _add_tops(top, stack)
+        defect = _stack_defect(top, cfg, grid, profile)
+        if defect is not None:
+            continue
+        if deferred:
+            for whole, part in zip(cells, SecondOrderCells.of(stack,
+                                                              cfg.gamma1)):
+                whole[rows, cols] = part
+            continue
+        omega[rows, cols] = phase_first(stack, cfg.gamma1).omega \
+            if cfg.order == 1 else phase_second(
+                stack, cfg.gamma1, gamma2=cfg.gamma2, hybrid=hybrid).omega
+        scatter_add(T, omega[rows, cols], stack.w, grid.dlog, base,
+                    first=cols.start or 0)
+    if defect is not None:
+        with np.errstate(over="ignore"):
+            x_top = np.max(np.abs(sig.x))
+        raise AdmissibilityError(
+            f"transform stack: {defect}; its range is set by "
+            f"{_window_inputs(cfg, profile)} and the largest sample "
+            f"magnitude {x_top:g}")
+    if deferred:
+        plane, w = phase_second(cells, cfg.gamma1, hybrid=hybrid), cells.w
+        del cells               # squeeze's temporaries reuse its memory
+        return plane, squeeze(CwtStack(grid=grid, profile=profile, wm=wm,
+                                       sig=sig, w=w), plane, base)
+    tf = TfPlane(xi=base.bin_centers(), b=profile.b, values=T, dxi=base.dxi)
+    return PhasePlane(omega=omega, gamma2=cfg.gamma2 if cfg.order == 2
+                      else None), tf
+
+
 def run_analysis(cfg: RunConfig) -> Analysis:
-    """Execute the transform/reassignment pipeline for the configuration."""
+    """Execute the transform/reassignment pipeline for the configuration:
+    the memory guard, then the signal, width profile, zones and scale
+    grid, then the block walk of _walk, which never holds a whole
+    stack."""
     _check_stack(1, cfg)        # before anything of size n
     # an xi_bins plane has at least xi_bins bins; counted past float range
     _check_size(16 * cfg.xi_bins * cfg.n, f"a squeezed plane of at least "
@@ -567,12 +681,13 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         raise AdmissibilityError(
             f"[window] mu = {cfg.mu:g} puts the scales at {a_min:g} to "
             f"{a_max:g}, past the float range")
-    _check_stack(ScaleGrid.size(a_min, a_max, cfg.voices), cfg)
+    fft = takes_fft(sig, profile)
+    spectrum = None if fft else \
+        sig.x.size if np.iscomplexobj(sig.x) else sig.x.size // 2 + 1
+    scales = ScaleGrid.size(a_min, a_max, cfg.voices)
+    _check_stack(scales, cfg, spectrum)
     grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        stack = compute_stack(sig, profile, wm, grid)
-    _check_finite(stack, cfg)
-    base = SqueezeConfig.for_stack(stack)
+    base = SqueezeConfig.for_grid(grid, wm.mu)
     if cfg.xi_bins > 0:
         base = SqueezeConfig(xi_min=base.xi_min, xi_max=base.xi_max,
                              dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
@@ -581,12 +696,9 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     _check_size(16 * bins * cfg.n, f"a squeezed plane of {bins} frequency "
                 f"bins of {base.dxi:.6g} Hz by {cfg.n} times",
                 f"; [grid] xi_bins is {cfg.xi_bins}")
-    if cfg.variant == "T1":
-        plane = phase_first(stack, cfg.gamma1)
-    else:
-        plane = phase_second(stack, cfg.gamma1, gamma2=cfg.gamma2,
-                             hybrid=(cfg.variant == "S2"))
-    tf = squeeze(stack, plane, base)
+    _check_stack(scales, cfg, spectrum, bins)
+
+    plane, tf = _walk(cfg, sig, profile, wm, grid, base, fft)
     return Analysis(sig=sig, wm=wm, profile=profile, zs=zs, grid=grid,
                     plane=plane, tf=tf)
 

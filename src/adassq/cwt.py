@@ -103,8 +103,9 @@ class CwtStack:
     Field names give the analysis kernel: w uses g, w_tg uses t*g, w_tgp
     uses t*g'; as g' = -t*g, the t**2*g and g' transforms are -w_tgp and
     -w_tg.  da_/db_ prefixes are exact scale/time derivatives of the
-    corresponding field; dadb_w is the mixed second derivative of w.  All
-    arrays have shape (len(grid), n_times).
+    corresponding field; dadb_w is the mixed second derivative of w.  A
+    built field has shape (len(grid), n_times); a field compute_stack was
+    not asked for is None.
     """
 
     grid: ScaleGrid
@@ -112,13 +113,13 @@ class CwtStack:
     wm: WindowModel
     sig: SampledSignal
     w: Array
-    w_tg: Array
-    w_tgp: Array
-    da_w: Array
-    db_w: Array
-    da_w_tg: Array
-    da_w_tgp: Array
-    dadb_w: Array
+    w_tg: Array | None = None
+    w_tgp: Array | None = None
+    da_w: Array | None = None
+    db_w: Array | None = None
+    da_w_tg: Array | None = None
+    da_w_tgp: Array | None = None
+    dadb_w: Array | None = None
 
     @property
     def a(self) -> Array:
@@ -132,68 +133,92 @@ class CwtStack:
 FIELD_NAMES = ("w", "w_tg", "w_tgp", "da_w", "db_w", "da_w_tg", "da_w_tgp",
                "dadb_w")
 
+# Each field's kernel, from nu, gh = gauss_hat(nu), v_dg = -4*pi**2*nu,
+# ds = d(nu)/da, dln = sigma'/sigma and i2pix = i*2*pi*xi.  A kernel
+# is P(nu)*gh: P is 1, -2*pi*i*nu or 4*pi**2*nu**2 - 1, or a nu-derivative
+# Q = P' - 4*pi**2*nu*P, written in the Horner order of numpy's polyval
+# over ascending coefficients: FOUR_PI2 * nu * nu - 1.0, never
+# FOUR_PI2 * (nu * nu).  A complex Horner step on a real nu adds only exact
+# zeros, so this real arithmetic gives polyval's floats and the fields keep
+# their bytes.
+_KERNELS = {
+    "w": lambda nu, gh, v_dg, ds, dln, i2pix: gh,
+    "w_tg": lambda nu, gh, v_dg, ds, dln, i2pix: 1j * (-TWO_PI * nu * gh),
+    "w_tgp": lambda nu, gh, v_dg, ds, dln, i2pix:
+        (FOUR_PI2 * nu * nu - 1.0) * gh,
+    "da_w": lambda nu, gh, v_dg, ds, dln, i2pix: ds * v_dg * gh,
+    "db_w": lambda nu, gh, v_dg, ds, dln, i2pix:
+        i2pix * gh + dln * nu * v_dg * gh,
+    "da_w_tg": lambda nu, gh, v_dg, ds, dln, i2pix:
+        1j * (ds * (FOUR_PI2 * TWO_PI * nu * nu - TWO_PI) * gh),
+    "da_w_tgp": lambda nu, gh, v_dg, ds, dln, i2pix:
+        ds * ((3.0 * FOUR_PI2 - FOUR_PI2 * FOUR_PI2 * nu * nu) * nu) * gh,
+    "dadb_w": lambda nu, gh, v_dg, ds, dln, i2pix: ds * (i2pix * v_dg + dln * (
+        v_dg + nu * (FOUR_PI2 * FOUR_PI2 * nu * nu - FOUR_PI2))) * gh,
+}
+
+
+def takes_fft(sig: SampledSignal, profile: SigmaProfile) -> bool:
+    """Whether compute_stack takes one inverse FFT per field: constant
+    sigma and sigma' with profile.b equal to sig.t."""
+    return bool(np.all(profile.sigma == profile.sigma[0])
+                and np.all(profile.dsigma == profile.dsigma[0])
+                and np.array_equal(profile.b, sig.t))
+
 
 def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
-                  grid: ScaleGrid) -> CwtStack:
-    """Evaluate all eight stack fields on the (scale, time) lattice.
+                  grid: ScaleGrid, fields=FIELD_NAMES) -> CwtStack:
+    """Evaluate the named stack fields (default: all eight) on the
+    (scale, time) lattice.
 
-    A column depends on b only through (sigma(b), sigma'(b)): its eight
-    kernels (the t**2*g and g' transforms are -w_tgp and -w_tg) multiply
-    its own phase factors.  Columns follow profile.b (off-sample columns
-    analyze the trigonometric interpolant).  With constant sigma and
-    sigma' and profile.b equal to sig.t, the kernels are built once and
+    w is always built; a field not named is None, not zeros, and a named
+    field has the same bytes as in a stack of all eight.  A column depends
+    on b only through (sigma(b), sigma'(b)): its kernels (the t**2*g and
+    g' transforms are -w_tgp and -w_tg) multiply its own phase factors.
+    Columns follow profile.b (off-sample columns analyze the trigonometric
+    interpolant).  When takes_fft holds, the kernels are built once and
     each field is one inverse FFT along the bins, which evaluates the
     columns at t_0 + i/fs: for a sample file that is its nominal grid,
     from which the reader accepts times only within 1e-9 of a step.
+    Otherwise each column is one kernel product per field.  Either way a
+    cell depends only on its own scale and column, so a stack computed on
+    a slice of the grid's scales or of the profile's columns is that slice
+    of the whole stack, bit for bit.
     """
+    unknown = set(fields) - set(FIELD_NAMES)
+    if unknown:
+        raise ValueError(f"unknown stack fields {sorted(unknown)}")
+    names = [name for name in FIELD_NAMES if name == "w" or name in fields]
     xi, coef = spectral_coefficients(sig)
     shift = profile.b - float(sig.t[0])
 
     out = {name: np.empty((len(grid.a), len(profile.b)), dtype=complex)
-           for name in FIELD_NAMES}
+           for name in names}
     i2pix = 1j * TWO_PI * xi
     detune = wm.mu - np.outer(grid.a, xi)
     n = len(sig.t)
-    on_grid = (np.all(profile.sigma == profile.sigma[0])
-               and np.all(profile.dsigma == profile.dsigma[0])
-               and np.array_equal(profile.b, sig.t))
+    on_grid = takes_fft(sig, profile)
     for i in range(len(shift)):
         s = profile.sigma[i]
-        dln = profile.dsigma[i] / s
         nu = s * detune
-        gh = gauss_hat(nu)
-        dscale = -s * xi                        # d(nu)/da per bin
-        # Each kernel is P(nu)*gh: P is 1, -2*pi*i*nu or 4*pi**2*nu**2 - 1,
-        # or a nu-derivative Q = P' - 4*pi**2*nu*P, written in the Horner
-        # order of numpy's polyval over ascending coefficients:
-        # FOUR_PI2 * nu * nu - 1.0, never FOUR_PI2 * (nu * nu).  A complex
-        # Horner step on a real nu adds only exact zeros, so this real
-        # arithmetic gives polyval's floats and the fields keep their bytes.
-        v_dg = -FOUR_PI2 * nu
-        kernels = {
-            "w": gh,
-            "w_tg": 1j * (-TWO_PI * nu * gh),
-            "w_tgp": (FOUR_PI2 * nu * nu - 1.0) * gh,
-            "da_w": dscale * v_dg * gh,
-            "db_w": i2pix * gh + dln * nu * v_dg * gh,
-            "da_w_tg": 1j * (dscale * (FOUR_PI2 * TWO_PI * nu * nu - TWO_PI)
-                             * gh),
-            "da_w_tgp": dscale * ((3.0 * FOUR_PI2 - FOUR_PI2 * FOUR_PI2
-                                   * nu * nu) * nu) * gh,
-            "dadb_w": dscale * (i2pix * v_dg + dln * (
-                v_dg + nu * (FOUR_PI2 * FOUR_PI2 * nu * nu - FOUR_PI2))) * gh,
-        }
+        parts = (nu, gauss_hat(nu), -FOUR_PI2 * nu,
+                 -s * xi,                       # d(nu)/da per bin
+                 profile.dsigma[i] / s, i2pix)
         if on_grid:
-            # the detuning and each kernel are freed once used, so the next
-            # transform's temporaries reuse their memory
+            # each kernel is built as its transform needs it and freed
+            # once used, so the next one reuses its memory
             del detune
-            for name in FIELD_NAMES:
-                np.multiply(np.fft.ifft(kernels.pop(name) * coef, n=n,
+            for name in names:
+                np.multiply(np.fft.ifft(_KERNELS[name](*parts) * coef, n=n,
                                         axis=1), n, out=out[name])
             break
-        # an (N, 1) column keeps the matrix-vector product's rounding
+        # an (N, 1) column keeps the matrix-vector product's rounding; a
+        # column's kernels are built together and live until the next
+        # column's are, so the allocator reuses their memory rather than
+        # return it to the system and fault it back in
         ce = coef[:, None] * np.exp(np.outer(i2pix, shift[i:i + 1]))
-        for name, kern in kernels.items():
+        kernels = [_KERNELS[name](*parts) for name in names]
+        for name, kern in zip(names, kernels):
             out[name][:, i:i + 1] = kern @ ce
 
     return CwtStack(grid=grid, profile=profile, wm=wm, sig=sig, **out)

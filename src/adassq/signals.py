@@ -238,6 +238,10 @@ def write_table(path, header: str, *columns) -> None:
     bounded by the chunk and the axes, not by the table: a chunk's lines
     are one "%" template, with a %.17g or %d slot per live cell and
     full-size column, filled by one "%" call.
+
+    A column may also be a function of a row slice that returns those rows
+    of a full-size float column (tf.csv's abs): it is computed a chunk at
+    a time, so it never exists whole.
     """
     def joined(parts: list, rs: slice) -> Array:
         """",".join of strings and string arrays, broadcast, in rows rs."""
@@ -246,17 +250,25 @@ def write_table(path, header: str, *columns) -> None:
             out = out + ("," if i else "") + (p[rs] if np.ndim(p) > 1 else p)
         return out
 
-    cols = [np.atleast_2d(c) for c in columns]
-    rows, width = np.broadcast_shapes((1, 1), *(c.shape for c in cols))
-    fmts = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in cols]
+    arrays = [None if callable(c) else np.atleast_2d(c) for c in columns]
+    rows, width = np.broadcast_shapes(
+        (1, 1), *(a.shape for a in arrays if a is not None))
+    # a full-size column is read through a function of a row slice, as a
+    # computed one is given; an axis becomes its strings, 2-D (rows, 1) if
+    # they vary by row and 1-D if not, and a full-size column its format,
+    # a live cell's slot
+    full = {i: c if a is None else
+            (lambda rs, a=a: np.broadcast_to(a, (rows, width))[rs])
+            for i, (c, a) in enumerate(zip(columns, arrays))
+            if a is None or a.size >= rows * width}
+    kinds = ["f" if a is None else a.dtype.kind for a in arrays]
+    fmts = ["%d" if k in "biu" else "%.17g" for k in kinds]
     if fmts:
         fmts[-1] += "\n"
-    # an axis becomes its strings, 2-D (rows, 1) if they vary by row and
-    # 1-D if not; a full-size column its format, a live cell's slot
-    parts = [np.array(list(map(f.__mod__, c.ravel().tolist())), dtype=object)
-             .reshape(c.shape if len(c) > 1 else -1)
-             if c.size < rows * width else f for c, f in zip(cols, fmts)]
-    full = [c for c, p in zip(cols, parts) if isinstance(p, str)]
+    parts = [f if i in full else
+             np.array(list(map(f.__mod__, a.ravel().tolist())), dtype=object)
+             .reshape(a.shape if len(a) > 1 else -1)
+             for i, (a, f) in enumerate(zip(arrays, fmts))]
     # a line is its row's prefix (the leading axes that vary by row) and
     # its cell's tail; a blank cell's tail prints 0 (+0.0, 0, False) in
     # each slot and, where every full-size column is a float, a void
@@ -268,7 +280,7 @@ def write_table(path, header: str, *columns) -> None:
                              (rows, 1))[:, 0].tolist()
     zeros = [p % 0 if isinstance(p, str) else p for p in parts[lead:]]
     nans = [p % math.nan if isinstance(p, str) else p for p in parts[lead:]] \
-        if full and all(c.dtype.kind == "f" for c in full) else []
+        if full and all(kinds[i] == "f" for i in full) else []
     step = max(1, _CHUNK_CELLS // max(width, 1))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
@@ -277,7 +289,7 @@ def write_table(path, header: str, *columns) -> None:
             if r == 0 or any(np.ndim(p) > 1 for p in zeros):
                 slots, blanks = joined(parts[lead:], rs), joined(zeros, rs)
                 voids = joined(nans, rs)
-            chunk = [np.broadcast_to(c, (rows, width))[rs] for c in full]
+            chunk = [column(rs) for column in full.values()]
             live = np.zeros((len(prefix[rs]), width), dtype=bool)
             for c in chunk:
                 live |= c.view(f"u{c.itemsize}") != 0

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cwt import CwtStack
-from .signals import write_table
+from .cwt import CwtStack, ScaleGrid
+from .signals import _CHUNK_CELLS, write_table
 
 Array = np.ndarray
 
@@ -97,7 +98,47 @@ def default_gamma2(stack: CwtStack, gamma1: float) -> float:
     return phase_second(stack, gamma1).gamma2
 
 
-def phase_second(stack: CwtStack, gamma1: float,
+class SecondOrderCells(NamedTuple):
+    """What a second-order plane and its squeeze read of each cell, so
+    that a stack taken in blocks can wait for its default gamma2 holding
+    these, not the stack: w, the gamma1 mask, the conditioning, and the
+    first- and second-order estimates."""
+
+    w: Array
+    above: Array
+    cond: Array
+    first: Array
+    second: Array
+
+    @classmethod
+    def of(cls, stack: CwtStack, gamma1: float) -> "SecondOrderCells":
+        above = _above_gamma1(stack, gamma1)
+        r0, cond = chirp_rate_estimate(stack)
+        a = stack.a[:, None]
+        first = _first_order(stack)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            second = (first - a * (stack.w_tg / (2j * np.pi * stack.w))
+                      * r0).real
+        return cls(stack.w, above, cond, first.real, second)
+
+    def plane(self, gamma2: float | None = None,
+              hybrid: bool = False) -> PhasePlane:
+        """phase_second's plane of these cells."""
+        if gamma2 is None:
+            vals = self.cond[self.above]
+            vals = vals[np.isfinite(vals)]
+            gamma2 = 1e-4 * (float(np.median(vals)) if vals.size else 1.0)
+        if gamma2 < 0.0:
+            raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
+        with np.errstate(invalid="ignore"):
+            mask2 = self.above & np.isfinite(self.cond) & (self.cond > gamma2)
+        fallback = np.where(self.above, self.first, np.nan) if hybrid \
+            else np.nan
+        return PhasePlane(omega=np.where(mask2, self.second, fallback),
+                          gamma2=gamma2)
+
+
+def phase_second(stack: CwtStack | SecondOrderCells, gamma1: float,
                  gamma2: float | None = None,
                  hybrid: bool = False) -> PhasePlane:
     """Second-order adaptive phase transform (chirp-corrected).
@@ -107,25 +148,13 @@ def phase_second(stack: CwtStack, gamma1: float,
     where r0 comes from chirp_rate_estimate.  Cells need |w| > gamma1 and
     conditioning above gamma2 (default: 1e-4 of the median conditioning on
     thresholded cells).  With hybrid=True, poorly conditioned cells fall
-    back to the first-order estimate instead of NaN.
+    back to the first-order estimate instead of NaN.  stack may also be
+    the SecondOrderCells of a stack taken in blocks, already thresholded
+    at gamma1.
     """
-    mask1 = _above_gamma1(stack, gamma1)
-    r0, cond = chirp_rate_estimate(stack)
-    if gamma2 is None:
-        vals = cond[mask1]
-        vals = vals[np.isfinite(vals)]
-        gamma2 = 1e-4 * (float(np.median(vals)) if vals.size else 1.0)
-    if gamma2 < 0.0:
-        raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
-    with np.errstate(invalid="ignore"):
-        mask2 = mask1 & np.isfinite(cond) & (cond > gamma2)
-
-    a = stack.a[:, None]
-    first = _first_order(stack)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        omega2 = (first - a * (stack.w_tg / (2j * np.pi * stack.w)) * r0).real
-    fallback = np.where(mask1, first.real, np.nan) if hybrid else np.nan
-    return PhasePlane(omega=np.where(mask2, omega2, fallback), gamma2=gamma2)
+    cells = stack if isinstance(stack, SecondOrderCells) \
+        else SecondOrderCells.of(stack, gamma1)
+    return cells.plane(gamma2, hybrid)
 
 
 @dataclass(frozen=True)
@@ -146,8 +175,12 @@ class SqueezeConfig:
     @classmethod
     def for_stack(cls, stack: CwtStack) -> "SqueezeConfig":
         """0.25 Hz bins over the stack's frequencies mu/a, padded 25%."""
-        return cls(xi_min=stack.wm.mu / stack.a[-1] / 1.25,
-                   xi_max=stack.wm.mu / stack.a[0] * 1.25)
+        return cls.for_grid(stack.grid, stack.wm.mu)
+
+    @classmethod
+    def for_grid(cls, grid: ScaleGrid, mu: float) -> "SqueezeConfig":
+        """0.25 Hz bins over the grid's frequencies mu/a, padded 25%."""
+        return cls(xi_min=mu / grid.a[-1] / 1.25, xi_max=mu / grid.a[0] * 1.25)
 
     def bin_limits(self) -> tuple[int, int]:
         """First and last bin index l, found without allocating."""
@@ -189,6 +222,31 @@ def lattice_index(omega: Array, cfg: SqueezeConfig) -> Array:
     return idx
 
 
+def scatter_add(T: Array, omega: Array, w: Array, dlog: float,
+                cfg: SqueezeConfig, first: int = 0) -> None:
+    """Add w * dlog / dxi of each cell with a finite omega into T at its
+    bin on cfg's lattice and in its column, omega's column j being T's
+    column first + j.
+
+    T is C-contiguous: the cells go in through one flat index, numpy's
+    fast path of np.add.at.  The columns go about _CHUNK_CELLS cells at a
+    time, so the binning's temporaries are bounded by the chunk, and a
+    plane cell receives its column's cells in ascending scale order: a
+    walk over blocks of scales, or of columns, gives the bits of one call
+    on the whole lattice.
+    """
+    if not T.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous plane")
+    flat, width = T.reshape(-1), T.shape[1]
+    scales, n = omega.shape
+    step = max(1, _CHUNK_CELLS // max(scales, 1))
+    for c in range(0, n, step):
+        idx = lattice_index(omega[:, c:c + step], cfg)
+        sel = idx >= 0
+        np.add.at(flat, idx[sel] * width + (np.nonzero(sel)[1] + first + c),
+                  w[:, c:c + step][sel] * (dlog / cfg.dxi))
+
+
 def squeeze(stack: CwtStack, plane: PhasePlane,
             cfg: SqueezeConfig) -> TfPlane:
     """Reassign masked coefficients onto the frequency lattice.
@@ -196,16 +254,11 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
     T(xi_l, b) collects w * dlog / dxi from every valid cell whose
     phase-transform value rounds to bin l; summing T * dxi over l then
     reproduces the masked mass sum(w * dlog) exactly, column by column.
+    Only w of the stack is read.
     """
     centers = cfg.bin_centers()
-    L = len(centers)
-    n = len(stack.b)
-    T = np.zeros((L, n), dtype=complex)
-
-    idx = lattice_index(plane.omega, cfg)
-    sel = idx >= 0
-    cols = np.broadcast_to(np.arange(n), idx.shape)[sel]
-    np.add.at(T, (idx[sel], cols), stack.w[sel] * (stack.grid.dlog / cfg.dxi))
+    T = np.zeros((len(centers), len(stack.b)), dtype=complex)
+    scatter_add(T, plane.omega, stack.w, stack.grid.dlog, cfg)
     return TfPlane(xi=centers, b=stack.b, values=T, dxi=cfg.dxi)
 
 
@@ -220,25 +273,34 @@ def conservation_defect(stack: CwtStack, plane: PhasePlane,
 # ------------------------------------------------------------------ output
 
 def tf_to_csv(tf: TfPlane, path) -> None:
-    v = tf.values
-    # np.hypot matches Python's abs(complex) bit for bit; np.abs does not
-    write_table(path, "xi,b,re,im,abs", tf.xi[:, None], tf.b, v.real, v.imag,
-                np.hypot(v.real, v.imag))
+    re, im = tf.values.real, tf.values.imag
+    # np.hypot matches Python's abs(complex) bit for bit; np.abs does not.
+    # A chunk's rows at a time, so no full-size |T| exists.
+    write_table(path, "xi,b,re,im,abs", tf.xi[:, None], tf.b, re, im,
+                lambda rows: np.hypot(re[rows], im[rows]))
 
 
 def tf_to_pgm(tf: TfPlane, path) -> None:
-    """8-bit grayscale heat map (high frequency at the top), binary PGM."""
-    mag = np.abs(tf.values)[::-1, :]
-    top = float(np.max(mag))
-    if top != 0.0:
-        # floor(256*mag/top) capped at 255, in place: no full-size
-        # temporaries on top of the plane at the run's memory peak
-        mag *= 256.0
-        mag /= top
-        np.floor(mag, out=mag)
-        np.minimum(mag, 255.0, out=mag)
-    img = mag.astype(np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n"
+    """8-bit grayscale heat map (high frequency at the top), binary PGM.
+
+    A pixel is floor(256*|T|/max|T|) capped at 255.  |T| is taken on
+    blocks of about _CHUNK_CELLS cells of the plane's rows, once for the
+    maximum and again for the pixels, so no full-size array exists beside
+    the plane: the image is written a block at a time, from the top row.
+    """
+    L, n = tf.values.shape
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    starts = range(0, L, step)
+    # np.max, not max: a nan anywhere makes the maximum nan
+    top = float(np.max([np.max(np.abs(tf.values[r:r + step]))
+                        for r in starts]))
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(f"P5\n{n} {L}\n255\n".encode("ascii"))
+        for r in reversed(starts):
+            mag = np.abs(tf.values[r:r + step])
+            if top != 0.0:
+                mag *= 256.0
+                mag /= top
+                np.floor(mag, out=mag)
+                np.minimum(mag, 255.0, out=mag)
+            fh.write(mag[::-1].astype(np.uint8).tobytes())

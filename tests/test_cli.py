@@ -45,12 +45,16 @@ What is proven here
    (unknown and repeated sections and keys, comments, continuation
    lines, bad bytes, extreme values) loads or raises ConfigError, and a
    component value that is not finite or whose track overflows exits 2;
-   a transform stack past the memory limit exits 3 before any scale is
-   allocated, naming its scale count and bytes, and the limit is the
-   stack's exact size; a squeezed plane past it exits 3 naming its bin
-   count before any bin exists, and an xi_bins count past the float
-   range before any stack is computed; a stack of one scale is checked
-   before the Nyquist check evaluates any phase; recover exits 3 on
+   an analysis past the memory limit exits 3 before any scale is
+   allocated, naming its scale count and bytes, and the count bounds
+   what the run allocates within a factor of two (tracemalloc's peak of
+   run_analysis, kernels and temporaries included, on both paths);
+   a limit one byte below it refuses the run and a limit equal to it
+   runs; doubling the voices raises run_analysis's traced peak
+   by less than one J x n field; a squeezed plane past it exits 3 naming
+   its bin count before any bin exists, and an xi_bins count past the
+   float range before any stack is computed; an analysis of one scale is
+   checked before the Nyquist check evaluates any phase; recover exits 3 on
    components out of frequency order, with eps3 auto or set, and on a
    negative amplitude, naming its component, with no output; reruns of
    the same configuration are byte-identical; importing the command
@@ -59,8 +63,9 @@ What is proven here
    amplitudes or sample magnitude near either end of the float range
    exit 0, 2, 3 or 4 without a traceback, and on exit 0 no output file
    holds an infinity (finite or fail).
-6. demo: one transform stack per run, freed when run_analysis returns
-   while its result lives on, and the same bytes as separate synth,
+6. demo: one analysis per run, whose blocks cover the lattice once and
+   are freed when run_analysis returns while its result lives on, none of
+   them the whole stack, and the same bytes as separate synth,
    analyze and recover runs with the demo's settings; a demo whose
    report step fails exits 3 and writes nothing, and recover of a sample
    file exits 4 before any analysis.
@@ -72,8 +77,10 @@ import csv
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -862,6 +869,19 @@ _STACK_SIZE = re.compile(r"(\d+) scales by (\d+) times would take (\d+) "
                          r"bytes")
 
 
+def _t1_holds(scales, times, block_cells, bins=1):
+    """Bytes the memory guard counts for a T1 run on the inverse-FFT path:
+    a squeezed plane of bins bins (one, before the grid gives the count),
+    omega, and one block's cells with their working memory."""
+    return 16 * bins * times + 8 * scales * times \
+        + cli._BLOCK_CELL_BYTES[3] * block_cells
+
+
+# the cells of a block of scales by 256 times: constant sigma on the
+# sample grid (the presets' default) takes the inverse FFT
+_FFT_BLOCK_256 = cli._BLOCK_BYTES // (48 * 256) * 256
+
+
 @pytest.mark.parametrize("preset", ["example1", "empty"])
 def test_unallocatable_scale_count_exits_3(tmp_path, capsys, preset):
     # 10**17 voices per octave ask for about 2e17 scales, on zones
@@ -873,45 +893,156 @@ def test_unallocatable_scale_count_exits_3(tmp_path, capsys, preset):
     err = capsys.readouterr().err
     scales, times, need = map(int, _STACK_SIZE.search(err).groups())
     assert scales > 10 ** 17 and times == 256
-    assert need == len(cwt.FIELD_NAMES) * 16 * scales * times
+    assert need == _t1_holds(scales, times, _FFT_BLOCK_256)
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-def test_stack_limit_is_the_stack_size(tmp_path, capsys, monkeypatch):
-    # the guard's estimate is the size of the stack the run then computes:
-    # a limit one byte below it refuses the run, a limit equal to it runs.
-    # The first limit admits a stack of one scale by the preset's 256
-    # times, which the run checks before it synthesizes anything.
-    monkeypatch.setattr(cli, "_STACK_LIMIT", len(cwt.FIELD_NAMES) * 16 * 256)
-    argv = ("analyze", "--preset", "example1", "--outdir",
-            str(tmp_path / "out"))
-    assert run(*argv) == 3
-    need = int(_STACK_SIZE.search(capsys.readouterr().err).group(3))
-    monkeypatch.setattr(cli, "_STACK_LIMIT", need - 1)
-    assert run(*argv) == 3
-    stacks = []
+# one run of each path and of each kind of per-cell arrays
+_GUARDED = [("--preset", "example1"),                           # FFT, T1
+            ("--preset", "example1", "--sigma", "sigma1"),      # columns
+            ("--preset", "example2", "--sigma", "sigma2", "--variant", "T2"),
+            ("--preset", "example2", "--sigma", "sigma2", "--variant", "T2",
+             "--gamma2", "1"),
+            ("--components", "chirp:20:1; tone:60", "--n", "512",
+             "--variant", "S2")]                                # FFT, S2
 
-    def recorded(*args):
-        stacks.append(cwt.compute_stack(*args))
-        return stacks[-1]
-    monkeypatch.setattr(cli, "compute_stack", recorded)
-    monkeypatch.setattr(cli, "_STACK_LIMIT", need)
-    assert run(*argv) == 0
-    assert sum(getattr(stacks[0], name).nbytes
-               for name in cwt.FIELD_NAMES) == need
+
+def test_stack_limit_is_the_stack_size(tmp_path, capsys, monkeypatch):
+    # the guard's estimate bounds what the run then allocates, kernels
+    # and temporaries included, within a factor of two: tracemalloc's
+    # peak of run_analysis is at most the estimate and more than half
+    # of it.  A limit one byte below the estimate refuses the run, naming
+    # it, and a limit equal to it runs.
+    needs, peaks = [], []
+
+    def recorded(need, what, hint=""):
+        if what.startswith("a transform stack"):
+            needs.append(need)
+        return check_size(need, what, hint)
+
+    def traced(cfg):
+        tracemalloc.start()
+        try:
+            res = analysis(cfg)
+            peaks.append((tracemalloc.get_traced_memory()[1],
+                          res.plane.omega.shape))
+            return res
+        finally:
+            tracemalloc.stop()
+    check_size, analysis = cli._check_size, cli.run_analysis
+    limit = cli._STACK_LIMIT
+    monkeypatch.setattr(cli, "_check_size", recorded)
+    monkeypatch.setattr(cli, "run_analysis", traced)
+    for i, args in enumerate(_GUARDED):
+        monkeypatch.setattr(cli, "_STACK_LIMIT", limit)
+        assert run("analyze", *args, "--outdir", str(tmp_path / f"{i}")) == 0
+        (peak, shape), need = peaks[-1], needs[-1]
+        assert peak <= need < 2 * peak, (args, peak, need)
+        argv = ("analyze", *args, "--outdir", str(tmp_path / "out"))
+        monkeypatch.setattr(cli, "_STACK_LIMIT", need - 1)
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        scales, times, said = map(int, _STACK_SIZE.search(err).groups())
+        assert (scales, times, said) == (*shape, need), args
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+        monkeypatch.setattr(cli, "_STACK_LIMIT", need)
+        assert run(*argv) == 0
+        shutil.rmtree(tmp_path / "out")
 
 
 def test_one_scale_is_checked_before_synthesis(tmp_path, capsys,
                                                monkeypatch):
-    one = len(cwt.FIELD_NAMES) * 16 * 256
+    one = _t1_holds(1, 256, 256)
     monkeypatch.setattr(cli, "_STACK_LIMIT", one - 1)
     monkeypatch.setattr(cli, "synthesize",
                         lambda spec: pytest.fail("synthesized"))
     assert run("analyze", "--preset", "example1", "--outdir",
                str(tmp_path / "out")) == 3
-    assert f"1 scales by 256 times would take {one} bytes" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"1 scales by 256 times would take {one} bytes" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+_WALKS = [("--preset", "example1"),                     # FFT, T1
+          ("--preset", "example1", "--sigma", "sigma1"),  # columns, T1
+          ("--preset", "example2", "--sigma", "sigma2", "--variant", "T2",
+           "--gamma2", "1"),                    # columns, gamma2 given
+          ("--preset", "example2", "--sigma", "sigma2", "--variant", "S2"),
+          ("--components", "tone:8; chirp:20:4", "--n", "64", "--fs", "64",
+           "--variant", "T2")]                  # FFT, default gamma2
+
+
+# widths of the walk's blocks: the whole lattice in one, then 1 and 7
+# scales or columns
+_WIDTHS = (10 ** 9, 1, 7)
+
+
+def _width(width):
+    """A _block_step that takes width scales or columns, or all there are."""
+    return lambda scales, n, fft, fields: min(width, scales if fft else n)
+
+
+@pytest.mark.parametrize("args", _WALKS)
+def test_blocks_give_the_whole_stacks_bytes(tmp_path, monkeypatch, args):
+    # blocks of 1 and 7 scales or columns, against one block of the whole
+    # stack: every output byte is the same
+    for width in _WIDTHS:
+        monkeypatch.setattr(cli, "_block_step", _width(width))
+        assert run("analyze", *args, "--outdir",
+                   str(tmp_path / str(width))) == 0
+    whole = tmp_path / str(_WIDTHS[0])
+    names = sorted(p.name for p in whole.iterdir())
+    for width in _WIDTHS[1:]:
+        blocks = tmp_path / str(width)
+        assert sorted(p.name for p in blocks.iterdir()) == names
+        for name in names:
+            assert (blocks / name).read_bytes() == \
+                (whole / name).read_bytes(), (width, name)
+
+
+@pytest.mark.parametrize("args, what", [
+    (("--components", "tone:20", "--mu", "1e300"), "w_tgp is not finite"),
+    (("--components", "tone:20:1e152", "--variant", "S2"), "dadb_w reaches"),
+    (("--components", "tone:20:1e154; chirp:60:20", "--variant", "S2",
+      "--sigma", "sigma2"), "dadb_w reaches"),
+], ids=["T1-fft", "S2-fft", "S2-columns"])
+def test_blocks_fail_with_the_whole_stacks_message(tmp_path, capsys,
+                                                   monkeypatch, args, what):
+    # the walk goes on measuring after a block fails, so the message of
+    # narrow blocks names the field and the size a whole stack's check
+    # names
+    errs = []
+    for width in _WIDTHS:
+        monkeypatch.setattr(cli, "_block_step", _width(width))
+        assert run("analyze", *args, "--outdir", str(tmp_path / "out")) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0] == errs[2] and what in errs[0]
+    assert "Traceback" not in errs[0] and not (tmp_path / "out").exists()
+
+
+def _analysis_peak(voices: int) -> tuple[int, int]:
+    """(J, tracemalloc peak of run_analysis) of a constant-sigma T1 run
+    at n = 512, its configuration loaded before tracing starts."""
+    cfg = load_config(None, {
+        ("signal", "components"): "chirp:12:0.5; chirp:26:-0.5",
+        ("signal", "n"): "512", ("grid", "voices_per_octave"): str(voices)})
+    tracemalloc.start()
+    try:
+        res = run_analysis(cfg)
+        return res.grid.a.size, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analysis_memory_grows_by_less_than_a_field():
+    # twice the voices, about twice the scales: omega grows by 8 bytes a
+    # new cell and the block stays within its budget, so the peak rises
+    # by less than one J x n field of 16 bytes a cell.  A whole stack of
+    # the three first-order fields would rise by three fields.
+    (J, low), (J2, high) = _analysis_peak(32), _analysis_peak(64)
+    assert 2 * J - 3 <= J2 <= 2 * J
+    assert high - low < 16 * J * 512, (J, low, high)
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze"])
@@ -937,7 +1068,7 @@ def test_voice_count_past_the_float_range_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     scales, times, need = map(int, _STACK_SIZE.search(err).groups())
     assert scales > 10 ** 400 and times == 256
-    assert need == len(cwt.FIELD_NAMES) * 16 * scales * times
+    assert need == _t1_holds(scales, times, _FFT_BLOCK_256)
     assert f"voices_per_octave is {voices}" in err
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
@@ -990,15 +1121,16 @@ def test_xi_bins_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch,
 
 def test_one_scale_is_checked_before_the_nyquist_check(tmp_path, capsys,
                                                        monkeypatch):
-    # 2**23 + 1 real samples pass the sample guard, and a stack of one
-    # scale by them is 128 bytes past the limit: the run exits 3 before
-    # any component's phase is evaluated on the n samples
+    # n real samples pass the sample guard, and what a run of one scale
+    # by them holds (152 bytes a time) is just past the limit: the run
+    # exits 3 before any component's phase is evaluated on the n samples
     monkeypatch.setattr(ComponentTruth, "phase",
                         lambda *args: pytest.fail("phase evaluated"))
-    n = 2 ** 23 + 1
+    n = cli._STACK_LIMIT // 152 + 1
+    assert _t1_holds(1, n, n) == 152 * n
     assert run("analyze", "--components", "tone:20", "--n", str(n),
                "--outdir", str(tmp_path / "out")) == 3
-    assert f"1 scales by {n} times would take {128 * n} bytes" in \
+    assert f"1 scales by {n} times would take {152 * n} bytes" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -1093,30 +1225,37 @@ def test_cli_import_loads_no_scipy():
 # 6. demo
 
 def test_demo_computes_one_stack(tmp_path, monkeypatch):
+    # one analysis: its blocks cover example1's lattice once, column by
+    # column (sigma1 takes the kernel product)
     from adassq import cli
-    calls = []
+    blocks = []
     stack = cli.compute_stack
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return stack(*args, **kwargs)
+        blocks.append(stack(*args, **kwargs))
+        return blocks[-1]
     monkeypatch.setattr(cli, "compute_stack", counted)
     assert run("demo", "example1", "--outdir", str(tmp_path)) == 0
-    assert len(calls) == 1
+    assert len(blocks) > 1
+    assert len({b.w.shape[0] for b in blocks}) == 1
+    times = np.concatenate([b.profile.b for b in blocks])
+    assert np.array_equal(times, example1_spec().times())
 
 
 def test_stack_is_freed_when_run_analysis_returns(monkeypatch):
-    refs = []
+    # no block of the stack outlives run_analysis, and none is the whole
+    refs, cells = [], []
     stack = cli.compute_stack
 
     def tracked(*args, **kwargs):
         result = stack(*args, **kwargs)
         refs.append(weakref.ref(result))
+        cells.append(result.w.size)
         return result
     monkeypatch.setattr(cli, "compute_stack", tracked)
     res = run_analysis(load_config(None, {("signal", "preset"): "example1"}))
-    assert len(refs) == 1
-    assert refs[0]() is None
+    assert all(ref() is None for ref in refs)
+    assert sum(cells) == res.plane.omega.size > max(cells)
     assert res.tf.values.shape[1] == res.sig.t.size == 256
 
 

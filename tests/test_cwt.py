@@ -17,6 +17,11 @@ Proof groups:
      count exact where a float product would round)
   6. structure -- constant sigma on the sample grid, and only it, builds
      its kernels once and takes one inverse FFT per field
+  7. blocks and subsets -- stacks of consecutive blocks of scales (inverse
+     FFT) or of columns (kernel product), 1, 2 and 7 wide, concatenate to
+     the whole stack bit for bit; a fields= subset is those fields of the
+     whole stack bit for bit, on both paths, and a field not asked for is
+     None
 """
 from __future__ import annotations
 
@@ -618,6 +623,73 @@ def test_only_constant_sigma_on_the_sample_grid_takes_the_fft(wm,
     for n in (2, 64, 128):
         sig = synthesize(SignalSpec(components=(tone(9.0),), fs=64.0, n=n))
         assert count(sig, constant_profile(sig.t, 1.1)) == len(FIELDS)
+    # and one per field built: T1's three
+    calls.clear()
+    compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid,
+                  fields=("w", "db_w", "w_tgp"))
+    assert len(calls) == 3
     assert count(sig, constant_profile(sig.t + 1e-8, 1.1)) == 0
     spec = example2_spec()
     assert count(synthesize(spec), sigma2(spec, wm)) == 0
+
+
+# ---------------------------------------------------------------- group 7
+
+_BLOCK_CASES = {
+    # constant sigma on the sample grid: blocks of scales
+    "constant-fft": (lambda sig, wm: constant_profile(sig.t, 1.1), True),
+    # varying sigma: blocks of columns
+    "sigma1": (lambda sig, wm: sigma1(example1_spec(), wm), False),
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 7])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_blocks_concatenate_to_the_whole_stack(wm, case, width):
+    make, fft = _BLOCK_CASES[case]
+    sig = synthesize(example1_spec())
+    prof = make(sig, wm)
+    assert cwt.takes_fft(sig, prof) == fft
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    whole = compute_stack(sig, prof, wm, grid)
+    blocks = []
+    for k in range(0, len(grid) if fft else sig.t.size, width):
+        part = slice(k, k + width)
+        if fft:
+            blocks.append(compute_stack(
+                sig, prof, wm, ScaleGrid(a=grid.a[part], dlog=grid.dlog)))
+        else:
+            blocks.append(compute_stack(sig, SigmaProfile(
+                b=prof.b[part], sigma=prof.sigma[part],
+                dsigma=prof.dsigma[part]), wm, grid))
+    for name in FIELDS:
+        joined = np.concatenate([getattr(b, name) for b in blocks],
+                                axis=0 if fft else 1)
+        assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+
+@pytest.mark.parametrize("fields", [("w",), ("w", "db_w", "w_tgp"),
+                                    ("dadb_w", "da_w_tg"), ()])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_field_subset_equals_the_whole_stack(wm, case, fields):
+    # w is always built; every other field not named is None
+    make, _ = _BLOCK_CASES[case]
+    sig = synthesize(example1_spec())
+    prof = make(sig, wm)
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    whole = compute_stack(sig, prof, wm, grid)
+    part = compute_stack(sig, prof, wm, grid, fields=fields)
+    for name in FIELDS:
+        got = getattr(part, name)
+        if name == "w" or name in fields:
+            assert got.tobytes() == getattr(whole, name).tobytes(), name
+        else:
+            assert got is None, name
+
+
+def test_unknown_field_is_refused(wm):
+    sig = synthesize(example1_spec())
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    with pytest.raises(ValueError, match="unknown stack fields"):
+        compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid,
+                      fields=("w", "dbw"))

@@ -15,6 +15,13 @@ Proof groups:
      and the report's abs_error and bound by exactly 2**k, in process on
      random specs under T1 constant, T1 sigma1, T2 sigma2 and S2 sigma2,
      and through the command line's files
+  5. an exact relation -- dilation: doubling fs and every instantaneous
+     frequency and multiplying every chirp rate by 4, n kept, samples the
+     same signal twice as fast, so the scales and times halve exactly,
+     omega and sigma' double exactly on the same valid cells and sigma is
+     unchanged bit for bit, in process on random specs under T1
+     constant, T1 sigma1, T2 sigma2 and S2 sigma2, and through the
+     command line's files
 """
 from __future__ import annotations
 
@@ -447,3 +454,50 @@ def test_amplitude_scaling_is_exact_through_the_files(tmp_path):
         assert head2 == head
         _same_bits(got[:, kept], want[:, kept])
         _same_bits(got[:, moved], want[:, moved] * 2.0 ** k)
+
+
+# ---------------------------------------------------------------- group 5
+
+def _dilated_run(spec, variant, kind, d):
+    """run_analysis of spec sampled d times as fast over 1/d of the time:
+    fs and each phase coefficient c_k times d**k, so every instantaneous
+    frequency is d times and every chirp rate d**2 times spec's."""
+    comps = "; ".join(
+        "poly:" + ",".join(repr(float(c) * d ** k)
+                           for k, c in enumerate(comp.coeffs))
+        + f":{float(comp.amplitude)!r}" for comp in spec.components)
+    return run_analysis(load_config(None, {
+        ("signal", "components"): comps, ("signal", "fs"): repr(64.0 * d),
+        ("signal", "n"): "64", ("signal", "mode"): spec.mode,
+        ("sigma", "kind"): kind, ("run", "variant"): variant}))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_specs(), st.sampled_from([("T1", "constant"), ("T1", "sigma1"),
+                                  ("T2", "sigma2"), ("S2", "sigma2")]))
+def test_dilation_is_exact(spec, setting):
+    res, res2 = _dilated_run(spec, *setting, 1.0), \
+        _dilated_run(spec, *setting, 2.0)
+    assert res.plane.valid.any()
+    for got, want in ((res2.grid.a, res.grid.a / 2.0),
+                      (res2.profile.b, res.profile.b / 2.0),
+                      (res2.plane.valid, res.plane.valid),
+                      (res2.plane.omega, res.plane.omega * 2.0),
+                      (res2.profile.sigma, res.profile.sigma),
+                      (res2.profile.dsigma, res.profile.dsigma * 2.0)):
+        _same_bits(got, want)
+
+
+def test_dilation_is_exact_through_the_files(tmp_path):
+    for d in (1.0, 2.0):
+        assert main(["analyze", "--n", "128", "--fs", repr(256.0 * d),
+                     "--components", f"chirp:{20 * d!r}:{5 * d * d!r}; "
+                     f"tone:{60 * d!r}:1.5", "--sigma", "sigma1",
+                     "--pgm", "no", "--outdir", str(tmp_path / repr(d))]) == 0
+    one, fast = tmp_path / "1.0", tmp_path / "2.0"
+    # omega.csv: a,b,omega; sigma.csv: b,sigma,dsigma
+    for name, factors in (("omega.csv", [0.5, 0.5, 2.0]),
+                          ("sigma.csv", [0.5, 1.0, 2.0])):
+        (head, want), (head2, got) = _cells(one / name), _cells(fast / name)
+        assert head2 == head and np.isfinite(want).any()
+        _same_bits(got, want * factors)

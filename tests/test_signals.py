@@ -19,9 +19,11 @@ Proof groups:
      the tf.csv (xi, b) and report.csv (b, k) axis orders, over
      omega-like float planes that are NaN off their support (all-NaN
      cells share a string while cells that mix NaN with numbers do not),
-     and on the tf.csv and omega.csv of a real analyze run; its "%.17g"
-     and "%d" slots print what "{:.17g}" and "{:d}" printed, over signed
-     zeros, NaN payloads, infinities, subnormals, exact int64 and bools;
+     with full-size float columns also given as functions of the rows
+     (tf.csv's abs), and on the tf.csv and omega.csv of a real analyze
+     run; its "%.17g" and "%d" slots print what "{:.17g}" and "{:d}"
+     printed, over signed zeros, NaN payloads, infinities, subnormals,
+     exact int64 and bools;
      its tracemalloc peak on a mostly blank plane does not grow with the
      plane's height
   6. tone and linear_chirp, shorthands for poly_phase, give A and phi to
@@ -228,8 +230,10 @@ def test_write_table_read_table_round_trip_bit_for_bit(tmp_path_factory,
 
 
 def _oracle_write_table(path, header: str, *columns) -> None:
-    """The per-row writer write_table replaced: one fmt.format per cell."""
-    cols = np.broadcast_arrays(*map(np.atleast_2d, columns))
+    """The per-row writer write_table replaced: one fmt.format per cell.
+    A column given as a function of a row slice is taken whole."""
+    cols = np.broadcast_arrays(*(np.atleast_2d(c(slice(None)) if callable(c)
+                                               else c) for c in columns))
     fmt = ",".join("{:d}" if c.dtype.kind in "biu" else "{:.17g}"
                    for c in cols) + "\n"
     with open(path, "w", newline="\n") as fh:
@@ -351,6 +355,15 @@ def test_write_table_matches_per_cell_oracle(tmp_path_factory, columns):
     write_table(d / "new.csv", header, *columns)
     _oracle_write_table(d / "old.csv", header, *columns)
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    # every full-size float column but the first, given as a function of
+    # the rows, as tf.csv gives its abs column
+    shape = np.broadcast_shapes((1, 1), *(np.shape(c) for c in columns))
+    full = [i for i, c in enumerate(columns) if np.shape(c) == shape
+            and len(shape) == 2][1:]
+    rows = [(lambda r, c=c: c[r]) if i in full and c.dtype == np.float64
+            else c for i, c in enumerate(columns)]
+    write_table(d / "rows.csv", header, *rows)
+    assert (d / "rows.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 
 def _plane_peak(path, rows: int) -> int:

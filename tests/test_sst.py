@@ -16,15 +16,23 @@ Proof groups:
      sigma'-free forms: with the time-derivative identity substituted,
      dadb_w and both phase transforms are built from w, w_tg, da_w and
      da_w_tg alone, sigma' cancelling
+  7. blocks equal the whole -- a stack taken in blocks of columns (kernel
+     product) or of scales (inverse FFT), 37, 5 and 1 wide, gives
+     phase_second's gamma2 and omega bytes, strict and hybrid, through
+     its blocks' SecondOrderCells; squeeze's chunks of columns give the
+     bytes of one scatter over the whole lattice; the writers'
+     tracemalloc peak does not grow with the plane's height
 """
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from adassq.cwt import CwtStack, ScaleGrid, compute_stack
+from adassq import sst
+from adassq.cwt import CwtStack, ScaleGrid, compute_stack, takes_fft
 from adassq.separation import (
     SigmaProfile,
     constant_profile,
@@ -44,12 +52,16 @@ from adassq.signals import (
 from adassq.sst import (
     PhasePlane,
     _first_order,
+    SecondOrderCells,
     SqueezeConfig,
+    TfPlane,
     chirp_rate_estimate,
     conservation_defect,
     default_gamma2,
+    lattice_index,
     phase_first,
     phase_second,
+    scatter_add,
     squeeze,
     tf_to_csv,
     tf_to_pgm,
@@ -403,3 +415,99 @@ def test_phase_transforms_are_sigma_prime_free(wm, case):
     plane = phase_second(st, gamma1=0.01)
     assert plane.valid.any()
     assert np.max(np.abs(plane.omega - second)[plane.valid]) <= 1e-8
+
+
+# ---------------------------------------------------------------- group 7
+
+def _blocks(st, width):
+    """(cells, stack) of consecutive blocks of st, width columns each on
+    the kernel-product path and width scales each on the inverse-FFT
+    path, as run_analysis walks them."""
+    fft = takes_fft(st.sig, st.profile)
+    p = st.profile
+    for k in range(0, len(st.a) if fft else len(st.b), width):
+        part = slice(k, k + width)
+        if fft:
+            yield (part, slice(None)), compute_stack(
+                st.sig, p, st.wm, ScaleGrid(a=st.a[part], dlog=st.grid.dlog))
+        else:
+            yield (slice(None), part), compute_stack(
+                st.sig, SigmaProfile(b=p.b[part], sigma=p.sigma[part],
+                                     dsigma=p.dsigma[part], kind=p.kind),
+                st.wm, st.grid)
+
+
+@pytest.mark.parametrize("hybrid", [False, True], ids=["T2", "S2"])
+@pytest.mark.parametrize("width", [37, 5, 1])
+@pytest.mark.parametrize("case", ["example2-sigma2", "constant-256"])
+def test_blocked_second_order_cells_give_phase_second(wm, case, width,
+                                                      hybrid):
+    st = _MASK_CASES[case](wm)
+    assert takes_fft(st.sig, st.profile) == (case == "constant-256")
+    cells = SecondOrderCells(*(np.empty_like(c) for c in
+                               SecondOrderCells.of(st, 0.01)))
+    for at, block in _blocks(st, width):
+        for whole, part in zip(cells, SecondOrderCells.of(block, 0.01)):
+            whole[at] = part
+    got = phase_second(cells, 0.01, hybrid=hybrid)
+    want = phase_second(st, 0.01, hybrid=hybrid)
+    assert got.gamma2 == want.gamma2
+    assert got.omega.tobytes() == want.omega.tobytes()
+
+
+@pytest.mark.parametrize("width", [37, 5, 1])
+@pytest.mark.parametrize("case", ["example1-sigma1", "constant-256"])
+def test_blocked_scatter_add_gives_squeeze(wm, case, width):
+    st = _MASK_CASES[case](wm)
+    cfg = SqueezeConfig.for_stack(st)
+    want = squeeze(st, phase_first(st, 0.01), cfg).values
+    T = np.zeros_like(want)
+    for (rows, cols), block in _blocks(st, width):
+        scatter_add(T, phase_first(block, 0.01).omega, block.w,
+                    st.grid.dlog, cfg, first=cols.start or 0)
+    assert T.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 10 ** 9])
+@pytest.mark.parametrize("case", ["example1-sigma1", "constant-256"])
+def test_squeeze_chunks_give_one_scatters_bytes(wm, monkeypatch, case,
+                                                chunk):
+    # columns of one cell (one column a chunk), of a few cells, and the
+    # whole lattice in one chunk: every plane cell gets its column's cells
+    # in ascending scale order, so the bits are one np.add.at's
+    st = _MASK_CASES[case](wm)
+    plane, cfg = phase_first(st, 0.01), SqueezeConfig.for_stack(st)
+    idx = lattice_index(plane.omega, cfg)
+    sel = idx >= 0
+    want = np.zeros((len(cfg.bin_centers()), len(st.b)), dtype=complex)
+    np.add.at(want, (idx[sel], np.nonzero(sel)[1]),
+              st.w[sel] * (st.grid.dlog / cfg.dxi))
+    monkeypatch.setattr(sst, "_CHUNK_CELLS", chunk)
+    assert squeeze(st, plane, cfg).values.tobytes() == want.tobytes()
+
+
+def _writer_peak(write, path, rows: int) -> int:
+    """tracemalloc peak of writing a 5%-live plane of rows by 1,024
+    cells, allocated before tracing starts."""
+    rng = np.random.default_rng(0)
+    v = np.zeros((rows, 1024), dtype=complex)
+    on = rng.random(v.shape) < 0.05
+    v[on] = rng.normal(size=(int(on.sum()), 2)) @ [1, 1j]
+    tf = TfPlane(xi=np.arange(rows) / 8.0, b=np.arange(1024) / 256.0,
+                 values=v, dxi=0.125)
+    tracemalloc.start()
+    try:
+        write(tf, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("write", [tf_to_csv, tf_to_pgm])
+def test_tf_writers_memory_is_bounded_by_the_chunk(tmp_path, write):
+    # 800 more rows are 819k more cells: a full-size |T| would peak
+    # 6.5 MB higher (and the image 0.8 MB), where a writer bounded by the
+    # chunk and the axes peaks a fraction of a MB higher
+    low, high = (_writer_peak(write, tmp_path / "tf", rows)
+                 for rows in (100, 900))
+    assert high - low < 1_000_000, (low, high)

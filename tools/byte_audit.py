@@ -74,6 +74,12 @@ RUNS = {
                              "sigma1"],
     "recover-three-sigma2-s2": ["recover", "--components", _THREE,
                                 "--sigma", "sigma2", "--variant", "S2"],
+    # varying sigma takes the stack in blocks of columns: with 1 MiB
+    # blocks, 118 scales make S2's blocks 69 columns wide, so the last of
+    # 277 is one column
+    "analyze-three-sigma2-s2-277": ["analyze", "--n", "277", "--components",
+                                    _THREE, "--sigma", "sigma2",
+                                    "--variant", "S2"],
     "recover-cubic-sigma2-s2": ["recover", "--components", _CUBIC,
                                 "--sigma", "sigma2", "--variant", "S2"],
     "recover-cubic-sigma1": ["recover", "--components", _CUBIC, "--sigma",
