@@ -166,6 +166,13 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
     by c_alpha, mode "second" by the per-component c_k.  truth, when given,
     has shape (K, n) and is compared against the estimate (against its
     real part when real_signal is set).
+
+    tf.xi ascends, as squeeze's lattice does, so a component's windows
+    open only on the rows between its lowest ridge - eps3 and its highest
+    ridge + eps3; the sums take those rows alone, in the plane's row
+    order.  A row outside every window would add only a signed zero, so
+    each sum keeps the whole plane's bits, up to the sign of a zero sum,
+    and no temporary is the size of the plane.
     """
     ridge = np.atleast_2d(np.asarray(ridge, dtype=float))
     K, n = ridge.shape
@@ -182,10 +189,17 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
 
     estimate = np.zeros((K, n), dtype=complex)
     bins_used = np.zeros((K, n), dtype=np.int64)
+    rows = len(tf.xi)
     for k in range(K):
-        sel = np.abs(tf.xi[:, None] - ridge[k][None, :]) < eps3[k][None, :]
+        # one row of margin on each side covers the rounding of
+        # ridge -/+ eps3, far below a bin
+        l0 = max(int(np.searchsorted(tf.xi, np.min(ridge[k] - eps3[k])))
+                 - 1, 0)
+        l1 = min(int(np.searchsorted(tf.xi, np.max(ridge[k] + eps3[k]),
+                                     side="right")) + 1, rows)
+        sel = np.abs(tf.xi[l0:l1, None] - ridge[k]) < eps3[k]
         bins_used[k] = sel.sum(axis=0)
-        num = (tf.values * sel).sum(axis=0) * tf.dxi
+        num = (tf.values[l0:l1] * sel).sum(axis=0) * tf.dxi
         c = norms.c_alpha if mode == "first" else norms.c_k[k]
         estimate[k] = num / c
 

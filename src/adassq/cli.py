@@ -327,11 +327,11 @@ _BLOCK_BYTES = 2 ** 20
 # By the count of fields the variant reads (3 for T1, 8 for T2 and S2),
 # bytes a block holds per cell (its fields, the transform's temporaries
 # and the phase transform's), and bytes the kernel-product path holds per
-# scale and spectral bin (the detuning and two columns' kernels, as a
-# column's kernels live until the next column's are built); upper bounds
-# of tracemalloc peaks.
+# scale and spectral bin (the detuning, two columns' Gaussians, the copies
+# of a column's rows above gamma1 and one kernel with its temporaries, as
+# each kernel is freed once used); upper bounds of tracemalloc peaks.
 _BLOCK_CELL_BYTES = {3: 128, 8: 256}
-_KERNEL_BYTES = {3: 100, 8: 240}
+_KERNEL_BYTES = {3: 80, 8: 90}
 
 
 def _check_size(need: int, what: str, hint: str = "") -> None:
@@ -578,7 +578,12 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
           wm: WindowModel, grid: ScaleGrid, base: SqueezeConfig,
           fft: bool) -> tuple[PhasePlane, TfPlane]:
     """(phase plane, squeezed plane) of the run, its stack taken a block
-    at a time and only in the fields the variant reads.
+    at a time and only in the fields the variant reads.  On the
+    kernel-product path compute_stack is given gamma1, so the fields other
+    than w are built only on the cells with |w| > gamma1 that the phase
+    transforms read, and 0 elsewhere (but for a column with one such
+    cell, built whole): the finite check sees only what was built, and a
+    field that would overflow only below gamma1 need not fail the run.
 
     A block is a range of scales where compute_stack takes the inverse
     FFT (fft), a range of columns where it takes the kernel product
@@ -615,7 +620,8 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
                 sig, SigmaProfile(b=profile.b[cols], sigma=profile.sigma[cols],
                                   dsigma=profile.dsigma[cols],
                                   kind=profile.kind),
-                wm, ScaleGrid(a=grid.a[rows], dlog=grid.dlog), fields=fields)
+                wm, ScaleGrid(a=grid.a[rows], dlog=grid.dlog), fields=fields,
+                gamma1=cfg.gamma1)
         _add_tops(top, stack)
         defect = _stack_defect(top, cfg, grid, profile)
         if defect is not None:

@@ -167,7 +167,8 @@ def takes_fft(sig: SampledSignal, profile: SigmaProfile) -> bool:
 
 
 def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
-                  grid: ScaleGrid, fields=FIELD_NAMES) -> CwtStack:
+                  grid: ScaleGrid, fields=FIELD_NAMES,
+                  gamma1: float | None = None) -> CwtStack:
     """Evaluate the named stack fields (default: all eight) on the
     (scale, time) lattice.
 
@@ -184,6 +185,14 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     cell depends only on its own scale and column, so a stack computed on
     a slice of the grid's scales or of the profile's columns is that slice
     of the whole stack, bit for bit.
+
+    With gamma1 set, w is still exact on every cell, and every other
+    field is exact on each cell with |w| > gamma1, the cells the phase
+    transforms read; below gamma1 its value is unspecified.  The
+    kernel-product path takes a column's other products only over its
+    scales above gamma1 (over all of them where only one is) and writes
+    0 on the rest; the inverse-FFT path ignores gamma1, so there every
+    field is exact.
     """
     unknown = set(fields) - set(FIELD_NAMES)
     if unknown:
@@ -201,10 +210,10 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     for i in range(len(shift)):
         s = profile.sigma[i]
         nu = s * detune
-        parts = (nu, gauss_hat(nu), -FOUR_PI2 * nu,
-                 -s * xi,                       # d(nu)/da per bin
-                 profile.dsigma[i] / s, i2pix)
+        gh = gauss_hat(nu)
         if on_grid:
+            parts = (nu, gh, -FOUR_PI2 * nu, -s * xi,
+                     profile.dsigma[i] / s, i2pix)
             # each kernel is built as its transform needs it and freed
             # once used, so the next one reuses its memory
             del detune
@@ -212,14 +221,26 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
                 np.multiply(np.fft.ifft(_KERNELS[name](*parts) * coef, n=n,
                                         axis=1), n, out=out[name])
             break
-        # an (N, 1) column keeps the matrix-vector product's rounding; a
-        # column's kernels are built together and live until the next
-        # column's are, so the allocator reuses their memory rather than
-        # return it to the system and fault it back in
+        # an (N, 1) column keeps the matrix-vector product's rounding, and
+        # so does a product over two or more of its rows, but not over
+        # one: a column with one scale above gamma1 takes all its rows
         ce = coef[:, None] * np.exp(np.outer(i2pix, shift[i:i + 1]))
-        kernels = [_KERNELS[name](*parts) for name in names]
-        for name, kern in zip(names, kernels):
-            out[name][:, i:i + 1] = kern @ ce
+        out["w"][:, i:i + 1] = gh @ ce
+        rows = slice(None)
+        if gamma1 is not None:
+            above = np.flatnonzero(np.abs(out["w"][:, i]) > gamma1)
+            for name in names[1:]:
+                out[name][:, i] = 0.0
+            if above.size == 0:
+                continue
+            if above.size > 1:
+                rows = above
+        # each kernel is freed once used, so one at a time is alive
+        parts = (nu[rows], gh[rows], -FOUR_PI2 * nu[rows],
+                 -s * xi,                       # d(nu)/da per bin
+                 profile.dsigma[i] / s, i2pix)
+        for name in names[1:]:
+            out[name][rows, i:i + 1] = _KERNELS[name](*parts) @ ce
 
     return CwtStack(grid=grid, profile=profile, wm=wm, sig=sig, **out)
 

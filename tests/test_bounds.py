@@ -8,7 +8,9 @@ Proof groups:
      tone degeneracy, band shrinkage, and admissibility guards
   2. mode recovery -- tone end-to-end accuracy, zero-signal and
      empty-window bookkeeping, exact agreement between the recovered line
-     integral and the unsqueezed cells it came from, input validation
+     integral and the unsqueezed cells it came from, the window sums taken
+     over only the rows the windows reach equal to the whole plane's bit
+     for bit with no plane-sized temporary, input validation
   3. first-order budgets -- frozen anchors on the two-chirp preset,
      single-tone closed form, a silent tone's budget equal to the
      threshold term alone (both orders), separation plateau caps on the
@@ -27,6 +29,7 @@ Proof groups:
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -34,6 +37,7 @@ import pytest
 from scipy.integrate import quad as adaptive_quad
 
 from adassq.bounds import (
+    Normalizers,
     RecoveryResult,
     _band_normalizer,
     bounds_first,
@@ -63,6 +67,7 @@ from adassq.signals import (
 )
 from adassq.sst import (
     SqueezeConfig,
+    TfPlane,
     chirp_rate_estimate,
     default_gamma2,
     lattice_index,
@@ -305,6 +310,47 @@ def test_line_integral_matches_unsqueezed_cells():
         cells &= sel_bins[np.clip(idx[:, i], 0, len(centers) - 1)]
         rhs = (stack.w[cells, i] * stack.grid.dlog).sum()
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def _whole_plane_sums(tf, ridge, eps3):
+    """recover's window sums and bin counts over every row of the plane."""
+    sels = [np.abs(tf.xi[:, None] - r) < e for r, e in zip(ridge, eps3)]
+    return (np.array([(tf.values * sel).sum(axis=0) * tf.dxi
+                      for sel in sels]),
+            np.array([sel.sum(axis=0) for sel in sels]))
+
+
+@pytest.mark.parametrize("eps3", [0.3, 1.0, "per-time"])
+def test_recover_sums_only_the_windows_rows(eps3):
+    # a tall random plane with complex and (most of the time) empty
+    # windows: the sums over the rows the windows reach are the
+    # whole-plane sums, bit for bit but for the sign of a zero sum, and
+    # no temporary is the size of the plane
+    rng = np.random.default_rng(7)
+    rows, n = 4000, 256
+    tf = TfPlane(xi=np.arange(rows) * 0.25, b=np.arange(n) / 256.0,
+                 values=rng.standard_normal((rows, n))
+                 + 1j * rng.standard_normal((rows, n)), dxi=0.25)
+    tf.values[rng.random((rows, n)) < 0.5] = 0.0
+    ridge = np.vstack([40.0 + 3.0 * np.sin(np.arange(n) / 9.0),
+                       np.full(n, 44.125), np.full(n, -5.0)])
+    if eps3 == "per-time":
+        eps3 = 0.1 + rng.random((3, n))
+    eps3 = np.broadcast_to(np.asarray(eps3, dtype=float), ridge.shape)
+    norms = Normalizers(c_alpha=np.ones(n, dtype=complex))
+    tracemalloc.start()
+    try:
+        result = recover(tf, norms, ridge, eps3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tf.values.nbytes / 20
+    num, bins = _whole_plane_sums(tf, ridge, eps3)
+    np.testing.assert_array_equal(result.bins_used, bins)
+    assert (result.bins_used == 0).any() and (result.bins_used > 1).any()
+    assert np.array_equal(result.estimate, num)
+    live = num != 0.0
+    assert result.estimate[live].tobytes() == num[live].tobytes()
 
 
 def test_recover_validates_inputs():

@@ -15,6 +15,9 @@ What is proven here
 5. A run whose stderr has lines with "Warning" in either tree shows both
    counts on its line, and the last line adds both totals; the verdict
    and the exit code do not change.
+6. The audit's two raised-threshold runs (sigma1 T1, sigma2 S2) walk a
+   kernel-product stack in which some columns have no scale with
+   |w| > gamma1, some one and some two.
 """
 from __future__ import annotations
 
@@ -24,7 +27,11 @@ import re
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from adassq import cli
+from adassq.cwt import compute_stack
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_audit.py"
 _spec = importlib.util.spec_from_file_location("byte_audit", _TOOL)
@@ -115,3 +122,29 @@ def test_audit_counts_each_runs_warning_lines(monkeypatch, capsys):
         "loud: every SHA-256 equal; wall; warning lines 2 -> 0",
         "0 output files of 2 runs: every SHA-256 equal; "
         "warning lines 2 -> 0"]
+
+
+@pytest.mark.parametrize("name", ["analyze-example1-sigma1-gamma1",
+                                  "recover-example2-sigma2-s2-gamma1"])
+def test_raised_gamma1_runs_reach_the_masks_edges(monkeypatch, tmp_path,
+                                                  name):
+    # the audit's raised-threshold runs leave columns with zero, one and
+    # two scales above gamma1 in the stack the run itself walks
+    above = []
+
+    def stack(*args, gamma1=None, **kwargs):
+        st = compute_stack(*args, gamma1=gamma1, **kwargs)
+        above.append(np.abs(st.w) > gamma1)
+        return st
+
+    def analysis_only(command, cfg):
+        cli.run_analysis(cfg)
+        return 0
+    monkeypatch.setattr(cli, "compute_stack", stack)
+    monkeypatch.setattr(cli, "run_command", analysis_only)
+    assert cli.main([*byte_audit.RUNS[name], "--outdir",
+                     str(tmp_path)]) == 0
+    # the kernel-product path: blocks of whole columns
+    assert len({mask.shape[0] for mask in above}) == 1
+    counts = np.count_nonzero(np.concatenate(above, axis=1), axis=0)
+    assert {0, 1, 2} <= set(counts.tolist())

@@ -22,6 +22,14 @@ Proof groups:
      the whole stack bit for bit; a fields= subset is those fields of the
      whole stack bit for bit, on both paths, and a field not asked for is
      None
+  8. the gamma1 mask -- on the kernel-product path (sigma1, sigma2, a
+     width table; T1's three fields and all eight) w is the whole stack's
+     on every cell and every other field on each cell with |w| > gamma1,
+     bit for bit, for a threshold that leaves a column one scale above it
+     (a one-row product would move bits), one that leaves a column none
+     (no product, zeros), and one below every |w| (the whole stack);
+     column blocks of the masked stack concatenate to it, and the
+     inverse-FFT path ignores gamma1
 """
 from __future__ import annotations
 
@@ -693,3 +701,85 @@ def test_unknown_field_is_refused(wm):
     with pytest.raises(ValueError, match="unknown stack fields"):
         compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid,
                       fields=("w", "dbw"))
+
+
+# ---------------------------------------------------------------- group 8
+
+_MASK_PROFILES = {
+    "sigma1": (example1_spec, sigma1),
+    "sigma2": (example2_spec, sigma2),
+    "table": (example1_spec, lambda spec, wm: _sinusoidal(spec.times())),
+}
+
+
+def _mask_case(wm, profile):
+    spec, make = _MASK_PROFILES[profile]
+    spec = spec()
+    sig, prof = synthesize(spec), make(spec, wm)
+    assert not cwt.takes_fft(sig, prof)
+    return sig, prof, ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+
+
+def _gamma1(mag, case):
+    """A threshold that leaves the column of the lowest peak |w| with one
+    scale above it ("one"), with none ("none"), or is below every |w|."""
+    low = mag[:, np.argmin(np.max(mag, axis=0))]
+    return {"one": np.sort(low)[-2], "none": np.max(low),
+            "below-min": 0.5 * np.min(mag)}[case]
+
+
+@pytest.mark.parametrize("case", ["one", "none", "below-min"])
+@pytest.mark.parametrize("fields", [("w", "db_w", "w_tgp"), FIELDS],
+                         ids=["T1", "all"])
+@pytest.mark.parametrize("profile", sorted(_MASK_PROFILES))
+def test_masked_stack_is_exact_above_gamma1(wm, profile, fields, case):
+    # w is exact everywhere; every other field on each cell |w| > gamma1,
+    # and below every |w| the masked stack is the whole one
+    sig, prof, grid = _mask_case(wm, profile)
+    whole = compute_stack(sig, prof, wm, grid, fields=fields)
+    mag = np.abs(whole.w)
+    gamma1 = _gamma1(mag, case)
+    above = mag > gamma1
+    counts = np.count_nonzero(above, axis=0)
+    if case == "below-min":
+        assert above.all()
+    else:
+        assert (counts == (1 if case == "one" else 0)).any()
+        assert (counts >= 2).any()
+    masked = compute_stack(sig, prof, wm, grid, fields=fields,
+                           gamma1=gamma1)
+    assert masked.w.tobytes() == whole.w.tobytes()
+    for name in fields:
+        got, want = getattr(masked, name), getattr(whole, name)
+        assert got[above].tobytes() == want[above].tobytes(), name
+        if case == "below-min":
+            assert got.tobytes() == want.tobytes(), name
+        # a column with no scale above gamma1 takes no product
+        assert not got[:, counts == 0].any() or name == "w", name
+
+
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_masked_column_blocks_concatenate_to_the_masked_stack(wm, width):
+    sig, prof, grid = _mask_case(wm, "sigma2")
+    gamma1 = _gamma1(np.abs(compute_stack(sig, prof, wm, grid,
+                                          fields=()).w), "one")
+    whole = compute_stack(sig, prof, wm, grid, gamma1=gamma1)
+    blocks = [compute_stack(sig, SigmaProfile(
+        b=prof.b[k:k + width], sigma=prof.sigma[k:k + width],
+        dsigma=prof.dsigma[k:k + width]), wm, grid, gamma1=gamma1)
+        for k in range(0, sig.t.size, width)]
+    for name in FIELDS:
+        joined = np.concatenate([getattr(b, name) for b in blocks], axis=1)
+        assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_gamma1_leaves_the_inverse_fft_stack_whole(wm):
+    sig = synthesize(example1_spec())
+    prof = constant_profile(sig.t, 1.1)
+    grid = ScaleGrid.from_range(1.0 / 30.0, 1.0 / 5.0, voices=8)
+    whole = compute_stack(sig, prof, wm, grid)
+    masked = compute_stack(sig, prof, wm, grid,
+                           gamma1=float(np.max(np.abs(whole.w))))
+    for name in FIELDS:
+        assert getattr(masked, name).tobytes() == \
+            getattr(whole, name).tobytes(), name

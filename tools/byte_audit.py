@@ -98,6 +98,15 @@ RUNS = {
     "analyze-sigma-table": ["analyze", "--preset", "example1", "--sigma",
                             "table", "--sigma-table",
                             "{inputs}/sigma-table.csv"],
+    # a raised threshold leaves some columns of a varying-sigma stack with
+    # no scale above it, some with one and some with two, the edges of
+    # compute_stack's gamma1 mask
+    "analyze-example1-sigma1-gamma1": ["analyze", "--preset", "example1",
+                                       "--sigma", "sigma1", "--gamma1",
+                                       "0.99"],
+    "recover-example2-sigma2-s2-gamma1": ["recover", "--preset", "example2",
+                                          "--sigma", "sigma2", "--variant",
+                                          "S2", "--gamma1", "0.98"],
 }
 
 
