@@ -33,7 +33,8 @@ import numpy as np
 
 from .cwt import CwtStack
 from .separation import SigmaProfile, ZoneSet, spectral_distance
-from .signals import SignalSpec, class_params, tracks, write_table
+from .signals import (_CHUNK_CELLS, SignalSpec, class_params, tracks,
+                      write_table)
 from .sst import TfPlane, chirp_rate_estimate
 from .windows import (TWO_PI, WindowModel, chirped_transform_G,
                       chirped_transform_Gj, gauss_hat, moment)
@@ -155,6 +156,17 @@ class RecoveryResult:
     abs_error: Array | None = None
 
 
+def _column_chunks(n: int, rows: int) -> list[slice]:
+    """Slices of n columns over which recover sums a window that spans
+    rows plane rows: about _CHUNK_CELLS cells each, and never one column
+    wide, since numpy sums an (R, 1) slice over its rows pairwise and a
+    wider one row by row, as it sums the whole plane.  A one-column tail
+    joins the chunk before it."""
+    step = max(2, _CHUNK_CELLS // max(rows, 1))
+    starts = list(range(0, max(n - 1, 1), step))
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [n])]
+
+
 def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
             mode: str = "first", truth: Array | None = None,
             real_signal: bool = False) -> RecoveryResult:
@@ -170,9 +182,10 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
     tf.xi ascends, as squeeze's lattice does, so a component's windows
     open only on the rows between its lowest ridge - eps3 and its highest
     ridge + eps3; the sums take those rows alone, in the plane's row
-    order.  A row outside every window would add only a signed zero, so
-    each sum keeps the whole plane's bits, up to the sign of a zero sum,
-    and no temporary is the size of the plane.
+    order, and _column_chunks' columns at a time.  A row outside every
+    window would add only a signed zero, so each sum keeps the whole
+    plane's bits, up to the sign of a zero sum, and no temporary is the
+    size of the plane or of the window's rows by n.
     """
     ridge = np.atleast_2d(np.asarray(ridge, dtype=float))
     K, n = ridge.shape
@@ -197,11 +210,12 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
                  - 1, 0)
         l1 = min(int(np.searchsorted(tf.xi, np.max(ridge[k] + eps3[k]),
                                      side="right")) + 1, rows)
-        sel = np.abs(tf.xi[l0:l1, None] - ridge[k]) < eps3[k]
-        bins_used[k] = sel.sum(axis=0)
-        num = (tf.values[l0:l1] * sel).sum(axis=0) * tf.dxi
         c = norms.c_alpha if mode == "first" else norms.c_k[k]
-        estimate[k] = num / c
+        for cols in _column_chunks(n, l1 - l0):
+            sel = np.abs(tf.xi[l0:l1, None] - ridge[k, cols]) < eps3[k, cols]
+            bins_used[k, cols] = sel.sum(axis=0)
+            num = (tf.values[l0:l1, cols] * sel).sum(axis=0) * tf.dxi
+            estimate[k, cols] = num / c[cols]
 
     abs_error = None
     if truth is not None:

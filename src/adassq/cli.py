@@ -507,9 +507,9 @@ def _check_stack(scales: int, cfg: RunConfig, spectrum: int | None = None,
     kernel product over a spectrum of that many bins (None: the inverse
     FFT), its per-column kernels.  The per-cell arrays are omega (8 bytes
     a cell) or, for a second-order plane waiting for its default gamma2,
-    SecondOrderCells and the plane phase_second makes of them (58)."""
+    SecondOrderCells and the plane phase_second makes of them (52)."""
     n, fields = cfg.n, len(_fields(cfg))
-    cell = 58 if cfg.order == 2 and cfg.gamma2 is None else 8
+    cell = 52 if cfg.order == 2 and cfg.gamma2 is None else 8
     fft = spectrum is None
     need = 16 * bins * n + cell * scales * n + _BLOCK_CELL_BYTES[fields] \
         * _block_step(scales, n, fft, fields) * (n if fft else scales)
@@ -605,7 +605,7 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
     if deferred:
         cells = SecondOrderCells(
             *(np.empty((scales, n), dtype=t)
-              for t in (complex, bool, float, float, float)))
+              for t in (complex, float, float, float)))
     else:
         omega = np.empty((scales, n))
         T = np.zeros((base.bin_centers().size, n), dtype=complex)

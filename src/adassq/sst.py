@@ -101,40 +101,44 @@ def default_gamma2(stack: CwtStack, gamma1: float) -> float:
 class SecondOrderCells(NamedTuple):
     """What a second-order plane and its squeeze read of each cell, so
     that a stack taken in blocks can wait for its default gamma2 holding
-    these, not the stack: w, the gamma1 mask, the conditioning, and the
-    first- and second-order estimates."""
+    these, not the stack: w, the conditioning, and the first- and
+    second-order estimates.  cond and first are NaN on every cell with
+    |w| <= gamma1, so their NaN pattern is the gamma1 mask."""
 
     w: Array
-    above: Array
     cond: Array
     first: Array
     second: Array
 
     @classmethod
     def of(cls, stack: CwtStack, gamma1: float) -> "SecondOrderCells":
-        above = _above_gamma1(stack, gamma1)
+        below = ~_above_gamma1(stack, gamma1)
         r0, cond = chirp_rate_estimate(stack)
         a = stack.a[:, None]
         first = _first_order(stack)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             second = (first - a * (stack.w_tg / (2j * np.pi * stack.w))
                       * r0).real
-        return cls(stack.w, above, cond, first.real, second)
+        first = first.real
+        # in place, once second is formed: the block holds no more memory
+        cond[below] = np.nan
+        first[below] = np.nan
+        return cls(stack.w, cond, first, second)
 
     def plane(self, gamma2: float | None = None,
               hybrid: bool = False) -> PhasePlane:
         """phase_second's plane of these cells."""
         if gamma2 is None:
-            vals = self.cond[self.above]
-            vals = vals[np.isfinite(vals)]
-            gamma2 = 1e-4 * (float(np.median(vals)) if vals.size else 1.0)
+            vals = self.cond[np.isfinite(self.cond)]
+            gamma2 = 1e-4 * (float(np.median(vals, overwrite_input=True))
+                             if vals.size else 1.0)
+            del vals            # the plane's arrays reuse its memory
         if gamma2 < 0.0:
             raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
         with np.errstate(invalid="ignore"):
-            mask2 = self.above & np.isfinite(self.cond) & (self.cond > gamma2)
-        fallback = np.where(self.above, self.first, np.nan) if hybrid \
-            else np.nan
-        return PhasePlane(omega=np.where(mask2, self.second, fallback),
+            mask2 = np.isfinite(self.cond) & (self.cond > gamma2)
+        return PhasePlane(omega=np.where(mask2, self.second,
+                                         self.first if hybrid else np.nan),
                           gamma2=gamma2)
 
 
@@ -149,8 +153,8 @@ def phase_second(stack: CwtStack | SecondOrderCells, gamma1: float,
     conditioning above gamma2 (default: 1e-4 of the median conditioning on
     thresholded cells).  With hybrid=True, poorly conditioned cells fall
     back to the first-order estimate instead of NaN.  stack may also be
-    the SecondOrderCells of a stack taken in blocks, already thresholded
-    at gamma1.
+    the SecondOrderCells of a stack taken in blocks, whose NaNs already
+    mark gamma1's threshold.
     """
     cells = stack if isinstance(stack, SecondOrderCells) \
         else SecondOrderCells.of(stack, gamma1)

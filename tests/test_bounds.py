@@ -9,8 +9,10 @@ Proof groups:
   2. mode recovery -- tone end-to-end accuracy, zero-signal and
      empty-window bookkeeping, exact agreement between the recovered line
      integral and the unsqueezed cells it came from, the window sums taken
-     over only the rows the windows reach equal to the whole plane's bit
-     for bit with no plane-sized temporary, input validation
+     over only the rows the windows reach, a chunk of columns at a time
+     and a one-column tail joined to the chunk before it, equal to the
+     whole plane's bit for bit with no temporary larger than a chunk's,
+     input validation
   3. first-order budgets -- frozen anchors on the two-chirp preset,
      single-tone closed form, a silent tone's budget equal to the
      threshold term alone (both orders), separation plateau caps on the
@@ -57,6 +59,7 @@ from adassq.separation import (
     zones,
 )
 from adassq.signals import (
+    _CHUNK_CELLS,
     SignalSpec,
     example1_spec,
     example2_spec,
@@ -323,34 +326,42 @@ def _whole_plane_sums(tf, ridge, eps3):
 @pytest.mark.parametrize("eps3", [0.3, 1.0, "per-time"])
 def test_recover_sums_only_the_windows_rows(eps3):
     # a tall random plane with complex and (most of the time) empty
-    # windows: the sums over the rows the windows reach are the
-    # whole-plane sums, bit for bit but for the sign of a zero sum, and
-    # no temporary is the size of the plane
-    rng = np.random.default_rng(7)
-    rows, n = 4000, 256
-    tf = TfPlane(xi=np.arange(rows) * 0.25, b=np.arange(n) / 256.0,
-                 values=rng.standard_normal((rows, n))
-                 + 1j * rng.standard_normal((rows, n)), dxi=0.25)
-    tf.values[rng.random((rows, n)) < 0.5] = 0.0
-    ridge = np.vstack([40.0 + 3.0 * np.sin(np.arange(n) / 9.0),
-                       np.full(n, 44.125), np.full(n, -5.0)])
-    if eps3 == "per-time":
-        eps3 = 0.1 + rng.random((3, n))
-    eps3 = np.broadcast_to(np.asarray(eps3, dtype=float), ridge.shape)
-    norms = Normalizers(c_alpha=np.ones(n, dtype=complex))
-    tracemalloc.start()
-    try:
-        result = recover(tf, norms, ridge, eps3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < tf.values.nbytes / 20
-    num, bins = _whole_plane_sums(tf, ridge, eps3)
-    np.testing.assert_array_equal(result.bins_used, bins)
-    assert (result.bins_used == 0).any() and (result.bins_used > 1).any()
-    assert np.array_equal(result.estimate, num)
-    live = num != 0.0
-    assert result.estimate[live].tobytes() == num[live].tobytes()
+    # windows, and one window 800 Hz wide, 3,200 of its rows, so that its
+    # chunks are two columns wide and n = 257 leaves a one-column tail
+    # (whose sum over its rows numpy would take pairwise): the sums over
+    # the rows the windows reach, a chunk of columns at a time, are the
+    # whole-plane sums, bit for bit but for the sign of a zero sum, and no
+    # temporary outgrows a chunk
+    for n in (256, 257):
+        rng = np.random.default_rng(7)
+        rows = 4000
+        tf = TfPlane(xi=np.arange(rows) * 0.25, b=np.arange(n) / 256.0,
+                     values=rng.standard_normal((rows, n))
+                     + 1j * rng.standard_normal((rows, n)), dxi=0.25)
+        tf.values[rng.random((rows, n)) < 0.5] = 0.0
+        ridge = np.vstack([40.0 + 3.0 * np.sin(np.arange(n) / 9.0),
+                           np.full(n, 44.125), np.full(n, -5.0),
+                           np.full(n, 500.0)])
+        widths = 0.1 + rng.random(ridge.shape) if eps3 == "per-time" \
+            else np.full(ridge.shape, eps3)
+        widths[3] = 400.0
+        norms = Normalizers(c_alpha=np.ones(n, dtype=complex))
+        tracemalloc.start()
+        try:
+            result = recover(tf, norms, ridge, widths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk is at most three of the wide window's columns, under
+        # 2 * _CHUNK_CELLS cells, each with under 40 bytes of temporaries;
+        # that window's rows by n would take 13 MB
+        assert peak < 40 * 2 * _CHUNK_CELLS
+        num, bins = _whole_plane_sums(tf, ridge, widths)
+        np.testing.assert_array_equal(result.bins_used, bins)
+        assert (result.bins_used == 0).any() and (result.bins_used > 1).any()
+        assert np.array_equal(result.estimate, num)
+        live = num != 0.0
+        assert result.estimate[live].tobytes() == num[live].tobytes()
 
 
 def test_recover_validates_inputs():

@@ -18,6 +18,9 @@ What is proven here
 6. The audit's two raised-threshold runs (sigma1 T1, sigma2 S2) walk a
    kernel-product stack in which some columns have no scale with
    |w| > gamma1, some one and some two.
+7. The audit's two-tone recover run sums one component's window in
+   chunks of columns whose last would be one column wide, the tail that
+   joins the chunk before it.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adassq import cli
+from adassq import bounds, cli
 from adassq.cwt import compute_stack
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_audit.py"
@@ -148,3 +151,19 @@ def test_raised_gamma1_runs_reach_the_masks_edges(monkeypatch, tmp_path,
     assert len({mask.shape[0] for mask in above}) == 1
     counts = np.count_nonzero(np.concatenate(above, axis=1), axis=0)
     assert {0, 1, 2} <= set(counts.tolist())
+
+
+def test_two_tone_recover_run_reaches_a_one_column_tail(monkeypatch,
+                                                        tmp_path):
+    # the chunk width comes from the component's window rows; a chunk one
+    # column wider than the first is a one-column tail, joined to it
+    widths, column_chunks = [], bounds._column_chunks
+
+    def chunks(n, rows):
+        parts = column_chunks(n, rows)
+        widths.append([part.stop - part.start for part in parts])
+        return parts
+    monkeypatch.setattr(bounds, "_column_chunks", chunks)
+    assert cli.main([*byte_audit.RUNS["recover-two-tones-246"], "--outdir",
+                     str(tmp_path)]) == 0
+    assert any(len(w) > 1 and w[-1] == w[0] + 1 for w in widths)

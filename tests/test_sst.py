@@ -12,7 +12,8 @@ Proof groups:
   5. output -- CSV/PGM determinism, validation (default_gamma2 rejects
      a nonpositive gamma1 as both phase transforms do)
   6. one statement of each fact -- a plane's valid mask, read from its
-     NaN pattern, is the threshold mask each variant applies; and the
+     NaN pattern, is the threshold mask each variant applies, and
+     SecondOrderCells carry the gamma1 mask only as NaNs; and the
      sigma'-free forms: with the time-derivative identity substituted,
      dadb_w and both phase transforms are built from w, w_tg, da_w and
      da_w_tg alone, sigma' cancelling
@@ -368,6 +369,19 @@ def test_valid_is_the_threshold_mask(wm, case, variant):
             mask &= np.isfinite(cond) & (cond > plane.gamma2)
     assert mask.any() and not mask.all()
     np.testing.assert_array_equal(plane.valid, mask)
+
+
+@pytest.mark.parametrize("case", list(_MASK_CASES))
+def test_second_order_cells_keep_gamma1_in_their_nans(wm, case):
+    # no mask array beside the cells: the conditioning and the
+    # first-order estimate are NaN exactly where |w| <= gamma1
+    st = _MASK_CASES[case](wm)
+    cells = SecondOrderCells.of(st, 0.01)
+    assert all(field.dtype != bool for field in cells)
+    below = np.abs(st.w) <= 0.01
+    assert below.any() and not below.all()
+    np.testing.assert_array_equal(np.isnan(cells.cond), below)
+    np.testing.assert_array_equal(np.isnan(cells.first), below)
 
 
 _THREE = SignalSpec(components=(tone(20.0), linear_chirp(40.0, 5.0),

@@ -84,6 +84,11 @@ RUNS = {
                                 "--sigma", "sigma2", "--variant", "S2"],
     "recover-cubic-sigma1": ["recover", "--components", _CUBIC, "--sigma",
                              "sigma1"],
+    # recover sums a component's window rows a chunk of columns at a
+    # time: the 20 Hz tone's window spans 165 rows, so its chunks are 49
+    # columns wide, and 246 = 5 * 49 + 1 leaves a one-column tail
+    "recover-two-tones-246": ["recover", "--n", "246", "--components",
+                              "tone:20; tone:80"],
     "synth-example2": ["synth", "--preset", "example2"],
     "analyze-synth-file-t2": ["analyze", "--signal-file",
                               "{out}/synth-example2/signal.csv",
