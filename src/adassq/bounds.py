@@ -26,6 +26,7 @@ l = 0, 1, ..., K-1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +46,16 @@ Array = np.ndarray
 # nears the 1/a pole (9e-3 relative at sigma*mu/alpha = 1.001 with 32
 # nodes).  In v = log a the pole leaves the integrand, and 64 nodes stay
 # within 4e-15 of adaptive quadrature down to that ratio.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+@functools.cache
+def _rule() -> tuple[Array, Array]:
+    """The 64-node Gauss-Legendre rule on [-1, 1], (nodes, weights), read
+    only: built on first use, so that importing the package does no
+    numerical work and loads no numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+    rule = leggauss(64)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 # Cells per call of a quad integrand.  Its temporaries hold 64 nodes per
 # cell, so a bounded chunk keeps each one at 256 KB (complex) however many
@@ -66,12 +76,13 @@ def quad(f, lo, hi, *params) -> Array:
     vlo, vhi = np.log(np.ravel(lo)), np.log(np.ravel(hi))
     half, mid = 0.5 * (vhi - vlo), 0.5 * (vhi + vlo)
     params = [np.ravel(p)[:, None] for p in params]
+    nodes, weights = _rule()
     parts = []
     for i in range(0, max(half.size, 1), _QUAD_CELLS):
         c = slice(i, i + _QUAD_CELLS)
-        a = np.exp(mid[c, None] + half[c, None] * _NODES)
+        a = np.exp(mid[c, None] + half[c, None] * nodes)
         parts.append(half[c] * np.sum(f(a, *(p[c] for p in params))
-                                      * _WEIGHTS, axis=-1))
+                                      * weights, axis=-1))
     return np.concatenate(parts).reshape(shape)
 
 

@@ -44,7 +44,10 @@ requested analysis, components out of frequency order, a negative
 component amplitude (recover), samples, an analysis (its squeezed plane,
 per-cell arrays, one block of the stack it walks in blocks and, where the
 stack takes the kernel product, a column's kernels) or a squeezed plane
-over the 1 GiB memory limit, or a non-finite result:
+over the 1 GiB memory limit, a signal that is not zero but leaves no
+cell with a finite frequency estimate (a threshold above every |w|, or
+a record too short for any frequency bin to reach the window's band), or
+a non-finite result:
 widths, a scale range, a transform stack (or one whose products overflow
 in a second-order phase transform) or a recovery error or bound that is
 not finite, named with the inputs that set its range, 4 recovery requested
@@ -597,7 +600,9 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
     leave their SecondOrderCells, which phase_second finishes once the
     walk ends, and the plane is squeezed then.  Once a block fails the
     finite check the rest are only measured, so the message names what a
-    check of the whole stack would.
+    check of the whole stack would.  A signal that is not zero but leaves
+    no cell with a finite omega fails the run, naming gamma1, the largest
+    part of w the walk saw and n.
     """
     fields, (scales, n) = _fields(cfg), (grid.a.size, sig.t.size)
     hybrid = cfg.variant == "S2"
@@ -646,11 +651,21 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
     if deferred:
         plane, w = phase_second(cells, cfg.gamma1, hybrid=hybrid), cells.w
         del cells               # squeeze's temporaries reuse its memory
-        return plane, squeeze(CwtStack(grid=grid, profile=profile, wm=wm,
-                                       sig=sig, w=w), plane, base)
-    tf = TfPlane(xi=base.bin_centers(), b=profile.b, values=T, dxi=base.dxi)
-    return PhasePlane(omega=omega, gamma2=cfg.gamma2 if cfg.order == 2
-                      else None), tf
+        tf = squeeze(CwtStack(grid=grid, profile=profile, wm=wm, sig=sig,
+                              w=w), plane, base)
+    else:
+        plane = PhasePlane(omega=omega,
+                           gamma2=cfg.gamma2 if cfg.order == 2 else None)
+        tf = TfPlane(xi=base.bin_centers(), b=profile.b, values=T,
+                     dxi=base.dxi)
+    # an all-zero plane is the answer only for an all-zero signal
+    if not plane.valid.any() and np.any(sig.x):
+        raise AdmissibilityError(
+            f"no cell has a finite frequency estimate, though the signal "
+            f"is not zero: the largest real or imaginary part of w is "
+            f"{top['w']:g}, against [thresholds] gamma1 = {cfg.gamma1:g}, "
+            f"over [signal] n = {n} samples")
+    return plane, tf
 
 
 def run_analysis(cfg: RunConfig) -> Analysis:

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .windows import _polyval
+
 Array = np.ndarray
 
 
@@ -35,9 +37,20 @@ class ComponentTruth:
 
     def phase(self, t: Array, m: int = 0) -> Array:
         """The exact m-th derivative of the phase at t: phi (m = 0), the
-        instantaneous frequency phi', the chirp rate phi'', and so on."""
-        p = np.polynomial.Polynomial(list(self.coeffs))
-        return p.deriv(m)(np.asarray(t, dtype=float))
+        instantaneous frequency phi', the chirp rate phi'', and so on.
+        Each step of numpy.polynomial's Polynomial(coeffs).deriv(m)(t) is
+        taken as it takes it, so the values have its bits."""
+        if m < 0:
+            raise ValueError(f"derivative order must be nonnegative, got {m}")
+        c = np.array(self.coeffs, dtype=float, ndmin=1)
+        if m >= len(c):
+            c = c[:1] * 0
+        else:
+            for _ in range(m):
+                c = np.arange(1, len(c)) * c[1:]
+        # Polynomial maps t from its domain to its window, both [-1, 1]:
+        # 0.0 + 1.0*t, which turns -0.0 into +0.0
+        return _polyval(0.0 + 1.0 * np.asarray(t, dtype=float), c)
 
     def dphase(self, t: Array) -> Array:
         return self.phase(t, 1)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = 4.0 * math.pi ** 2
@@ -51,6 +50,16 @@ _HAT_POLY: dict[WindowKind, np.ndarray] = {
     WindowKind.TG: np.array([0.0, -1j * TWO_PI], dtype=complex),
     WindowKind.TGP: np.array([-1.0, 0.0, FOUR_PI2], dtype=complex),
 }
+
+
+def _polyval(x, c) -> np.ndarray:
+    """The polynomial with ascending coefficients c at x, by Horner's
+    rule, in the operations and order of numpy.polynomial.polynomial's
+    polyval for a 1-d c, so with its bits."""
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
 
 
 def window_eval(kind: WindowKind, t) -> np.ndarray:
@@ -75,7 +84,7 @@ def gauss_hat(xi) -> np.ndarray:
 def window_hat_eval(kind: WindowKind, xi) -> np.ndarray:
     """Spectrum of the kernel at frequency xi (complex in general)."""
     xi = np.asarray(xi, dtype=float)
-    return npoly.polyval(xi, _HAT_POLY[kind]) * gauss_hat(xi)
+    return _polyval(xi, _HAT_POLY[kind]) * gauss_hat(xi)
 
 
 def essential_alpha(tau0: float) -> float:

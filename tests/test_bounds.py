@@ -2,7 +2,8 @@
 
 Proof groups:
   1. normalizers -- frozen quadrature anchors, an independent dense
-     Gauss-Legendre cross-check, the fixed log-scale rule against adaptive
+     Gauss-Legendre cross-check, quad's 64-node rule bit for bit
+     numpy.polynomial's leggauss(64) (the oracle) and read only, the fixed log-scale rule against adaptive
      quadrature (normalizers and leakage masses on both presets, bands
      next to the pole, very wide windows), the large-width asymptotic,
      tone degeneracy, band shrinkage, and admissibility guards
@@ -42,6 +43,7 @@ from adassq.bounds import (
     Normalizers,
     RecoveryResult,
     _band_normalizer,
+    _rule,
     bounds_first,
     bounds_second,
     normalizers,
@@ -159,6 +161,13 @@ def test_band_normalizer_matches_dense_quadrature():
         xi = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ref = 0.5 * (hi - lo) * np.sum(weights * gauss_hat(s * (WM.mu - xi)) / xi)
         assert norms.c_alpha[i].real == pytest.approx(ref, rel=1e-9)
+
+
+def test_quad_rule_is_numpys_gauss_legendre_rule():
+    for got, want in zip(_rule(), np.polynomial.legendre.leggauss(64)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not got.flags.writeable     # one array for every caller
 
 
 def oracle(h, lo, hi):

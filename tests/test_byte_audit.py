@@ -9,9 +9,12 @@ What is proven here
 2. For two PGMs of one size, the differing pixels are counted.
 3. The audit prints those findings under each differing file and still
    exits 1.
-4. Each run gets one line, its SHA-256 verdict and its CLI wall time in
-   either tree, whether its files differ or not; exit codes are as
-   before.
+4. Each run gets one line, its SHA-256 verdict, its CLI wall time and
+   its peak RSS in either tree, whether its files differ or not, and a
+   summary line gives each tree's median and largest peak and the count
+   of runs whose peak rose; exit codes are as before.  A run is spawned
+   through perfbench/launcher.py, so its peak is the child's own, not
+   the size of the process running the audit.
 5. A run whose stderr has lines with "Warning" in either tree shows both
    counts on its line, and the last line adds both totals; the verdict
    and the exit code do not change.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import re
-import subprocess
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +72,19 @@ def test_pgm_reports_its_differing_pixels(tmp_path):
         ["2 of 6 pixels differ"]
 
 
-def _fake_audit(monkeypatch, bodies, walls):
+def _fake_audit(monkeypatch, bodies, walls, peaks=None):
     """Run main on one faked run per tree: tree `label` writes omega.csv
-    as bodies[label] and took walls[label] seconds.  No command starts."""
+    as bodies[label], took walls[label] seconds and peaked at
+    peaks[label] MB (36.5 by default).  No command starts."""
+    peaks = peaks or {"parent": 36.5, "new": 36.5}
+
     def run_in_tree(tree, name, args, inputs, out):
         (out / name).mkdir()
         body = bodies[out.name]
         (out / name / "omega.csv").write_text(body)
         return ({f"{name} (exit code)": "0", f"{name}/omega.csv":
-                 hashlib.sha256(body.encode()).hexdigest()}, walls[out.name])
+                 hashlib.sha256(body.encode()).hexdigest()}, walls[out.name],
+                peaks[out.name])
     monkeypatch.setattr(byte_audit, "run_in_tree", run_in_tree)
     monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
     monkeypatch.setattr(byte_audit, "RUNS", {"run": []})
@@ -89,7 +96,8 @@ def test_audit_prints_the_move_under_the_file(monkeypatch, capsys):
     assert _fake_audit(monkeypatch, bodies,
                        {"parent": 1.0, "new": 1.0}) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "run: 1 differ; wall 1.00 s -> 1.00 s"
+    assert out[0] == \
+        "run: 1 differ; wall 1.00 s -> 1.00 s; peak 36.50 MB -> 36.50 MB"
     at = next(i for i, line in enumerate(out)
               if line.startswith("differs: run/omega.csv: "))
     assert out[at + 3] == \
@@ -99,32 +107,83 @@ def test_audit_prints_the_move_under_the_file(monkeypatch, capsys):
 
 def test_audit_prints_each_runs_wall_time_beside_its_verdict(monkeypatch,
                                                              capsys):
+    # and its peak RSS
     assert _fake_audit(monkeypatch, {"parent": _OLD, "new": _OLD},
-                       {"parent": 0.2734, "new": 0.1821}) == 0
+                       {"parent": 0.2734, "new": 0.1821},
+                       {"parent": 38.1234, "new": 36.7891}) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "run: every SHA-256 equal; wall 0.27 s -> 0.18 s",
+        "run: every SHA-256 equal; wall 0.27 s -> 0.18 s; "
+        "peak 38.12 MB -> 36.79 MB",
+        "peak RSS: median 38.12 MB -> 36.79 MB, largest 38.12 MB -> "
+        "36.79 MB; higher in 0 of 1 runs",
         "1 output files of 1 runs: every SHA-256 equal"]
 
 
-def test_audit_counts_each_runs_warning_lines(monkeypatch, capsys):
-    # no command starts: the run named "loud" warns twice in the parent
-    warning = "x.py:1: RuntimeWarning: overflow\n  y = 2 * x\n"
-
-    def run(argv, env, cwd, capture_output, text):
-        loud = argv[-1].endswith("loud") and cwd.name == "parent"
-        return subprocess.CompletedProcess(argv, 0, "",
-                                           2 * warning if loud else "")
-    monkeypatch.setattr(byte_audit.subprocess, "run", run)
+def _fake_spawn(monkeypatch, reply):
+    """Replace the launcher: reply(cmd, cwd) gives the run's stderr text
+    and peak RSS in MB, and no command starts."""
+    def spawn(cmd, cwd, env, log):
+        stderr, rss_mb = reply(cmd, cwd)
+        log.write_text(stderr)
+        return {"rc": 0, "wall": 0.5, "rss_mb": rss_mb}
+    monkeypatch.setattr(byte_audit, "spawn", spawn)
     monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
+
+
+def test_audit_counts_each_runs_warning_lines(monkeypatch, capsys):
+    # the run named "loud" warns twice in the parent
+    warning = "x.py:1: RuntimeWarning: overflow\n  y = 2 * x\n"
+    _fake_spawn(monkeypatch, lambda cmd, cwd: (
+        2 * warning if cmd[-1].endswith("loud") and cwd.name == "parent"
+        else "", 30.0))
     monkeypatch.setattr(byte_audit, "RUNS", {"quiet": [], "loud": []})
     assert byte_audit.main(["parent-tree", "new-tree"]) == 0
-    out = [re.sub(r"wall [\d.]+ s -> [\d.]+ s", "wall", line)
+    out = [re.sub(r"wall [\d.]+ s -> [\d.]+ s; peak [\d.]+ MB -> [\d.]+ MB",
+                  "wall", line)
            for line in capsys.readouterr().out.splitlines()]
     assert out == [
         "quiet: every SHA-256 equal; wall",
         "loud: every SHA-256 equal; wall; warning lines 2 -> 0",
+        "peak RSS: median 30.00 MB -> 30.00 MB, largest 30.00 MB -> "
+        "30.00 MB; higher in 0 of 2 runs",
         "0 output files of 2 runs: every SHA-256 equal; "
         "warning lines 2 -> 0"]
+
+
+def test_audit_summarizes_each_trees_peaks(monkeypatch, capsys):
+    # the new tree's peak rises on run "b" alone; a run that fails still
+    # has a peak
+    peaks = {("parent", "a"): 36.0, ("new", "a"): 35.0,
+             ("parent", "b"): 40.0, ("new", "b"): 40.25,
+             ("parent", "c"): 90.0, ("new", "c"): 89.0}
+    _fake_spawn(monkeypatch, lambda cmd, cwd: (
+        "", peaks[cwd.name, cmd[-1].rsplit("/", 1)[-1]]))
+    monkeypatch.setattr(byte_audit, "RUNS", {"a": [], "b": [], "c": []})
+    assert byte_audit.main(["parent-tree", "new-tree"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith("; peak 40.00 MB -> 40.25 MB")
+    assert out[-2] == ("peak RSS: median 40.00 MB -> 40.25 MB, largest "
+                       "90.00 MB -> 89.00 MB; higher in 1 of 3 runs")
+
+
+def test_runs_are_spawned_through_the_launcher(tmp_path):
+    # a real CLI run: its exit code, files and stderr come back through
+    # perfbench/launcher.py with a wall time and the child's own peak.  A
+    # child forked by this process would start its peak at this process's
+    # size, which the touched 64 MB ballast puts well above a synth run's
+    ballast = np.ones(8 << 20)
+    own_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tree = Path(__file__).resolve().parents[1]
+    found, wall, rss_mb = byte_audit.run_in_tree(
+        tree, "synth", ["synth", "--components", "tone:20", "--n", "64"],
+        tmp_path, tmp_path)
+    del ballast
+    assert found["synth (exit code)"] == "0" and "synth/signal.csv" in found
+    assert 0.0 < wall and 5.0 < rss_mb < own_mb - 32.0
+    found = byte_audit.run_in_tree(tree, "bad", ["synth", "--n", "x"],
+                                   tmp_path, tmp_path)[0]
+    assert found == {"bad (exit code)": "2"}
+    assert "config error" in (tmp_path / "bad.stderr").read_text()
 
 
 @pytest.mark.parametrize("name", ["analyze-example1-sigma1-gamma1",

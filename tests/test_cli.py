@@ -56,9 +56,16 @@ What is proven here
    float range before any stack is computed; an analysis of one scale is
    checked before the Nyquist check evaluates any phase; recover exits 3 on
    components out of frequency order, with eps3 auto or set, and on a
-   negative amplitude, naming its component, with no output; reruns of
+   negative amplitude, naming its component, with no output; a signal
+   that is not zero but leaves no cell with a finite frequency estimate
+   (a record of 2-4 samples, a threshold above every |w|, an amplitude
+   under it) exits 3 naming [thresholds] gamma1, the walk's largest w
+   and n, whether or not the plane waits for its default gamma2, with
+   no output; reruns of
    the same configuration are byte-identical; importing the command
-   loads no scipy module, since numpy is the only runtime dependency;
+   loads no scipy module, since numpy is the only runtime dependency,
+   and no numpy.polynomial module, and builds no quadrature rule: only a
+   recovery builds it, once;
    with RuntimeWarning an error, Hypothesis runs with mu, width,
    amplitudes or sample magnitude near either end of the float range
    exit 0, 2, 3 or 4 without a traceback, and on exit 0 no output file
@@ -1156,6 +1163,26 @@ def test_negative_amplitude_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, n", [
+    (["--n", "2"], 2), (["--n", "3"], 3), (["--n", "4"], 4),
+    (["--gamma1", "1e300"], 256),
+    (["--gamma1", "1e300", "--variant", "S2"], 256),    # default gamma2
+    (["--gamma1", "1e300", "--variant", "T2", "--gamma2", "1"], 256),
+    (["--components", "tone:20:1e-320"], 256)],
+    ids=["n2", "n3", "n4", "gamma1", "gamma1-s2", "gamma1-t2-gamma2",
+         "subnormal"])
+def test_no_valid_cell_for_a_nonzero_signal_exits_3(tmp_path, capsys, args,
+                                                     n):
+    # N = 5 leaves valid cells; an all-zero signal exits 0 (recover tests)
+    assert run("analyze", "--components", "tone:20", *args,
+               "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "no cell has a finite frequency estimate" in err
+    assert "[thresholds] gamma1 = " in err and "largest real or " \
+        "imaginary part of w is " in err and f"[signal] n = {n} " in err
+    assert not (tmp_path / "out").exists()
+
+
 _MAX = 1.7976931348623157e308
 # every positive float, and the float range's two ends more often
 _EXTREME = st.one_of(st.floats(5e-324, _MAX),
@@ -1219,6 +1246,28 @@ def test_cli_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial_and_builds_no_rule():
+    src = Path(adassq.__file__).resolve().parents[1]
+    code = ("import sys, adassq.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('numpy.polynomial')), "
+            "adassq.bounds._rule.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["[]", "0"]
+
+
+def test_only_recovery_builds_the_quadrature_rule(tmp_path):
+    from adassq import bounds
+    bounds._rule.cache_clear()
+    args = ["--components", "tone:20; tone:80", "--n", "64"]
+    assert run("analyze", *args, "--outdir", str(tmp_path / "a")) == 0
+    assert bounds._rule.cache_info().misses == 0
+    assert run("recover", *args, "--outdir", str(tmp_path / "r")) == 0
+    info = bounds._rule.cache_info()
+    assert info.misses == 1 and info.currsize == 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adassq.bounds import (_NODES, _WEIGHTS, _band_normalizer, bounds_first,
+from adassq.bounds import (_band_normalizer, _rule, bounds_first,
                            bounds_second, normalizers, quad)
 from adassq.cli import _report, load_config, main, run_analysis
 from adassq.cwt import ScaleGrid, compute_stack, time_derivative_residual
@@ -87,8 +87,9 @@ def _loop_quad(f, lo, hi):
     """The fixed rule on all cells in one call of f (no chunks)."""
     vlo, vhi = np.log(lo), np.log(hi)
     half = 0.5 * (vhi - vlo)
-    a = np.exp((0.5 * (vhi + vlo))[..., None] + half[..., None] * _NODES)
-    return half * np.sum(f(a) * _WEIGHTS, axis=-1)
+    nodes, weights = _rule()
+    a = np.exp((0.5 * (vhi + vlo))[..., None] + half[..., None] * nodes)
+    return half * np.sum(f(a) * weights, axis=-1)
 
 
 def _loop_tracks(spec, b):

@@ -33,7 +33,12 @@ Proof groups:
   7. a component is its data: phase(t, m) for m = 0..3 and amp give bit
      for bit, -0.0 included, what the closures poly_phase built before
      (kept here as the oracle) gave, over random coefficients,
-     amplitudes and time grids; equal data compare and hash equal
+     amplitudes and time grids; equal data compare and hash equal; and
+     phase(t, m) for m = 0..6 gives bit for bit what numpy.polynomial's
+     Polynomial(coeffs).deriv(m)(t) gives (kept here as the oracle, as
+     the library evaluates it without numpy.polynomial), over coefficient
+     tuples of length 1-5 with zeros and negatives, and over scalar
+     times, empty grids, negative times and -0.0
 """
 from __future__ import annotations
 
@@ -489,6 +494,18 @@ def test_component_data_give_the_closures_bits(coeffs, amp, t):
         got, want = f(t), g(t)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=5), st.integers(0, 6),
+       _VALUES | st.floats(-1e3, 1e3) | _TIMES)
+def test_phase_is_numpys_polynomial_derivative(coeffs, m, t):
+    got = poly_phase(coeffs).phase(t, m)
+    want = np.polynomial.Polynomial(coeffs).deriv(m)(t)
+    assert type(got) is type(want)     # a scalar time gives a scalar
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_equal_components_compare_and_hash_equal():

@@ -6,7 +6,10 @@ Proof groups:
   2. random quadrature sweeps   -- spectra and chirped transforms agree with
      direct numerical Fourier integrals at seeded random arguments
   3. calculus identities        -- the reassignment identity, the
-     t-weighting recursion, and the lam=0 degeneracy hold exactly
+     t-weighting recursion, and the lam=0 degeneracy hold exactly; each
+     spectrum is bit for bit numpy.polynomial's polyval of its _HAT_POLY
+     row times FT[g] (kept here as the oracle), signed zeros, negative
+     and subnormal frequencies, a scalar and an empty grid included
   4. input validation           -- bad orders / parameters raise
 """
 from __future__ import annotations
@@ -15,9 +18,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from adassq.windows import (
+    _HAT_POLY,
     WindowKind,
     WindowModel,
     chirped_transform_G,
@@ -196,6 +201,19 @@ def test_chirped_transform_zero_lam_degenerates():
     # t**2*g = -t*g'
     assert np.allclose(chirped_transform_Gj(2, u, 0.0),
                        -window_hat_eval(WindowKind.TGP, u), rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("kind", list(WindowKind))
+@pytest.mark.parametrize("xi", [
+    np.array([-0.0, 0.0, -1.5, 0.33, 2.0, 5e-324, -1e-300, 7.25]),
+    np.array(-0.0), np.array(0.33), np.array([])], ids=str)
+def test_window_hat_is_numpys_polyval(kind, xi):
+    got = window_hat_eval(kind, xi)
+    want = npoly.polyval(xi, _HAT_POLY[kind]) * gauss_hat(xi)
+    assert type(got) is type(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_chirped_transform_modulus_closed_form():

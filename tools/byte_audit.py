@@ -7,14 +7,18 @@ a ``git archive`` of the parent commit, unpacked).  The audit runs one
 fixed list of ``adassq`` command lines in each tree, the benchmark's
 three workloads at seeds 0 and 1 among them, then compares the SHA-256
 of every output file and each run's exit code.  It prints one line per
-run, its verdict and its CLI wall time (spawn to exit) in the parent and
-the new tree, then what differs, and exits 1 if anything does, 0 if
-every file keeps its bytes.  It also counts the lines of each run's
-stderr that contain ``Warning`` (a numpy RuntimeWarning, say): a run that
-warns in either tree shows both counts on its line, and the last line
-adds the totals when any run warned.  Warnings never change the verdict
-or the exit code.  The trees take each run back to back, the
-parent first, and a wall time is one cold sample (the very first, of the
+run, its verdict, its CLI wall time (spawn to exit) and its peak RSS in
+the parent and the new tree, then what differs and each tree's median
+and largest peak, and exits 1 if anything does differ, 0 if every file
+keeps its bytes.  Each run is spawned by perfbench/launcher.py, a small
+process of its own: Linux starts a child's peak RSS at the size of the
+process that forks it, which here holds numpy, so a child forked by the
+audit itself would read the audit's size.  It also counts the lines of
+each run's stderr that contain ``Warning`` (a numpy RuntimeWarning,
+say): a run that warns in either tree shows both counts on its line, and
+the last line adds the totals when any run warned.  Warnings never
+change the verdict or the exit code.  The trees take each run back to
+back, the parent first, and a wall time or peak is one cold sample (the very first, of the
 parent, also pays for cold file caches).  Under each differing file it
 says how far the file moved: for a CSV with the same header and row
 count in both trees, each column's largest absolute difference and
@@ -27,17 +31,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(_PERFBENCH))
 from workloads import WORKLOADS  # noqa: E402
 
 _EX1 = "chirp:12:0.5; chirp:26:-0.5"
@@ -131,29 +137,40 @@ def write_inputs(inputs: Path) -> dict[str, list[str]]:
 WARNED = " (warning lines)"
 
 
+def spawn(cmd: list[str], cwd: Path, env: dict[str, str],
+          log: Path) -> dict:
+    """Run cmd through perfbench/launcher.py, its stderr written to log;
+    return the launcher's reply: exit code "rc", "wall" seconds from
+    spawn to exit and peak RSS "rss_mb"."""
+    request = json.dumps({"cmd": cmd, "cwd": str(cwd), "env": env,
+                          "log": str(log)})
+    reply = subprocess.run([sys.executable, str(_PERFBENCH / "launcher.py")],
+                           input=request + "\n", capture_output=True,
+                           text=True, check=True)
+    return json.loads(reply.stdout)
+
+
 def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
-                out: Path) -> tuple[dict[str, str], float]:
+                out: Path) -> tuple[dict[str, str], float, float]:
     """Run one command with tree/src first on the path; return each
     output file's SHA-256 and the run's exit code, by relative name (and
     under name + WARNED its stderr lines that contain "Warning", if any),
-    and the run's wall time in seconds."""
+    the run's wall time in seconds and its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     argv = [a.format(out=out, inputs=inputs) for a in args]
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "adassq.cli", *argv,
-         "--outdir", str(out / name)],
-        env=env, cwd=out, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    print(f"{tree}: {name}: exit {proc.returncode}", file=sys.stderr)
-    found = {f"{name} (exit code)": str(proc.returncode)}
-    warned = sum("Warning" in line for line in proc.stderr.splitlines())
+    log = out / f"{name}.stderr"
+    reply = spawn([sys.executable, "-m", "adassq.cli", *argv,
+                   "--outdir", str(out / name)], out, env, log)
+    print(f"{tree}: {name}: exit {reply['rc']}", file=sys.stderr)
+    found = {f"{name} (exit code)": str(reply["rc"])}
+    warned = sum("Warning" in line
+                 for line in log.read_text().splitlines())
     if warned:
         found[name + WARNED] = str(warned)
     for path in sorted((out / name).glob("*")):
         found[f"{name}/{path.name}"] = \
             hashlib.sha256(path.read_bytes()).hexdigest()
-    return found, wall
+    return found, reply["wall"], reply["rss_mb"]
 
 
 def _pixels(path: Path) -> np.ndarray:
@@ -209,16 +226,15 @@ def main(argv: list[str] | None = None) -> int:
         runs = {**RUNS, **write_inputs(inputs)}
         # run by run, the two trees back to back, so that drift in the
         # machine's load moves both wall times of a run alike
-        old, new, old_wall, new_wall = {}, {}, {}, {}
-        warned = {"parent": {}, "new": {}}
+        old, new = {}, {}
+        wall, peak, warned = ({"parent": {}, "new": {}} for _ in range(3))
         for label in ("parent", "new"):
             (work / label).mkdir()
         for name, run in runs.items():
-            for label, tree, digests, wall in (
-                    ("parent", args.parent, old, old_wall),
-                    ("new", args.new, new, new_wall)):
-                found, wall[name] = run_in_tree(tree, name, run, inputs,
-                                                work / label)
+            for label, tree, digests in (("parent", args.parent, old),
+                                         ("new", args.new, new)):
+                found, wall[label][name], peak[label][name] = run_in_tree(
+                    tree, name, run, inputs, work / label)
                 warned[label][name] = int(found.pop(name + WARNED, 0))
                 digests.update(found)
         differ = [key for key in sorted(old.keys() | new.keys())
@@ -229,8 +245,10 @@ def main(argv: list[str] | None = None) -> int:
             counts = warned["parent"][name], warned["new"][name]
             print(f"{name}: "
                   + (f"{len(mine)} differ" if mine else "every SHA-256 equal")
-                  + f"; wall {old_wall[name]:.2f} s -> "
-                  f"{new_wall[name]:.2f} s"
+                  + f"; wall {wall['parent'][name]:.2f} s -> "
+                  f"{wall['new'][name]:.2f} s; peak "
+                  f"{peak['parent'][name]:.2f} MB -> "
+                  f"{peak['new'][name]:.2f} MB"
                   + ("; warning lines {} -> {}".format(*counts)
                      if any(counts) else ""))
         for key in differ:
@@ -239,6 +257,12 @@ def main(argv: list[str] | None = None) -> int:
             if key in old and key in new and "(exit code)" not in key:
                 for line in moved(work / "parent" / key, work / "new" / key):
                     print(f"    {line}")
+    old_mb, new_mb = (list(peak[label].values())
+                      for label in ("parent", "new"))
+    print(f"peak RSS: median {statistics.median(old_mb):.2f} MB -> "
+          f"{statistics.median(new_mb):.2f} MB, largest {max(old_mb):.2f} "
+          f"MB -> {max(new_mb):.2f} MB; higher in "
+          f"{sum(b > a for a, b in zip(old_mb, new_mb))} of {len(runs)} runs")
     files = sum(1 for key in old if not key.endswith("(exit code)"))
     totals = [sum(warned[label].values()) for label in ("parent", "new")]
     print(f"{files} output files of {len(runs)} runs: "
