@@ -225,7 +225,8 @@ def recover(tf: TfPlane, norms: Normalizers, ridge: Array, eps3,
         for cols in _column_chunks(n, l1 - l0):
             sel = np.abs(tf.xi[l0:l1, None] - ridge[k, cols]) < eps3[k, cols]
             bins_used[k, cols] = sel.sum(axis=0)
-            num = (tf.values[l0:l1, cols] * sel).sum(axis=0) * tf.dxi
+            num = (tf.rows(slice(l0, l1), cols) * sel).sum(axis=0) \
+                * tf.dxi
             estimate[k, cols] = num / c[cols]
 
     abs_error = None

@@ -42,9 +42,10 @@ output directory or output file that cannot be created, components
 whose sum overflows), 3 inadmissible window-width profile for the
 requested analysis, components out of frequency order, a negative
 component amplitude (recover), samples, an analysis (its squeezed plane,
-per-cell arrays, one block of the stack it walks in blocks and, where the
-stack takes the kernel product, a column's kernels) or a squeezed plane
-over the 1 GiB memory limit, a signal that is not zero but leaves no
+a slot per bin and time and a value per live cell at most, per-cell
+arrays, one block of the stack it walks in blocks and, where the stack
+takes the kernel product, a column's kernels) or a squeezed plane over
+the 1 GiB memory limit, a signal that is not zero but leaves no
 cell with a finite frequency estimate (a threshold above every |w|, or
 a record too short for any frequency bin to reach the window's band), or
 a non-finite result:
@@ -501,21 +502,31 @@ def _block_step(scales: int, n: int, fft: bool, fields: int) -> int:
     return min(max(1, _BLOCK_BYTES // unit), scales if fft else n)
 
 
+def _plane_bytes(bins: int, scales: int, n: int) -> int:
+    """Bytes of the TfPlane of bins frequency bins by n times that a
+    lattice of that many scales squeezes into: a 4-byte slot a cell, and
+    its mass, allocated at its bound of 1 + min(bins, scales) * n complex
+    values."""
+    return 4 * bins * n + 16 * (1 + min(bins, scales) * n)
+
+
 def _check_stack(scales: int, cfg: RunConfig, spectrum: int | None = None,
                  bins: int = 1) -> None:
     """Exit 3 if what a run of scales by cfg.n times holds would pass
     _STACK_LIMIT: the squeezed plane of bins frequency bins (at least one
-    until the grid gives the count), the per-cell arrays, one block of
-    the walk with its working memory and, where compute_stack takes the
-    kernel product over a spectrum of that many bins (None: the inverse
-    FFT), its per-column kernels.  The per-cell arrays are omega (8 bytes
-    a cell) or, for a second-order plane waiting for its default gamma2,
-    SecondOrderCells and the plane phase_second makes of them (52)."""
+    until the grid gives the count), as _plane_bytes counts it, the
+    per-cell arrays, one block of the walk with its working memory and,
+    where compute_stack takes the kernel product over a spectrum of that
+    many bins (None: the inverse FFT), its per-column kernels.  The
+    per-cell arrays are omega (8 bytes a cell) or, for a second-order
+    plane waiting for its default gamma2, SecondOrderCells and the plane
+    phase_second makes of them (52)."""
     n, fields = cfg.n, len(_fields(cfg))
     cell = 52 if cfg.order == 2 and cfg.gamma2 is None else 8
     fft = spectrum is None
-    need = 16 * bins * n + cell * scales * n + _BLOCK_CELL_BYTES[fields] \
-        * _block_step(scales, n, fft, fields) * (n if fft else scales)
+    need = _plane_bytes(bins, scales, n) + cell * scales * n \
+        + _BLOCK_CELL_BYTES[fields] * _block_step(scales, n, fft, fields) \
+        * (n if fft else scales)
     if not fft:
         need += _KERNEL_BYTES[fields] * scales * spectrum
     _check_size(need, f"a transform stack of {scales} scales by {n} times",
@@ -613,7 +624,7 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
               for t in (complex, float, float, float)))
     else:
         omega = np.empty((scales, n))
-        T = np.zeros((base.bin_centers().size, n), dtype=complex)
+        tf = TfPlane.empty(base, profile.b, scales)
     top = dict.fromkeys(fields, 0.0)
     step = _block_step(scales, n, fft, len(fields))
     for k in range(0, scales if fft else n, step):
@@ -639,7 +650,7 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
         omega[rows, cols] = phase_first(stack, cfg.gamma1).omega \
             if cfg.order == 1 else phase_second(
                 stack, cfg.gamma1, gamma2=cfg.gamma2, hybrid=hybrid).omega
-        scatter_add(T, omega[rows, cols], stack.w, grid.dlog, base,
+        scatter_add(tf, omega[rows, cols], stack.w, grid.dlog, base,
                     first=cols.start or 0)
     if defect is not None:
         with np.errstate(over="ignore"):
@@ -656,8 +667,6 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
     else:
         plane = PhasePlane(omega=omega,
                            gamma2=cfg.gamma2 if cfg.order == 2 else None)
-        tf = TfPlane(xi=base.bin_centers(), b=profile.b, values=T,
-                     dxi=base.dxi)
     # an all-zero plane is the answer only for an all-zero signal
     if not plane.valid.any() and np.any(sig.x):
         raise AdmissibilityError(
@@ -674,9 +683,11 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     grid, then the block walk of _walk, which never holds a whole
     stack."""
     _check_stack(1, cfg)        # before anything of size n
-    # an xi_bins plane has at least xi_bins bins; counted past float range
-    _check_size(16 * cfg.xi_bins * cfg.n, f"a squeezed plane of at least "
-                f"{cfg.xi_bins} frequency bins by {cfg.n} times",
+    # an xi_bins plane has at least xi_bins bins and a lattice at least one
+    # scale; counted past float range
+    _check_size(_plane_bytes(cfg.xi_bins, 1, cfg.n),
+                f"a squeezed plane of at least {cfg.xi_bins} frequency "
+                f"bins by {cfg.n} times",
                 f"; [grid] xi_bins is {cfg.xi_bins}")
     spec, sig = build_signal(cfg)
     wm = WindowModel(mu=cfg.mu, tau0=cfg.tau0)
@@ -714,8 +725,9 @@ def run_analysis(cfg: RunConfig) -> Analysis:
                              dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
     l_min, l_max = base.bin_limits()
     bins = l_max - l_min + 1
-    _check_size(16 * bins * cfg.n, f"a squeezed plane of {bins} frequency "
-                f"bins of {base.dxi:.6g} Hz by {cfg.n} times",
+    _check_size(_plane_bytes(bins, scales, cfg.n),
+                f"a squeezed plane of {bins} frequency bins of "
+                f"{base.dxi:.6g} Hz by {cfg.n} times",
                 f"; [grid] xi_bins is {cfg.xi_bins}")
     _check_stack(scales, cfg, spectrum, bins)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -196,14 +197,45 @@ class SqueezeConfig:
         return np.arange(l_min, l_max + 1) * self.dxi
 
 
-@dataclass(frozen=True)
+@dataclass
 class TfPlane:
-    """Squeezed time-frequency plane: complex mass density per (xi, b)."""
+    """Squeezed time-frequency plane: complex mass density per (xi, b),
+    held as its live cells.
+
+    slot (int32, bins by times) is 0 on a cell nothing was squeezed into,
+    else 1 + the cell's index into mass; mass holds the live cells' values
+    after mass[0] = 0, and live counts them.  A column has at most one
+    live cell per scale and one per bin, so empty allocates mass once, at
+    1 + min(bins, scales) * times values, and it never grows.  An
+    untouched cell is +0.0 in mass[0] as in a dense plane, so rows' gather
+    mass[slot[rows, cols]] has the dense plane's bits.
+    """
 
     xi: Array
     b: Array
-    values: Array
+    slot: Array
+    mass: Array
     dxi: float
+    live: int = 0
+
+    @classmethod
+    def empty(cls, cfg: SqueezeConfig, b: Array, scales: int) -> "TfPlane":
+        """The plane of cfg's bins by the times b, nothing squeezed into it
+        yet, for a lattice of that many scales."""
+        xi = cfg.bin_centers()
+        return cls(xi=xi, b=b, slot=np.zeros((xi.size, b.size), np.int32),
+                   mass=np.zeros(1 + min(xi.size, scales) * b.size, complex),
+                   dxi=cfg.dxi)
+
+    def rows(self, rows: slice = slice(None),
+             cols: slice = slice(None)) -> Array:
+        """The dense plane's block of rows by cols, bit for bit."""
+        return self.mass[self.slot[rows, cols]]
+
+    @property
+    def values(self) -> Array:
+        """The whole dense plane."""
+        return self.rows()
 
 
 def lattice_index(omega: Array, cfg: SqueezeConfig) -> Array:
@@ -226,28 +258,37 @@ def lattice_index(omega: Array, cfg: SqueezeConfig) -> Array:
     return idx
 
 
-def scatter_add(T: Array, omega: Array, w: Array, dlog: float,
+def scatter_add(tf: TfPlane, omega: Array, w: Array, dlog: float,
                 cfg: SqueezeConfig, first: int = 0) -> None:
-    """Add w * dlog / dxi of each cell with a finite omega into T at its
-    bin on cfg's lattice and in its column, omega's column j being T's
+    """Add w * dlog / dxi of each cell with a finite omega into tf at its
+    bin on cfg's lattice and in its column, omega's column j being tf's
     column first + j.
 
-    T is C-contiguous: the cells go in through one flat index, numpy's
-    fast path of np.add.at.  The columns go about _CHUNK_CELLS cells at a
-    time, so the binning's temporaries are bounded by the chunk, and a
-    plane cell receives its column's cells in ascending scale order: a
-    walk over blocks of scales, or of columns, gives the bits of one call
-    on the whole lattice.
+    The cells go in through one flat index of tf.slot: a chunk's cells
+    not yet live are numbered next, in ascending flat index, and then one
+    np.add.at adds every cell into mass.  The columns go about
+    _CHUNK_CELLS cells at a time, so the binning's temporaries are bounded
+    by the chunk, and a plane cell receives its column's cells in
+    ascending scale order, starting from +0.0: a walk over blocks of
+    scales, or of columns, gives the bits of one call on the whole
+    lattice, and those of a dense plane's np.add.at.
     """
-    if not T.flags.c_contiguous:
-        raise ValueError("scatter_add needs a C-contiguous plane")
-    flat, width = T.reshape(-1), T.shape[1]
+    flat, width = tf.slot.reshape(-1), tf.slot.shape[1]
     scales, n = omega.shape
     step = max(1, _CHUNK_CELLS // max(scales, 1))
     for c in range(0, n, step):
         idx = lattice_index(omega[:, c:c + step], cfg)
         sel = idx >= 0
-        np.add.at(flat, idx[sel] * width + (np.nonzero(sel)[1] + first + c),
+        keys = idx[sel] * width + (np.nonzero(sel)[1] + first + c)
+        # each new key once, ascending: the first of each run of equal
+        # keys once sorted (np.unique's hashing costs several times this)
+        new = np.sort(keys[flat[keys] == 0])
+        first_of_run = np.ones(new.size, dtype=bool)
+        np.not_equal(new[1:], new[:-1], out=first_of_run[1:])
+        new = new[first_of_run]
+        flat[new] = np.arange(tf.live + 1, tf.live + 1 + new.size)
+        tf.live += new.size
+        np.add.at(tf.mass, flat[keys],
                   w[:, c:c + step][sel] * (dlog / cfg.dxi))
 
 
@@ -260,10 +301,9 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
     reproduces the masked mass sum(w * dlog) exactly, column by column.
     Only w of the stack is read.
     """
-    centers = cfg.bin_centers()
-    T = np.zeros((len(centers), len(stack.b)), dtype=complex)
-    scatter_add(T, plane.omega, stack.w, stack.grid.dlog, cfg)
-    return TfPlane(xi=centers, b=stack.b, values=T, dxi=cfg.dxi)
+    tf = TfPlane.empty(cfg, stack.b, stack.w.shape[0])
+    scatter_add(tf, plane.omega, stack.w, stack.grid.dlog, cfg)
+    return tf
 
 
 def conservation_defect(stack: CwtStack, plane: PhasePlane,
@@ -277,34 +317,47 @@ def conservation_defect(stack: CwtStack, plane: PhasePlane,
 # ------------------------------------------------------------------ output
 
 def tf_to_csv(tf: TfPlane, path) -> None:
-    re, im = tf.values.real, tf.values.imag
+    @lru_cache(maxsize=1)
+    def block(start: int, stop: int) -> Array:
+        return tf.rows(slice(start, stop))
+
+    def part(name: str) -> Callable[[slice], Array]:
+        return lambda rows: getattr(block(rows.start, rows.stop), name)
+    re, im = part("real"), part("imag")
     # np.hypot matches Python's abs(complex) bit for bit; np.abs does not.
-    # A chunk's rows at a time, so no full-size |T| exists.
+    # A chunk's rows at a time, gathered once for its three columns, so
+    # no full-size plane or |T| exists.
     write_table(path, "xi,b,re,im,abs", tf.xi[:, None], tf.b, re, im,
-                lambda rows: np.hypot(re[rows], im[rows]))
+                lambda rows: np.hypot(re(rows), im(rows)))
 
 
 def tf_to_pgm(tf: TfPlane, path) -> None:
     """8-bit grayscale heat map (high frequency at the top), binary PGM.
 
-    A pixel is floor(256*|T|/max|T|) capped at 255.  |T| is taken on
-    blocks of about _CHUNK_CELLS cells of the plane's rows, once for the
-    maximum and again for the pixels, so no full-size array exists beside
-    the plane: the image is written a block at a time, from the top row.
+    A pixel is floor(256*|T|/max|T|) capped at 255.  |T| is taken on the
+    live cells and mass[0] = 0 alone, about _CHUNK_CELLS at a time, once
+    for the maximum and again for a shade per mass value; the image is
+    then gathered from the shades through the slots a block of the
+    plane's rows at a time, from the top row, so no full-size float array
+    exists.
     """
-    L, n = tf.values.shape
-    step = max(1, _CHUNK_CELLS // max(n, 1))
-    starts = range(0, L, step)
+    L, n = tf.slot.shape
+    live = tf.mass[:tf.live + 1]
+    chunks = range(0, live.size, _CHUNK_CELLS)
     # np.max, not max: a nan anywhere makes the maximum nan
-    top = float(np.max([np.max(np.abs(tf.values[r:r + step]))
-                        for r in starts]))
+    top = float(np.max([np.max(np.abs(live[k:k + _CHUNK_CELLS]))
+                        for k in chunks]))
+    shade = np.empty(live.size, dtype=np.uint8)
+    for k in chunks:
+        mag = np.abs(live[k:k + _CHUNK_CELLS])
+        if top != 0.0:
+            mag *= 256.0
+            mag /= top
+            np.floor(mag, out=mag)
+            np.minimum(mag, 255.0, out=mag)
+        shade[k:k + _CHUNK_CELLS] = mag.astype(np.uint8)
+    step = max(1, _CHUNK_CELLS // max(n, 1))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {L}\n255\n".encode("ascii"))
-        for r in reversed(starts):
-            mag = np.abs(tf.values[r:r + step])
-            if top != 0.0:
-                mag *= 256.0
-                mag /= top
-                np.floor(mag, out=mag)
-                np.minimum(mag, 255.0, out=mag)
-            fh.write(mag[::-1].astype(np.uint8).tobytes())
+        for r in reversed(range(0, L, step)):
+            fh.write(shade[tf.slot[r:r + step][::-1]].tobytes())

@@ -72,7 +72,6 @@ from adassq.signals import (
 )
 from adassq.sst import (
     SqueezeConfig,
-    TfPlane,
     chirp_rate_estimate,
     default_gamma2,
     lattice_index,
@@ -80,6 +79,7 @@ from adassq.sst import (
     squeeze,
 )
 from adassq.windows import WindowModel, chirped_transform_G, essential_alpha, gauss_hat
+from test_sst import compact
 
 WM = WindowModel(mu=1.0, tau0=0.05)
 T = np.arange(256) / 256.0
@@ -344,10 +344,11 @@ def test_recover_sums_only_the_windows_rows(eps3):
     for n in (256, 257):
         rng = np.random.default_rng(7)
         rows = 4000
-        tf = TfPlane(xi=np.arange(rows) * 0.25, b=np.arange(n) / 256.0,
-                     values=rng.standard_normal((rows, n))
-                     + 1j * rng.standard_normal((rows, n)), dxi=0.25)
-        tf.values[rng.random((rows, n)) < 0.5] = 0.0
+        values = rng.standard_normal((rows, n)) \
+            + 1j * rng.standard_normal((rows, n))
+        values[rng.random((rows, n)) < 0.5] = 0.0
+        tf = compact(np.arange(rows) * 0.25, np.arange(n) / 256.0, values,
+                     0.25)
         ridge = np.vstack([40.0 + 3.0 * np.sin(np.arange(n) / 9.0),
                            np.full(n, 44.125), np.full(n, -5.0),
                            np.full(n, 500.0)])

@@ -24,6 +24,10 @@ What is proven here
 7. The audit's two-tone recover run sums one component's window in
    chunks of columns whose last would be one column wide, the tail that
    joins the chunk before it.
+8. A run whose two peaks differ by more than 0.5 MB is sampled 3 more
+   times in each tree, alternating which tree goes first; its line and
+   the summary take each tree's median peak, and a line names each such
+   run whose median still rose.  A run within 0.5 MB is sampled once.
 """
 from __future__ import annotations
 
@@ -75,11 +79,12 @@ def test_pgm_reports_its_differing_pixels(tmp_path):
 def _fake_audit(monkeypatch, bodies, walls, peaks=None):
     """Run main on one faked run per tree: tree `label` writes omega.csv
     as bodies[label], took walls[label] seconds and peaked at
-    peaks[label] MB (36.5 by default).  No command starts."""
+    peaks[label] MB (36.5 by default), on every sample.  No command
+    starts."""
     peaks = peaks or {"parent": 36.5, "new": 36.5}
 
     def run_in_tree(tree, name, args, inputs, out):
-        (out / name).mkdir()
+        (out / name).mkdir(exist_ok=True)
         body = bodies[out.name]
         (out / name / "omega.csv").write_text(body)
         return ({f"{name} (exit code)": "0", f"{name}/omega.csv":
@@ -164,6 +169,42 @@ def test_audit_summarizes_each_trees_peaks(monkeypatch, capsys):
     assert out[1].endswith("; peak 40.00 MB -> 40.25 MB")
     assert out[-2] == ("peak RSS: median 40.00 MB -> 40.25 MB, largest "
                        "90.00 MB -> 89.00 MB; higher in 1 of 3 runs")
+
+
+def test_audit_resamples_a_run_whose_peaks_differ(monkeypatch, capsys):
+    # "up" reads 40.0 -> 41.0 MB first and "down" 40.0 -> 39.0 MB: each
+    # is sampled 3 more times per tree, new first, then parent first,
+    # then new first; "flat" (0.5 MB apart) is sampled once
+    peaks = {"parent": {"up": [40.0, 40.2, 40.1, 40.3],
+                        "down": [40.0, 40.0, 39.9, 40.1],
+                        "flat": [40.0]},
+             "new": {"up": [41.0, 40.4, 40.6, 40.5],
+                     "down": [39.0, 40.2, 40.1, 40.0],
+                     "flat": [40.5]}}
+    spawned = []
+
+    def reply(cmd, cwd):
+        name = cmd[-1].rsplit("/", 1)[-1]
+        spawned.append((name, cwd.name))
+        return "", peaks[cwd.name][name].pop(0)
+    _fake_spawn(monkeypatch, reply)
+    monkeypatch.setattr(byte_audit, "RUNS", {"up": [], "down": [],
+                                             "flat": []})
+    assert byte_audit.main(["parent-tree", "new-tree"]) == 0
+    assert all(not left for tree in peaks.values() for left in tree.values())
+    order = [label for _, label in spawned]
+    assert order[:8] == ["parent", "new", "new", "parent", "parent", "new",
+                         "new", "parent"] == order[8:16]
+    assert spawned[16:] == [("flat", "parent"), ("flat", "new")]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.rsplit("; peak ", 1)[1] for line in out[:3]] == [
+        "40.15 MB -> 40.55 MB", "40.00 MB -> 40.05 MB",
+        "40.00 MB -> 40.50 MB"]
+    assert out[3:5] == [
+        "peak higher in the median of 4 samples: up 40.15 MB -> 40.55 MB, "
+        "down 40.00 MB -> 40.05 MB",
+        "peak RSS: median 40.00 MB -> 40.50 MB, largest 40.15 MB -> "
+        "40.55 MB; higher in 3 of 3 runs"]
 
 
 def test_runs_are_spawned_through_the_launcher(tmp_path):

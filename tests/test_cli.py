@@ -879,9 +879,11 @@ _STACK_SIZE = re.compile(r"(\d+) scales by (\d+) times would take (\d+) "
 def _t1_holds(scales, times, block_cells, bins=1):
     """Bytes the memory guard counts for a T1 run on the inverse-FFT path:
     a squeezed plane of bins bins (one, before the grid gives the count),
-    omega, and one block's cells with their working memory."""
-    return 16 * bins * times + 8 * scales * times \
-        + cli._BLOCK_CELL_BYTES[3] * block_cells
+    its 4-byte slots and its mass of 1 + min(bins, scales) * times
+    complex values, omega, and one block's cells with their working
+    memory."""
+    return 4 * bins * times + 16 * (1 + min(bins, scales) * times) \
+        + 8 * scales * times + cli._BLOCK_CELL_BYTES[3] * block_cells
 
 
 # the cells of a block of scales by 256 times: constant sigma on the
@@ -1044,12 +1046,14 @@ def _analysis_peak(voices: int) -> tuple[int, int]:
 
 def test_analysis_memory_grows_by_less_than_a_field():
     # twice the voices, about twice the scales: omega grows by 8 bytes a
-    # new cell and the block stays within its budget, so the peak rises
-    # by less than one J x n field of 16 bytes a cell.  A whole stack of
-    # the three first-order fields would rise by three fields.
+    # new cell, the squeezed plane's mass by at most 16 (one value a scale
+    # and time, with fewer scales than bins) and the block stays within
+    # its budget, so the peak rises by less than two J x n fields of 16
+    # bytes a cell.  A whole stack of the three first-order fields would
+    # rise by three fields more.
     (J, low), (J2, high) = _analysis_peak(32), _analysis_peak(64)
     assert 2 * J - 3 <= J2 <= 2 * J
-    assert high - low < 16 * J * 512, (J, low, high)
+    assert high - low < 32 * J * 512, (J, low, high)
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze"])
@@ -1087,23 +1091,26 @@ _PLANE_SIZE = re.compile(r"squeezed plane of (?:at least )?(\d+) frequency "
 _TERAHERTZ = "t,re,im\n0,1,0\n1e-12,0,0\n2e-12,-1,0\n3e-12,0,0\n"
 
 
-@pytest.mark.parametrize("args, bins, times", [
-    (("--preset", "example1", "--xi-bins", str(10 ** 11)), 10 ** 11, 256),
-    (("--signal-file", "{tmp}/thz.csv"), 3124999999998, 4),
+@pytest.mark.parametrize("args, bins, times, scales", [
+    (("--preset", "example1", "--xi-bins", str(10 ** 11)), 10 ** 11, 256,
+     1),
+    (("--signal-file", "{tmp}/thz.csv"), 3124999999998, 4, 1266),
 ], ids=["xi-bins", "terahertz-file"])
 def test_unallocatable_squeezed_plane_exits_3(tmp_path, capsys, args, bins,
-                                              times):
+                                              times, scales):
     # 10**11 bins on example1's band, and 0.25 Hz bins up to 1.25x the
     # Nyquist frequency of four samples at 1 THz: numpy would refuse the
     # bin centres at once (745 GiB and 22.7 TiB).  The guard names the bin
     # count (at least the xi_bins asked for, before the stack; the native
-    # count, after it), the times and the bytes before either exists.
+    # count, after it), the times and the bytes before either exists: a
+    # 4-byte slot a cell and 1 + min(bins, scales) * times complex values,
+    # for at least one scale before the stack and the grid's 1,266 after.
     (tmp_path / "thz.csv").write_text(_TERAHERTZ)
     args = [a.format(tmp=tmp_path) for a in args]
     assert run("analyze", *args, "--outdir", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert tuple(map(int, _PLANE_SIZE.search(err).groups())) == \
-        (bins, times, 16 * bins * times)
+        (bins, times, 4 * bins * times + 16 * (1 + scales * times))
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
@@ -1120,7 +1127,7 @@ def test_xi_bins_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch,
                "--outdir", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert tuple(map(int, _PLANE_SIZE.search(err).groups())) == \
-        (bins, 256, 16 * bins * 256)
+        (bins, 256, 4 * bins * 256 + 16 * (1 + 256))
     assert f"[grid] xi_bins is {bins}" in err
     assert f"{cli._STACK_LIMIT}-byte limit" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
@@ -1129,15 +1136,16 @@ def test_xi_bins_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch,
 def test_one_scale_is_checked_before_the_nyquist_check(tmp_path, capsys,
                                                        monkeypatch):
     # n real samples pass the sample guard, and what a run of one scale
-    # by them holds (152 bytes a time) is just past the limit: the run
-    # exits 3 before any component's phase is evaluated on the n samples
+    # by them holds (156 bytes a time and 16 more) is just past the
+    # limit: the run exits 3 before any component's phase is evaluated on
+    # the n samples
     monkeypatch.setattr(ComponentTruth, "phase",
                         lambda *args: pytest.fail("phase evaluated"))
-    n = cli._STACK_LIMIT // 152 + 1
-    assert _t1_holds(1, n, n) == 152 * n
+    n = (cli._STACK_LIMIT - 16) // 156 + 1
+    assert _t1_holds(1, n, n) == 156 * n + 16
     assert run("analyze", "--components", "tone:20", "--n", str(n),
                "--outdir", str(tmp_path / "out")) == 3
-    assert f"1 scales by {n} times would take {152 * n} bytes" in \
+    assert f"1 scales by {n} times would take {156 * n + 16} bytes" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -22,6 +22,11 @@ Proof groups:
      unchanged bit for bit, in process on random specs under T1
      constant, T1 sigma1, T2 sigma2 and S2 sigma2, and through the
      command line's files
+  6. an exact relation -- a circular shift by a quarter of the record:
+     the DFT's phase factors are then 1, -i, -1 and i, exact, so a
+     sample file rolled by N/4 rolls omega.csv and tf.csv with it, bit
+     for bit, under T1, T2 (whose default gamma2 is a median over every
+     cell) and S2
 """
 from __future__ import annotations
 
@@ -502,3 +507,43 @@ def test_dilation_is_exact_through_the_files(tmp_path):
         (head, want), (head2, got) = _cells(one / name), _cells(fast / name)
         assert head2 == head and np.isfinite(want).any()
         _same_bits(got, want * factors)
+
+
+# ---------------------------------------------------------------- group 6
+
+def _cells_by_time(path, n):
+    """A CSV written row by row over n times, as (rows, n, columns) text
+    fields."""
+    head, body = path.read_text().split("\n", 1)
+    return np.array(body.replace("\n", ",").split(",")[:-1],
+                    dtype=object).reshape(-1, n, head.count(",") + 1)
+
+
+def test_quarter_record_shift_rolls_the_files(tmp_path):
+    # example2's N = 256 samples rolled by N/4 = 64, times kept, read as a
+    # sample file: omega.csv (a,b | omega) and tf.csv (xi,b | re,im,abs)
+    # roll their columns with it
+    assert main(["synth", "--preset", "example2", "--outdir",
+                 str(tmp_path / "synth")]) == 0
+    head, *rows = (tmp_path / "synth" / "signal.csv").read_text() \
+        .splitlines()
+    n, shift = len(rows), len(rows) // 4
+    (tmp_path / "rolled.csv").write_text("\n".join([head] + [
+        row.split(",", 1)[0] + "," + rows[(i - shift) % n].split(",", 1)[1]
+        for i, row in enumerate(rows)]) + "\n")
+    for variant in ("T1", "T2", "S2"):
+        out = {}
+        for name, path in (("one", tmp_path / "synth" / "signal.csv"),
+                           ("rolled", tmp_path / "rolled.csv")):
+            out[name] = tmp_path / variant / name
+            assert main(["analyze", "--signal-file", str(path), "--variant",
+                         variant, "--pgm", "no", "--outdir",
+                         str(out[name])]) == 0
+        for name in ("omega.csv", "tf.csv"):
+            want = _cells_by_time(out["one"] / name, n)
+            got = _cells_by_time(out["rolled"] / name, n)
+            assert np.array_equal(got[..., :2], want[..., :2])
+            assert (want[..., 2:] != want[:, :1, 2:]).any()
+            assert np.array_equal(got[..., 2:],
+                                  np.roll(want[..., 2:], shift, axis=1)), \
+                (variant, name)

@@ -49,6 +49,7 @@ from adassq.signals import (
     linear_chirp,
     synthesize,
     tone,
+    write_table,
 )
 from adassq.sst import (
     PhasePlane,
@@ -475,11 +476,11 @@ def test_blocked_scatter_add_gives_squeeze(wm, case, width):
     st = _MASK_CASES[case](wm)
     cfg = SqueezeConfig.for_stack(st)
     want = squeeze(st, phase_first(st, 0.01), cfg).values
-    T = np.zeros_like(want)
+    tf = TfPlane.empty(cfg, st.b, len(st.a))
     for (rows, cols), block in _blocks(st, width):
-        scatter_add(T, phase_first(block, 0.01).omega, block.w,
+        scatter_add(tf, phase_first(block, 0.01).omega, block.w,
                     st.grid.dlog, cfg, first=cols.start or 0)
-    assert T.tobytes() == want.tobytes()
+    assert tf.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 10 ** 9])
@@ -507,8 +508,7 @@ def _writer_peak(write, path, rows: int) -> int:
     v = np.zeros((rows, 1024), dtype=complex)
     on = rng.random(v.shape) < 0.05
     v[on] = rng.normal(size=(int(on.sum()), 2)) @ [1, 1j]
-    tf = TfPlane(xi=np.arange(rows) / 8.0, b=np.arange(1024) / 256.0,
-                 values=v, dxi=0.125)
+    tf = compact(np.arange(rows) / 8.0, np.arange(1024) / 256.0, v, 0.125)
     tracemalloc.start()
     try:
         write(tf, path)
@@ -525,3 +525,103 @@ def test_tf_writers_memory_is_bounded_by_the_chunk(tmp_path, write):
     low, high = (_writer_peak(write, tmp_path / "tf", rows)
                  for rows in (100, 900))
     assert high - low < 1_000_000, (low, high)
+
+
+# ---------------------------------------------------------------- group 8
+
+def compact(xi, b, values, dxi):
+    """The TfPlane of a dense plane of values: each cell with a nonzero
+    bit is live, numbered in flat order."""
+    live = np.flatnonzero(values.view(np.uint64).reshape(*values.shape, 2)
+                          .any(axis=-1))
+    slot = np.zeros(values.shape, dtype=np.int32)
+    slot.flat[live] = np.arange(1, live.size + 1)
+    return TfPlane(xi=xi, b=b, slot=slot, dxi=dxi, live=live.size,
+                   mass=np.concatenate([[0j], values.flat[live]]))
+
+
+def dense_scatter(T, omega, w, dlog, cfg, first=0):
+    """The dense plane's scatter, the oracle: w * dlog / dxi of each cell
+    with a finite omega added into T at its bin and in column first + j,
+    by one np.add.at in the lattice's row-major order."""
+    idx = lattice_index(omega, cfg)
+    sel = idx >= 0
+    np.add.at(T, (idx[sel], np.nonzero(sel)[1] + first),
+              w[sel] * (dlog / cfg.dxi))
+
+
+def _sparse_lattice(seed):
+    """Random omega and w on 40 scales by 300 times: a third of omega
+    NaN, a third in one bin, some past either end of the bins, and, in
+    every even column, two cells of opposite w alone in the 12 Hz bin."""
+    rng = np.random.default_rng(seed)
+    shape = (40, 300)
+    omega = rng.uniform(15.0, 35.0, shape)
+    omega[rng.random(shape) < 0.3] = 20.0
+    omega[rng.random(shape) < 0.3] = np.nan
+    omega[rng.random(shape) < 0.05] = 3.0
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    omega[:2, ::2] = 12.0
+    w[1, ::2] = -w[0, ::2]
+    return omega, w
+
+
+@pytest.mark.parametrize("width", [1, 7, None], ids=["1", "7", "all"])
+@pytest.mark.parametrize("axis", ["columns", "scales"])
+def test_compact_scatter_gives_the_dense_planes_bits(tmp_path, axis, width):
+    # blocks of columns (the kernel-product walk's) and of scales (the
+    # inverse FFT's), 1, 7 and all wide, against one dense np.add.at: the
+    # same bits on every cell, a cell whose two additions cancel to +0.0
+    # included, and the same tf.csv, where such a cell is blank
+    omega, w = _sparse_lattice(len(axis) + (width or 0))
+    cfg = SqueezeConfig(xi_min=10.0, xi_max=30.0, dxi=0.5)
+    dlog, (scales, n) = 0.03, omega.shape
+    b = np.arange(n) / 256.0
+    T = np.zeros((cfg.bin_centers().size, n), dtype=complex)
+    dense_scatter(T, omega, w, dlog, cfg)
+    tf = TfPlane.empty(cfg, b, scales)
+    step = width or n
+    for k in range(0, n if axis == "columns" else scales, step):
+        part = slice(k, k + step)
+        at = (slice(None), part) if axis == "columns" else (part, slice(None))
+        scatter_add(tf, omega[at], w[at], dlog, cfg,
+                    first=k if axis == "columns" else 0)
+    np.testing.assert_array_equal(tf.values.view(np.uint64),
+                                  T.view(np.uint64))
+    idx = lattice_index(omega, cfg)
+    hit = set(zip(idx[idx >= 0].tolist(), np.nonzero(idx >= 0)[1].tolist()))
+    assert tf.live == np.count_nonzero(tf.slot) == len(hit)
+    cancelled = (tf.slot > 0) & (tf.values == 0.0)
+    assert cancelled[cfg.bin_centers() == 12.0].all(axis=0)[::2].all()
+    assert tf.mass[0] == 0.0 and tf.mass.size == 1 + scales * n
+    tf_to_csv(tf, tmp_path / "tf.csv")
+    write_table(tmp_path / "dense.csv", "xi,b,re,im,abs",
+                cfg.bin_centers()[:, None], b, T.real, T.imag,
+                lambda rows: np.hypot(T.real[rows], T.imag[rows]))
+    text = (tmp_path / "tf.csv").read_text()
+    assert text == (tmp_path / "dense.csv").read_text()
+    assert "\n12,0,0,0,0\n" in text
+
+
+def test_squeeze_holds_the_live_cells_not_the_dense_plane(wm):
+    # 0.01 Hz bins make the plane about 5,900 bins by 256 times, 24 MB
+    # dense, with at most one live cell a scale and time: squeeze's
+    # tracemalloc peak is the slots and the mass the memory guard counts,
+    # the bin axis and one chunk's binning temporaries, at most 128 bytes
+    # a cell
+    st = _MASK_CASES["constant-256"](wm)
+    plane = phase_first(st, 0.01)
+    base = SqueezeConfig.for_stack(st)
+    cfg = SqueezeConfig(xi_min=base.xi_min, xi_max=base.xi_max, dxi=0.01)
+    L, (J, n) = cfg.bin_centers().size, st.w.shape
+    squeeze(st, plane, base)    # numpy's one-time set-up, not traced
+    tracemalloc.start()
+    try:
+        tf = squeeze(st, plane, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J < L and 0 < tf.live < J * n
+    held = 4 * L * n + 16 * (1 + min(L, J) * n)
+    assert held <= peak <= held + 8 * L + 128 * sst._CHUNK_CELLS \
+        < 16 * L * n, (peak, held)

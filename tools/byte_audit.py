@@ -18,8 +18,12 @@ each run's stderr that contain ``Warning`` (a numpy RuntimeWarning,
 say): a run that warns in either tree shows both counts on its line, and
 the last line adds the totals when any run warned.  Warnings never
 change the verdict or the exit code.  The trees take each run back to
-back, the parent first, and a wall time or peak is one cold sample (the very first, of the
-parent, also pays for cold file caches).  Under each differing file it
+back, the parent first, and a wall time or peak is one cold sample (the
+very first, of the parent, also pays for cold file caches).  A run whose
+two peaks differ by more than 0.5 MB gets 3 more cold samples in each
+tree, alternating which tree goes first, and its line gives each tree's
+median peak; a line before the summary names each such run whose median
+still rose.  Under each differing file it
 says how far the file moved: for a CSV with the same header and row
 count in both trees, each column's largest absolute difference and
 whether its NaN cells agree; for tf.pgm, the count of differing
@@ -135,6 +139,11 @@ def write_inputs(inputs: Path) -> dict[str, list[str]]:
 
 # key under which run_in_tree returns a run's count of warning lines
 WARNED = " (warning lines)"
+# A run's cold peak repeats within about 0.5 MB from sample to sample, as
+# the allocator's layout moves; two single samples further apart than
+# that are sampled RESAMPLES more times in each tree.
+PEAK_SPREAD_MB = 0.5
+RESAMPLES = 3
 
 
 def spawn(cmd: list[str], cwd: Path, env: dict[str, str],
@@ -230,13 +239,26 @@ def main(argv: list[str] | None = None) -> int:
         wall, peak, warned = ({"parent": {}, "new": {}} for _ in range(3))
         for label in ("parent", "new"):
             (work / label).mkdir()
+        trees = (("parent", args.parent), ("new", args.new))
+        digests = {"parent": old, "new": new}
+        resampled = []
         for name, run in runs.items():
-            for label, tree, digests in (("parent", args.parent, old),
-                                         ("new", args.new, new)):
+            for label, tree in trees:
                 found, wall[label][name], peak[label][name] = run_in_tree(
                     tree, name, run, inputs, work / label)
                 warned[label][name] = int(found.pop(name + WARNED, 0))
-                digests.update(found)
+                digests[label].update(found)
+            if abs(peak["new"][name] - peak["parent"][name]) \
+                    <= PEAK_SPREAD_MB:
+                continue
+            resampled.append(name)
+            samples = {label: [peak[label][name]] for label, _ in trees}
+            for k in range(RESAMPLES):
+                for label, tree in trees[::-1] if k % 2 == 0 else trees:
+                    samples[label].append(run_in_tree(
+                        tree, name, run, inputs, work / label)[2])
+            for label, _ in trees:
+                peak[label][name] = statistics.median(samples[label])
         differ = [key for key in sorted(old.keys() | new.keys())
                   if old.get(key) != new.get(key)]
         for name in runs:
@@ -257,6 +279,12 @@ def main(argv: list[str] | None = None) -> int:
             if key in old and key in new and "(exit code)" not in key:
                 for line in moved(work / "parent" / key, work / "new" / key):
                     print(f"    {line}")
+        rose = [name for name in resampled
+                if peak["new"][name] > peak["parent"][name]]
+        if rose:
+            print(f"peak higher in the median of {RESAMPLES + 1} samples: "
+                  + ", ".join(f"{name} {peak['parent'][name]:.2f} MB -> "
+                              f"{peak['new'][name]:.2f} MB" for name in rose))
     old_mb, new_mb = (list(peak[label].values())
                       for label in ("parent", "new"))
     print(f"peak RSS: median {statistics.median(old_mb):.2f} MB -> "
