@@ -42,19 +42,15 @@ output directory or output file that cannot be created, components
 whose sum overflows), 3 inadmissible window-width profile for the
 requested analysis, components out of frequency order, a negative
 component amplitude (recover), samples, an analysis (its squeezed plane,
-a slot per bin and time and a value per live cell at most, per-cell
-arrays, one block of the stack it walks in blocks and, where the stack
-takes the kernel product, a column's kernels) or a squeezed plane over
-the 1 GiB memory limit, a signal that is not zero but leaves no
-cell with a finite frequency estimate (a threshold above every |w|, or
-a record too short for any frequency bin to reach the window's band), or
-a non-finite result:
-widths, a scale range, a transform stack (or one whose products overflow
-in a second-order phase transform) or a recovery error or bound that is
-not finite, named with the inputs that set its range, 4 recovery requested
-for a signal without ground truth.  Finite or fail: the stages that can
-overflow run with numpy's warnings off and their results are checked,
-so no run exits 0 after an overflow.
+per-cell arrays and largest block of the stack) or a squeezed plane over
+the 1 GiB memory limit, a signal that is not zero but leaves no cell with
+a finite frequency estimate (a threshold above every |w|, or a record too
+short for any frequency bin to reach the window's band), or a non-finite
+result: widths, a scale range, a transform stack (or its phase transform)
+or a recovery error or bound, named with the inputs that set its range, 4
+recovery requested for a signal without ground truth.  Finite or fail:
+the stages that can overflow run with numpy's warnings off and their
+results are checked, so no run exits 0 after an overflow.
 """
 from __future__ import annotations
 
@@ -66,21 +62,21 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .bounds import RecoveryResult, bounds_first, bounds_second, \
     normalizers, recover, report_to_csv
-from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack, takes_fft
+from .cwt import CwtStack, ScaleGrid, compute_stack, stack_walk
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
     example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
     signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
-from .sst import PhasePlane, SecondOrderCells, SqueezeConfig, TfPlane, \
-    phase_first, phase_second, scatter_add, squeeze, tf_to_csv, \
-    tf_to_pgm
+from .sst import PHASE_FIELDS, PhasePlane, SecondOrderCells, \
+    SqueezeConfig, TfPlane, phase_first, phase_second, scatter_add, \
+    squeeze, tf_to_csv, tf_to_pgm
 # Not called here (a plane derives its own floor), but perfbench's span
 # recorder looks this name up on this module.
 from .sst import default_gamma2  # noqa: F401
@@ -325,17 +321,10 @@ def _check_nyquist(spec: SignalSpec) -> None:
 # Largest array of samples, transform stack or squeezed plane a run may
 # allocate, in bytes (1 GiB); a larger one exits 3 before it is allocated.
 _STACK_LIMIT = 2 ** 30
-# Bytes of stack fields in one block of run_analysis's walk over the
-# lattice (1 MiB): the walk never holds more of a stack than one block.
-_BLOCK_BYTES = 2 ** 20
 # By the count of fields the variant reads (3 for T1, 8 for T2 and S2),
-# bytes a block holds per cell (its fields, the transform's temporaries
-# and the phase transform's), and bytes the kernel-product path holds per
-# scale and spectral bin (the detuning, two columns' Gaussians, the copies
-# of a column's rows above gamma1 and one kernel with its temporaries, as
-# each kernel is freed once used); upper bounds of tracemalloc peaks.
+# bytes a block holds per cell (its fields, the transform's temporaries and
+# the phase transform's): upper bounds of tracemalloc peaks.
 _BLOCK_CELL_BYTES = {3: 128, 8: 256}
-_KERNEL_BYTES = {3: 80, 8: 90}
 
 
 def _check_size(need: int, what: str, hint: str = "") -> None:
@@ -485,50 +474,19 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
             "zero frequency")
 
 
-# the stack fields phase_first reads; the second-order variants read all
-_FIRST_ORDER_FIELDS = ("w", "db_w", "w_tgp")
-
-
-def _fields(cfg: RunConfig) -> tuple[str, ...]:
-    """The stack fields cfg's variant reads, in FIELD_NAMES order."""
-    return _FIRST_ORDER_FIELDS if cfg.order == 1 else FIELD_NAMES
-
-
-def _block_step(scales: int, n: int, fft: bool, fields: int) -> int:
-    """Scales (on the inverse-FFT path) or columns (on the kernel-product
-    path) in one block of run_analysis's walk: as many as keep the block's
-    fields within _BLOCK_BYTES, at least one and at most all."""
-    unit = 16 * fields * (n if fft else scales)
-    return min(max(1, _BLOCK_BYTES // unit), scales if fft else n)
-
-
-def _plane_bytes(bins: int, scales: int, n: int) -> int:
-    """Bytes of the TfPlane of bins frequency bins by n times that a
-    lattice of that many scales squeezes into: a 4-byte slot a cell, and
-    its mass, allocated at its bound of 1 + min(bins, scales) * n complex
-    values."""
-    return 4 * bins * n + 16 * (1 + min(bins, scales) * n)
-
-
-def _check_stack(scales: int, cfg: RunConfig, spectrum: int | None = None,
+def _check_stack(scales: int, cfg: RunConfig, block: int, kernels: int = 0,
                  bins: int = 1) -> None:
     """Exit 3 if what a run of scales by cfg.n times holds would pass
     _STACK_LIMIT: the squeezed plane of bins frequency bins (at least one
-    until the grid gives the count), as _plane_bytes counts it, the
-    per-cell arrays, one block of the walk with its working memory and,
-    where compute_stack takes the kernel product over a spectrum of that
-    many bins (None: the inverse FFT), its per-column kernels.  The
-    per-cell arrays are omega (8 bytes a cell) or, for a second-order
+    until the grid gives the count), the per-cell arrays, a block of that
+    many cells with its working memory, and the kernel product's kernels.
+    The per-cell arrays are omega (8 bytes a cell) or, for a second-order
     plane waiting for its default gamma2, SecondOrderCells and the plane
     phase_second makes of them (52)."""
-    n, fields = cfg.n, len(_fields(cfg))
+    n, fields = cfg.n, len(PHASE_FIELDS[cfg.order])
     cell = 52 if cfg.order == 2 and cfg.gamma2 is None else 8
-    fft = spectrum is None
-    need = _plane_bytes(bins, scales, n) + cell * scales * n \
-        + _BLOCK_CELL_BYTES[fields] * _block_step(scales, n, fft, fields) \
-        * (n if fft else scales)
-    if not fft:
-        need += _KERNEL_BYTES[fields] * scales * spectrum
+    need = TfPlane.nbytes(bins, scales, n) + cell * scales * n \
+        + _BLOCK_CELL_BYTES[fields] * block + kernels
     _check_size(need, f"a transform stack of {scales} scales by {n} times",
                 f"; [grid] voices_per_octave is {cfg.voices}")
 
@@ -590,32 +548,27 @@ class Analysis:
 
 def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
           wm: WindowModel, grid: ScaleGrid, base: SqueezeConfig,
-          fft: bool) -> tuple[PhasePlane, TfPlane]:
+          blocks: Iterable[tuple[slice, slice]]) -> tuple[PhasePlane, TfPlane]:
     """(phase plane, squeezed plane) of the run, its stack taken a block
-    at a time and only in the fields the variant reads.  On the
-    kernel-product path compute_stack is given gamma1, so the fields other
-    than w are built only on the cells with |w| > gamma1 that the phase
-    transforms read, and 0 elsewhere (but for a column with one such
-    cell, built whole): the finite check sees only what was built, and a
-    field that would overflow only below gamma1 need not fail the run.
+    at a time and only in the fields the variant reads.  compute_stack is
+    given gamma1, so on the kernel-product path the finite check sees only
+    the cells the phase transforms read: a field that would overflow only
+    below gamma1 need not fail the run.
 
-    A block is a range of scales where compute_stack takes the inverse
-    FFT (fft), a range of columns where it takes the kernel product
-    (whose per-column loop would rerun for every block of scales), and
-    _block_step sizes it.  The phase transform is local to a cell, so each
-    block gets the finite check, its phase transform and its scatter-add
-    into the squeezed plane, and is dropped; a plane cell still receives
-    its column's cells in ascending scale order, so every output has the
+    The phase transform is local to a cell, so each of the blocks gets
+    the finite check, its phase transform and its scatter-add into the
+    squeezed plane, and is dropped; a plane cell still receives its
+    column's cells in ascending scale order, so every output has the
     bits of the whole stack's run.  A second-order plane with the default
     gamma2 needs the median conditioning of every cell first: its blocks
     leave their SecondOrderCells, which phase_second finishes once the
     walk ends, and the plane is squeezed then.  Once a block fails the
     finite check the rest are only measured, so the message names what a
-    check of the whole stack would.  A signal that is not zero but leaves
-    no cell with a finite omega fails the run, naming gamma1, the largest
-    part of w the walk saw and n.
+    check of the whole stack would.  So does an omega that overflows.  A
+    signal that is not zero but leaves no cell with a finite omega fails
+    the run, naming gamma1, the largest part of w the walk saw and n.
     """
-    fields, (scales, n) = _fields(cfg), (grid.a.size, sig.t.size)
+    fields, (scales, n) = PHASE_FIELDS[cfg.order], (grid.a.size, sig.t.size)
     hybrid = cfg.variant == "S2"
     deferred = cfg.order == 2 and cfg.gamma2 is None
     if deferred:
@@ -626,10 +579,7 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
         omega = np.empty((scales, n))
         tf = TfPlane.empty(base, profile.b, scales)
     top = dict.fromkeys(fields, 0.0)
-    step = _block_step(scales, n, fft, len(fields))
-    for k in range(0, scales if fft else n, step):
-        rows, cols = (slice(k, k + step), slice(None)) if fft \
-            else (slice(None), slice(k, k + step))
+    for rows, cols in blocks:
         stack = None            # the last block goes before the next is built
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             stack = compute_stack(
@@ -652,6 +602,17 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
                 stack, cfg.gamma1, gamma2=cfg.gamma2, hybrid=hybrid).omega
         scatter_add(tf, omega[rows, cols], stack.w, grid.dlog, base,
                     first=cols.start or 0)
+    if defect is None:
+        if deferred:
+            plane, w = phase_second(cells, cfg.gamma1, hybrid=hybrid), cells.w
+            del cells           # squeeze's temporaries reuse its memory
+            tf = squeeze(CwtStack(grid=grid, profile=profile, wm=wm, sig=sig,
+                                  w=w), plane, base)
+        else:
+            plane = PhasePlane(omega=omega,
+                               gamma2=cfg.gamma2 if cfg.order == 2 else None)
+        if np.isinf(plane.omega).any():
+            defect = f"the {cfg.variant} phase transform overflows"
     if defect is not None:
         with np.errstate(over="ignore"):
             x_top = np.max(np.abs(sig.x))
@@ -659,14 +620,6 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
             f"transform stack: {defect}; its range is set by "
             f"{_window_inputs(cfg, profile)} and the largest sample "
             f"magnitude {x_top:g}")
-    if deferred:
-        plane, w = phase_second(cells, cfg.gamma1, hybrid=hybrid), cells.w
-        del cells               # squeeze's temporaries reuse its memory
-        tf = squeeze(CwtStack(grid=grid, profile=profile, wm=wm, sig=sig,
-                              w=w), plane, base)
-    else:
-        plane = PhasePlane(omega=omega,
-                           gamma2=cfg.gamma2 if cfg.order == 2 else None)
     # an all-zero plane is the answer only for an all-zero signal
     if not plane.valid.any() and np.any(sig.x):
         raise AdmissibilityError(
@@ -680,12 +633,11 @@ def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
 def run_analysis(cfg: RunConfig) -> Analysis:
     """Execute the transform/reassignment pipeline for the configuration:
     the memory guard, then the signal, width profile, zones and scale
-    grid, then the block walk of _walk, which never holds a whole
-    stack."""
-    _check_stack(1, cfg)        # before anything of size n
+    grid, then _walk's block walk, which never holds a whole stack."""
+    _check_stack(1, cfg, cfg.n)     # before anything of size n: one row
     # an xi_bins plane has at least xi_bins bins and a lattice at least one
     # scale; counted past float range
-    _check_size(_plane_bytes(cfg.xi_bins, 1, cfg.n),
+    _check_size(TfPlane.nbytes(cfg.xi_bins, 1, cfg.n),
                 f"a squeezed plane of at least {cfg.xi_bins} frequency "
                 f"bins by {cfg.n} times",
                 f"; [grid] xi_bins is {cfg.xi_bins}")
@@ -713,11 +665,10 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         raise AdmissibilityError(
             f"[window] mu = {cfg.mu:g} puts the scales at {a_min:g} to "
             f"{a_max:g}, past the float range")
-    fft = takes_fft(sig, profile)
-    spectrum = None if fft else \
-        sig.x.size if np.iscomplexobj(sig.x) else sig.x.size // 2 + 1
     scales = ScaleGrid.size(a_min, a_max, cfg.voices)
-    _check_stack(scales, cfg, spectrum)
+    blocks, cells, kernels = stack_walk(sig, profile, scales,
+                                        len(PHASE_FIELDS[cfg.order]))
+    _check_stack(scales, cfg, cells, kernels)
     grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
     base = SqueezeConfig.for_grid(grid, wm.mu)
     if cfg.xi_bins > 0:
@@ -725,13 +676,13 @@ def run_analysis(cfg: RunConfig) -> Analysis:
                              dxi=(base.xi_max - base.xi_min) / cfg.xi_bins)
     l_min, l_max = base.bin_limits()
     bins = l_max - l_min + 1
-    _check_size(_plane_bytes(bins, scales, cfg.n),
+    _check_size(TfPlane.nbytes(bins, scales, cfg.n),
                 f"a squeezed plane of {bins} frequency bins of "
                 f"{base.dxi:.6g} Hz by {cfg.n} times",
                 f"; [grid] xi_bins is {cfg.xi_bins}")
-    _check_stack(scales, cfg, spectrum, bins)
+    _check_stack(scales, cfg, cells, kernels, bins)
 
-    plane, tf = _walk(cfg, sig, profile, wm, grid, base, fft)
+    plane, tf = _walk(cfg, sig, profile, wm, grid, base, blocks)
     return Analysis(sig=sig, wm=wm, profile=profile, zs=zs, grid=grid,
                     plane=plane, tf=tf)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class ScaleGrid:
         return len(self.a)
 
 
+def _spectrum_size(x: Array) -> int:
+    """Bins spectral_coefficients keeps: N of complex x, N/2 + 1 of real."""
+    return x.size if np.iscomplexobj(x) else x.size // 2 + 1
+
+
 def spectral_coefficients(sig: SampledSignal) -> tuple[Array, Array]:
     """(xi, c): bin frequencies and transform weights for the sample set.
 
@@ -82,14 +88,12 @@ def spectral_coefficients(sig: SampledSignal) -> tuple[Array, Array]:
     """
     x = np.asarray(sig.x)
     n = len(x)
-    fs = sig.fs
     X = np.fft.fft(x) / n
+    xi = np.arange(_spectrum_size(x)) * sig.fs / n
     if np.iscomplexobj(x):
-        xi = np.arange(n) * fs / n
         return xi, X
     half = n // 2
-    xi = np.arange(half + 1) * fs / n
-    c = 2.0 * X[: half + 1]
+    c = 2.0 * X[: xi.size]
     c[0] = X[0]
     if n % 2 == 0:
         c[half] = X[half]
@@ -164,6 +168,41 @@ def takes_fft(sig: SampledSignal, profile: SigmaProfile) -> bool:
     return bool(np.all(profile.sigma == profile.sigma[0])
                 and np.all(profile.dsigma == profile.dsigma[0])
                 and np.array_equal(profile.b, sig.t))
+
+
+# Bytes of stack fields in one block of a walk (1 MiB), and, by the count
+# of fields built, bytes the kernel product holds per scale and spectral
+# bin (the detuning, two columns' Gaussians, the copies of a column's rows
+# above gamma1 and one kernel with its temporaries, as each kernel is
+# freed once used): an upper bound of tracemalloc's peak.
+_BLOCK_BYTES = 2 ** 20
+_KERNEL_BYTES = {3: 80, 8: 90}
+
+
+def _block_step(scales: int, n: int, fft: bool, fields: int) -> int:
+    """Scales (inverse FFT) or columns (kernel product) a block takes: as
+    many as keep its fields within _BLOCK_BYTES, at least one, at most all."""
+    unit = 16 * fields * (n if fft else scales)
+    return min(max(1, _BLOCK_BYTES // unit), scales if fft else n)
+
+
+def stack_walk(sig: SampledSignal, profile: SigmaProfile, scales: int,
+               fields: int) -> tuple[Iterator[tuple[slice, slice]], int, int]:
+    """(blocks, cells, kernel bytes) of the walk over scales by profile's
+    columns in that many fields: the blocks as (scales, columns) slices in
+    walk order, of scales where compute_stack takes the inverse FFT and of
+    columns where it takes the kernel product (whose column loop would
+    rerun for every block of scales); the largest block's cells; and the
+    kernel product's bytes, 0 for the inverse FFT.  It counts in integers
+    and allocates nothing of size scales."""
+    n, fft = profile.b.size, takes_fft(sig, profile)
+    step = _block_step(scales, n, fft, fields)
+    if fft:
+        return (((slice(k, k + step), slice(None))
+                 for k in range(0, scales, step)), step * n, 0)
+    return (((slice(None), slice(k, k + step)) for k in range(0, n, step)),
+            step * scales,
+            _KERNEL_BYTES[fields] * scales * _spectrum_size(sig.x))
 
 
 def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,

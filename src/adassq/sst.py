@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cwt import CwtStack, ScaleGrid
+from .cwt import FIELD_NAMES, CwtStack, ScaleGrid
 from .signals import _CHUNK_CELLS, write_table
 
 Array = np.ndarray
@@ -44,6 +44,10 @@ class PhasePlane:
     @property
     def valid(self) -> Array:
         return np.isfinite(self.omega)
+
+
+# the stack fields each order's phase transform reads
+PHASE_FIELDS = {1: ("w", "db_w", "w_tgp"), 2: FIELD_NAMES}
 
 
 def _first_order(stack: CwtStack) -> Array:
@@ -217,6 +221,12 @@ class TfPlane:
     mass: Array
     dxi: float
     live: int = 0
+
+    @staticmethod
+    def nbytes(bins: int, scales: int, times: int) -> int:
+        """Bytes empty allocates for bins by times and that many scales,
+        counted in integers: a 4-byte slot a cell, 16 a mass value."""
+        return 4 * bins * times + 16 * (1 + min(bins, scales) * times)
 
     @classmethod
     def empty(cls, cfg: SqueezeConfig, b: Array, scales: int) -> "TfPlane":

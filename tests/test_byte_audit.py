@@ -28,6 +28,9 @@ What is proven here
    times in each tree, alternating which tree goes first; its line and
    the summary take each tree's median peak, and a line names each such
    run whose median still rose.  A run within 0.5 MB is sampled once.
+9. The summary gives each tree's src/ line count, the newlines of its
+   src/**/*.py as wc -l counts them (a last line without one is not
+   counted); the verdict and the exit code do not change.
 """
 from __future__ import annotations
 
@@ -76,7 +79,8 @@ def test_pgm_reports_its_differing_pixels(tmp_path):
         ["2 of 6 pixels differ"]
 
 
-def _fake_audit(monkeypatch, bodies, walls, peaks=None):
+def _fake_audit(monkeypatch, bodies, walls, peaks=None,
+                trees=("parent-tree", "new-tree")):
     """Run main on one faked run per tree: tree `label` writes omega.csv
     as bodies[label], took walls[label] seconds and peaked at
     peaks[label] MB (36.5 by default), on every sample.  No command
@@ -93,7 +97,7 @@ def _fake_audit(monkeypatch, bodies, walls, peaks=None):
     monkeypatch.setattr(byte_audit, "run_in_tree", run_in_tree)
     monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
     monkeypatch.setattr(byte_audit, "RUNS", {"run": []})
-    return byte_audit.main(["parent-tree", "new-tree"])
+    return byte_audit.main([str(tree) for tree in trees])
 
 
 def test_audit_prints_the_move_under_the_file(monkeypatch, capsys):
@@ -121,7 +125,27 @@ def test_audit_prints_each_runs_wall_time_beside_its_verdict(monkeypatch,
         "peak 38.12 MB -> 36.79 MB",
         "peak RSS: median 38.12 MB -> 36.79 MB, largest 38.12 MB -> "
         "36.79 MB; higher in 0 of 1 runs",
+        "src/ lines: 0 -> 0",
         "1 output files of 1 runs: every SHA-256 equal"]
+
+
+def test_audit_counts_each_trees_src_lines(monkeypatch, capsys, tmp_path):
+    # wc -l counts newlines: a last line without one adds nothing, and
+    # only Python files under src/ count
+    files = {"parent": {"src/a/x.py": "1\n2\n3\n", "src/y.py": "4\n5",
+                        "src/a/notes.txt": "6\n", "tools/z.py": "7\n"},
+             "new": {"src/a/x.py": "1\n", "src/b/c/y.py": "2\n3\n4\n5\n"}}
+    for label, tree in files.items():
+        for name, text in tree.items():
+            (tmp_path / label / name).parent.mkdir(parents=True,
+                                                   exist_ok=True)
+            (tmp_path / label / name).write_text(text)
+    bodies = {"parent": _OLD, "new": _OLD.replace("nan", "7")}
+    assert _fake_audit(monkeypatch, bodies, {"parent": 1.0, "new": 1.0},
+                       trees=(tmp_path / "parent", tmp_path / "new")) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["src/ lines: 4 -> 5",
+                        "1 output files of 1 runs: 1 differ"]
 
 
 def _fake_spawn(monkeypatch, reply):
@@ -151,6 +175,7 @@ def test_audit_counts_each_runs_warning_lines(monkeypatch, capsys):
         "loud: every SHA-256 equal; wall; warning lines 2 -> 0",
         "peak RSS: median 30.00 MB -> 30.00 MB, largest 30.00 MB -> "
         "30.00 MB; higher in 0 of 2 runs",
+        "src/ lines: 0 -> 0",
         "0 output files of 2 runs: every SHA-256 equal; "
         "warning lines 2 -> 0"]
 
@@ -167,7 +192,7 @@ def test_audit_summarizes_each_trees_peaks(monkeypatch, capsys):
     assert byte_audit.main(["parent-tree", "new-tree"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].endswith("; peak 40.00 MB -> 40.25 MB")
-    assert out[-2] == ("peak RSS: median 40.00 MB -> 40.25 MB, largest "
+    assert out[-3] == ("peak RSS: median 40.00 MB -> 40.25 MB, largest "
                        "90.00 MB -> 89.00 MB; higher in 1 of 3 runs")
 
 

@@ -48,7 +48,8 @@ What is proven here
    an analysis past the memory limit exits 3 before any scale is
    allocated, naming its scale count and bytes, and the count bounds
    what the run allocates within a factor of two (tracemalloc's peak of
-   run_analysis, kernels and temporaries included, on both paths);
+   run_analysis, kernels and temporaries included, on both paths and
+   over a complex spectrum);
    a limit one byte below it refuses the run and a limit equal to it
    runs; doubling the voices raises run_analysis's traced peak
    by less than one J x n field; a squeezed plane past it exits 3 naming
@@ -69,7 +70,8 @@ What is proven here
    with RuntimeWarning an error, Hypothesis runs with mu, width,
    amplitudes or sample magnitude near either end of the float range
    exit 0, 2, 3 or 4 without a traceback, and on exit 0 no output file
-   holds an infinity (finite or fail).
+   holds an infinity (finite or fail); a first-order estimate that
+   overflows on a kept cell exits 3 naming the window's inputs.
 6. demo: one analysis per run, whose blocks cover the lattice once and
    are freed when run_analysis returns while its result lives on, none of
    them the whole stack, and the same bytes as separate synth,
@@ -888,7 +890,7 @@ def _t1_holds(scales, times, block_cells, bins=1):
 
 # the cells of a block of scales by 256 times: constant sigma on the
 # sample grid (the presets' default) takes the inverse FFT
-_FFT_BLOCK_256 = cli._BLOCK_BYTES // (48 * 256) * 256
+_FFT_BLOCK_256 = cwt._BLOCK_BYTES // (48 * 256) * 256
 
 
 @pytest.mark.parametrize("preset", ["example1", "empty"])
@@ -914,7 +916,10 @@ _GUARDED = [("--preset", "example1"),                           # FFT, T1
             ("--preset", "example2", "--sigma", "sigma2", "--variant", "T2",
              "--gamma2", "1"),
             ("--components", "chirp:20:1; tone:60", "--n", "512",
-             "--variant", "S2")]                                # FFT, S2
+             "--variant", "S2"),                                # FFT, S2
+            # columns over a complex spectrum: n bins, not n/2 + 1
+            ("--components", "chirp:12:0.5; chirp:26:-0.5", "--mode",
+             "complex", "--sigma", "sigma1")]
 
 
 def test_stack_limit_is_the_stack_size(tmp_path, capsys, monkeypatch):
@@ -997,7 +1002,7 @@ def test_blocks_give_the_whole_stacks_bytes(tmp_path, monkeypatch, args):
     # blocks of 1 and 7 scales or columns, against one block of the whole
     # stack: every output byte is the same
     for width in _WIDTHS:
-        monkeypatch.setattr(cli, "_block_step", _width(width))
+        monkeypatch.setattr(cwt, "_block_step", _width(width))
         assert run("analyze", *args, "--outdir",
                    str(tmp_path / str(width))) == 0
     whole = tmp_path / str(_WIDTHS[0])
@@ -1023,7 +1028,7 @@ def test_blocks_fail_with_the_whole_stacks_message(tmp_path, capsys,
     # names
     errs = []
     for width in _WIDTHS:
-        monkeypatch.setattr(cli, "_block_step", _width(width))
+        monkeypatch.setattr(cwt, "_block_step", _width(width))
         assert run("analyze", *args, "--outdir", str(tmp_path / "out")) == 3
         errs.append(capsys.readouterr().err)
     assert errs[1] == errs[0] == errs[2] and what in errs[0]
@@ -1244,6 +1249,20 @@ def test_extreme_inputs_fail_cleanly_or_stay_finite(tmp_path_factory, case):
             assert "inf" not in text, path.name
             assert path.name in ("omega.csv", "zones.csv", "report.csv") \
                 or "nan" not in text, path.name
+
+
+def test_phase_transform_overflow_exits_3(tmp_path, capsys):
+    # every field is finite, but db_w's parts near 9e307 overflow the
+    # complex division of the first-order estimate on one cell, so omega
+    # would be inf (a case the Hypothesis run above found)
+    assert run("analyze", "--n", "57", "--fs", "64", "--components",
+               "tone:8:2.5303534411670123e+306", "--outdir",
+               str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "transform stack: the T1 phase transform overflows; its range " \
+        "is set by [window] mu = 1, [sigma] value = 1 and the largest " \
+        "sample magnitude 2.53035e+306" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_cli_import_loads_no_scipy():

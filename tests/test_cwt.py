@@ -30,11 +30,19 @@ Proof groups:
      (no product, zeros), and one below every |w| (the whole stack);
      column blocks of the masked stack concatenate to it, and the
      inverse-FFT path ignores gamma1
+  9. the walk -- stack_walk's blocks tile the lattice exactly once, in
+     walk order: scales on the inverse-FFT path, columns on the
+     kernel-product path; a block holds at most 1 MiB of fields unless one
+     scale or column alone is larger, the largest block's cells are
+     counted, and a one-column tail is its own block; the kernel bytes
+     follow the spectrum's bin count (N/2 + 1 real, N complex); and a
+     scale count past any memory comes back as counts without allocating
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -783,3 +791,81 @@ def test_gamma1_leaves_the_inverse_fft_stack_whole(wm):
     for name in FIELDS:
         assert getattr(masked, name).tobytes() == \
             getattr(whole, name).tobytes(), name
+
+
+# ---------------------------------------------------------------- group 9
+
+def _walk_case(n, fft, mode="real"):
+    """A signal of n samples and a profile on its sample grid: constant
+    sigma (the inverse FFT) or a sinusoidal one (the kernel product)."""
+    sig = synthesize(SignalSpec(components=(tone(20.0),), fs=256.0, n=n,
+                                mode=mode))
+    prof = constant_profile(sig.t, 1.1) if fft else _sinusoidal(sig.t)
+    assert cwt.takes_fft(sig, prof) == fft
+    return sig, prof
+
+
+@pytest.mark.parametrize("fields", [3, 8])
+@pytest.mark.parametrize("scales, n", [(1, 64), (118, 277), (40, 4096),
+                                       (3000, 64)])
+@pytest.mark.parametrize("fft", [True, False], ids=["fft", "columns"])
+def test_walk_tiles_the_lattice_once_in_order(fft, scales, n, fields):
+    sig, prof = _walk_case(n, fft)
+    blocks, cells, kernel_bytes = cwt.stack_walk(sig, prof, scales, fields)
+    blocks = list(blocks)
+    hits = np.zeros((scales, n), dtype=int)
+    edge = 0
+    for rows, cols in blocks:
+        # only the walked axis is sliced, and each block starts where the
+        # last one ended
+        walked, whole = (rows, cols) if fft else (cols, rows)
+        assert whole == slice(None) and walked.start == edge
+        edge = min(walked.stop, scales if fft else n)
+        hits[rows, cols] += 1
+        block = hits[rows, cols].size
+        assert block <= cells
+        assert 16 * fields * block <= cwt._BLOCK_BYTES \
+            or block == (n if fft else scales)
+    assert (hits == 1).all() and edge == (scales if fft else n)
+    assert cells == max(hits[r, c].size for r, c in blocks)
+    assert kernel_bytes == (0 if fft else
+                            cwt._KERNEL_BYTES[fields] * scales * (n // 2 + 1))
+
+
+def test_walk_keeps_a_one_column_tail():
+    # the audited analyze-three-sigma2-s2-277 shape: 69 columns of 118
+    # scales hold 8 fields within 1 MiB, and 277 = 4 * 69 + 1
+    sig, prof = _walk_case(277, fft=False)
+    blocks, cells, _ = cwt.stack_walk(sig, prof, 118, 8)
+    assert [len(range(277)[c]) for _, c in blocks] == [69, 69, 69, 69, 1]
+    assert cells == 69 * 118
+
+
+def test_walk_counts_the_complex_spectrum():
+    # a complex signal keeps all n bins
+    sig, prof = _walk_case(64, fft=False, mode="complex")
+    assert cwt.stack_walk(sig, prof, 10, 3)[2] == \
+        cwt._KERNEL_BYTES[3] * 10 * len(spectral_coefficients(sig)[0])
+
+
+@pytest.mark.parametrize("fft", [True, False], ids=["fft", "columns"])
+def test_walk_counts_unallocatable_scales(fft):
+    # 10**17 scales: numpy would refuse the scale array at once, and the
+    # walk only counts
+    sig, prof = _walk_case(256, fft)
+    tracemalloc.start()
+    try:
+        blocks, cells, kernel_bytes = cwt.stack_walk(sig, prof, 10 ** 17, 3)
+        first = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    if fft:
+        step = cwt._BLOCK_BYTES // (16 * 3 * 256)
+        assert first == (slice(0, step), slice(None))
+        assert (cells, kernel_bytes) == (step * 256, 0)
+    else:
+        assert first == (slice(None), slice(0, 1))
+        assert (cells, kernel_bytes) == \
+            (10 ** 17, cwt._KERNEL_BYTES[3] * 10 ** 17 * 129)

@@ -16,7 +16,9 @@ Proof groups:
      SecondOrderCells carry the gamma1 mask only as NaNs; and the
      sigma'-free forms: with the time-derivative identity substituted,
      dadb_w and both phase transforms are built from w, w_tg, da_w and
-     da_w_tg alone, sigma' cancelling
+     da_w_tg alone, sigma' cancelling; a stack of only the fields
+     PHASE_FIELDS names for an order gives that order's plane; and
+     TfPlane.nbytes is what TfPlane.empty allocates
   7. blocks equal the whole -- a stack taken in blocks of columns (kernel
      product) or of scales (inverse FFT), 37, 5 and 1 wide, gives
      phase_second's gamma2 and omega bytes, strict and hybrid, through
@@ -33,7 +35,8 @@ import numpy as np
 import pytest
 
 from adassq import sst
-from adassq.cwt import CwtStack, ScaleGrid, compute_stack, takes_fft
+from adassq.cwt import FIELD_NAMES, CwtStack, ScaleGrid, compute_stack, \
+    takes_fft
 from adassq.separation import (
     SigmaProfile,
     constant_profile,
@@ -52,6 +55,7 @@ from adassq.signals import (
     write_table,
 )
 from adassq.sst import (
+    PHASE_FIELDS,
     PhasePlane,
     _first_order,
     SecondOrderCells,
@@ -351,6 +355,41 @@ _MASK_CASES = {
     "example2-sigma2": _zone_case(example2_spec(), sigma2, 2),
     "constant-256": _zone_case(example1_spec(), _constant(1.0)),
 }
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_each_order_reads_exactly_its_phase_fields(wm, order):
+    # the fields PHASE_FIELDS names for an order give the whole stack's
+    # plane, and a stack without any one of them (None) gives none
+    spec = example2_spec()
+    sig, prof = synthesize(spec), sigma2(spec, wm)
+    grid = ScaleGrid.from_zones(zones(spec, wm, prof, order=2))
+
+    def omega(fields):
+        st = compute_stack(sig, prof, wm, grid, fields=fields)
+        return (phase_first(st, 0.01) if order == 1
+                else phase_second(st, 0.01)).omega.tobytes()
+    fields = PHASE_FIELDS[order]
+    assert omega(fields) == omega(FIELD_NAMES)
+    for name in fields[1:]:         # w is always built
+        with pytest.raises(TypeError):
+            omega(tuple(f for f in fields if f != name))
+
+
+@pytest.mark.parametrize("bins, scales, times", [
+    (5, 9, 7), (9, 9, 7), (9, 5, 7), (41, 190, 4096)],
+    ids=["L<J", "L=J", "L>J", "L41-J190"])
+def test_plane_bytes_are_what_empty_allocates(bins, scales, times):
+    # the memory guard counts the plane by nbytes, so its count and the
+    # allocation cannot drift apart.  With fewer bins than about 4/3 of
+    # the scales the compact plane is larger than a dense one.
+    cfg = SqueezeConfig(xi_min=1.0, xi_max=float(bins), dxi=1.0)
+    tf = TfPlane.empty(cfg, np.arange(times, dtype=float), scales)
+    assert tf.slot.shape == (bins, times)
+    assert TfPlane.nbytes(bins, scales, times) == \
+        tf.slot.nbytes + tf.mass.nbytes
+    assert (TfPlane.nbytes(bins, scales, times) > 16 * bins * times) == \
+        (bins < 4 * scales / 3)
 
 
 @pytest.mark.parametrize("variant", ["T1", "T2", "S2"])

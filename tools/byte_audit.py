@@ -27,9 +27,11 @@ still rose.  Under each differing file it
 says how far the file moved: for a CSV with the same header and row
 count in both trees, each column's largest absolute difference and
 whether its NaN cells agree; for tf.pgm, the count of differing
-pixels.  The inputs (the workloads' sample files, a width table) are
-generated once, by perfbench/workloads.py and here, and both trees read
-the same files.
+pixels.  The summary also gives each tree's ``src/`` line count (the
+newlines of its ``src/**/*.py``, as ``wc -l`` counts them), so a change's
+size comes from the same run as its byte verdict.  The inputs (the
+workloads' sample files, a width table) are generated once, by
+perfbench/workloads.py and here, and both trees read the same files.
 """
 from __future__ import annotations
 
@@ -223,6 +225,12 @@ def moved(old: Path, new: Path) -> list[str]:
     return found
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's src/**/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src").rglob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="tree of the parent")
@@ -291,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{statistics.median(new_mb):.2f} MB, largest {max(old_mb):.2f} "
           f"MB -> {max(new_mb):.2f} MB; higher in "
           f"{sum(b > a for a, b in zip(old_mb, new_mb))} of {len(runs)} runs")
+    print(f"src/ lines: {src_lines(args.parent)} -> {src_lines(args.new)}")
     files = sum(1 for key in old if not key.endswith("(exit code)"))
     totals = [sum(warned[label].values()) for label in ("parent", "new")]
     print(f"{files} output files of {len(runs)} runs: "
