@@ -4,8 +4,9 @@ Subcommands
 -----------
 synth     write the configured signal to <outdir>/signal.csv
 analyze   run the adaptive transform and frequency reassignment; write
-          tf.csv (and tf.pgm unless disabled), omega.csv, zones.csv,
-          sigma.csv
+          tf.csv (and tf.pgm unless disabled; both from a second process
+          where os.fork exists, with the same bytes and exit codes),
+          omega.csv, zones.csv, sigma.csv
 recover   reconstruct each component along its ground-truth ridge, compare
           against the exact component, and write report.csv with the
           theoretical error bound and a within_bound flag per cell
@@ -58,8 +59,11 @@ import argparse
 import configparser
 import contextlib
 import math
+import os
+import pickle
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
@@ -77,9 +81,7 @@ from .signals import ComponentTruth, SampledSignal, SignalSpec, \
 from .sst import PHASE_FIELDS, PhasePlane, SecondOrderCells, \
     SqueezeConfig, TfPlane, phase_first, phase_second, scatter_add, \
     squeeze, tf_to_csv, tf_to_pgm
-# Not called here (a plane derives its own floor), but perfbench's span
-# recorder looks this name up on this module.
-from .sst import default_gamma2  # noqa: F401
+from .sst import default_gamma2  # noqa: F401 (perfbench's spans read it)
 from .windows import WindowModel
 
 
@@ -435,8 +437,7 @@ def _read_sigma_table(path: Path, t: np.ndarray) -> SigmaProfile:
         if np.any(bad):
             raise ConfigError(f"[sigma] table: line {np.argmax(bad) + 2}: "
                               f"{what}")
-    return SigmaProfile(b=t, sigma=data[:, 1], dsigma=data[:, 2],
-                        kind="table")
+    return SigmaProfile(b=t, sigma=data[:, 1], dsigma=data[:, 2], kind="table")
 
 
 def build_profile(cfg: RunConfig, spec: SignalSpec | None, t: np.ndarray,
@@ -693,8 +694,7 @@ def _omega_to_csv(res: Analysis, path) -> None:
                 res.plane.omega)
 
 
-def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray,
-                  ) -> float | np.ndarray:
+def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray) -> float | np.ndarray:
     if cfg.eps3 is not None:
         return cfg.eps3
     if ridge.shape[0] >= 2:
@@ -714,6 +714,44 @@ def _writing(outdir: Path):
     except OSError as exc:
         raise ConfigError(f"[run] outdir: cannot write to {outdir}: "
                           f"{exc}") from None
+
+
+@contextlib.contextmanager
+def _aside(writes: dict[str, Callable[[], None]]):
+    """Run writes (file name -> writer) in a forked child while the block
+    runs and reap it after; without os.fork, run them here first."""
+    if not (writes and hasattr(os, "fork")):
+        for write in writes.values():
+            write()
+        yield
+        return
+    read, send = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns on fork while other threads run, as OpenBLAS's
+        # pool does; the child runs no BLAS and takes no lock they hold
+        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:                # the child never returns into the caller
+        try:
+            for write in writes.values():
+                write()
+            os._exit(0)
+        except BaseException as exc:
+            os.write(send, pickle.dumps(exc))
+        finally:
+            os._exit(1)
+    os.close(send)
+    try:
+        yield
+    finally:
+        with open(read, "rb") as pipe:
+            report = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if report:
+        raise pickle.loads(report)
+    if code:
+        raise OSError(f"the process writing {' and '.join(writes)} " + (
+            f"died by signal {-code}" if code < 0 else f"exited {code}"))
 
 
 def _report(cfg: RunConfig, res: Analysis) -> tuple[RecoveryResult,
@@ -780,11 +818,13 @@ def run_command(command: str, cfg: RunConfig) -> int:
     if "recover" in parts:
         result, bound = _report(cfg, res)
     out = cfg.outdir
-    with _writing(out):
+    aside = {}      # name -> writer, looked up here when it runs
+    if "analyze" in parts:
+        aside["tf.csv"] = lambda: tf_to_csv(res.tf, out / "tf.csv")
+        if cfg.pgm:
+            aside["tf.pgm"] = lambda: tf_to_pgm(res.tf, out / "tf.pgm")
+    with _writing(out), _aside(aside):
         if "analyze" in parts:
-            tf_to_csv(res.tf, out / "tf.csv")
-            if cfg.pgm:
-                tf_to_pgm(res.tf, out / "tf.pgm")
             _omega_to_csv(res, out / "omega.csv")
             zones_to_csv(res.zs, out / "zones.csv")
             profile_to_csv(res.profile, out / "sigma.csv")

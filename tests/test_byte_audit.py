@@ -31,6 +31,10 @@ What is proven here
 9. The summary gives each tree's src/ line count, the newlines of its
    src/**/*.py as wc -l counts them (a last line without one is not
    counted); the verdict and the exit code do not change.
+10. Every run's launcher request pins glibc's mmap and trim thresholds
+    in the child's environment and puts the tree's src/ first on its
+    path, and both trees' src/ is compiled to bytecode before the first
+    run is spawned; the verdict and the exit code do not change.
 """
 from __future__ import annotations
 
@@ -230,6 +234,36 @@ def test_audit_resamples_a_run_whose_peaks_differ(monkeypatch, capsys):
         "down 40.00 MB -> 40.05 MB",
         "peak RSS: median 40.00 MB -> 40.50 MB, largest 40.15 MB -> "
         "40.55 MB; higher in 3 of 3 runs"]
+
+
+def test_each_run_pins_malloc_and_finds_its_tree_compiled(monkeypatch,
+                                                          tmp_path):
+    for label in ("parent", "new"):
+        (tmp_path / label / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / label / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    requests = []
+
+    def spawn(cmd, cwd, env, log):
+        requests.append((cwd.name, env, [
+            p.name for label in ("parent", "new")
+            for p in (tmp_path / label / "src").rglob("*.pyc")]))
+        log.write_text("")
+        return {"rc": 0, "wall": 0.5, "rss_mb": 30.0}
+    monkeypatch.setattr(byte_audit, "spawn", spawn)
+    monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
+    monkeypatch.setattr(byte_audit, "RUNS", {"a": [], "b": []})
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "1")
+    assert byte_audit.main([str(tmp_path / "parent"),
+                            str(tmp_path / "new")]) == 0
+    assert [label for label, _, _ in requests] == ["parent", "new"] * 2
+    for label, env, compiled in requests:
+        assert env["MALLOC_MMAP_THRESHOLD_"] == "131072"
+        assert env["MALLOC_TRIM_THRESHOLD_"] == "131072"
+        assert env["PYTHONPATH"] == str((tmp_path / label / "src").resolve())
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"    # passed on as set
+        assert len(compiled) == 2 and all(name.startswith("mod.")
+                                          for name in compiled)
 
 
 def test_runs_are_spawned_through_the_launcher(tmp_path):

@@ -35,9 +35,16 @@ What is proven here
    failures, inadmissible window widths, and recovery without ground
    truth; an outdir that is a regular file or lies below one, and an
    output file that cannot be opened, exit 2 naming [run] outdir, for
-   every command; a malformed sample file exits 2 naming its line,
-   before any output is written, and so does one whose sampling rate
-   leaves no band to analyze; so does every Hypothesis mutation of a valid file (short
+   every command; analyze writes tf.csv and tf.pgm from a forked child,
+   and a directory where either goes, a child killed by a signal or
+   ending without a report, and a directory where a file of the parent
+   process goes each exit 2 naming [run] outdir and the file, with no
+   traceback and no child left; Python 3.12's warning of a fork beside
+   other threads is hidden, so stderr stays empty; without os.fork,
+   demo example2 and analyze write the same bytes; a malformed sample
+   file exits 2 naming its line, before any output is written, and so
+   does one whose sampling rate leaves no band to analyze; so does every
+   Hypothesis mutation of a valid file (short
    rows, non-numeric, non-UTF-8 and non-finite cells, a quoted cell that
    runs on to the next line, off-grid, swapped, decreasing or overflowing
    times, an empty body, a bad header), never with a traceback; a
@@ -87,6 +94,7 @@ import io
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -665,6 +673,108 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"[run] outdir: cannot write to {out}:" in err
     assert "signal.csv" in err and "Traceback" not in err
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _killed(tf, path):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exits_without_a_report(tf, path):
+    os._exit(3)
+
+
+def _in_a_child(end, parent: int):
+    """A tf.csv writer that ends its process by end, unless it runs in
+    this one: then it raises, so a writer that was not forked fails the
+    test instead of ending it."""
+    def write(tf, path):
+        if os.getpid() == parent:
+            raise AssertionError("tf.csv written in the test's process")
+        end(tf, path)
+    return write
+
+
+_FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@_FORKS
+@pytest.mark.parametrize("blocked, patched, said", [
+    ("tf.csv", None, "Is a directory: '{out}/tf.csv'"),
+    ("tf.pgm", None, "Is a directory: '{out}/tf.pgm'"),
+    ("zones.csv", None, "Is a directory: '{out}/zones.csv'"),
+    (None, _killed, "the process writing tf.csv and tf.pgm "
+     f"died by signal {int(signal.SIGKILL)}"),
+    (None, _exits_without_a_report, "the process writing tf.csv and tf.pgm "
+     "exited 3"),
+], ids=["tf.csv", "tf.pgm", "parent-side", "killed", "no-report"])
+def test_failing_plane_writer_exits_2_and_is_reaped(tmp_path, capsys,
+                                                    monkeypatch, blocked,
+                                                    patched, said):
+    # tf.csv and tf.pgm are written by a forked child while this process
+    # writes the rest: the child's OSError, its death by a signal or an
+    # exit without a report, and an OSError of this process's own writers
+    # each exit 2 naming [run] outdir and the file, and the child is
+    # reaped every time
+    out = tmp_path / "out"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    if patched:
+        monkeypatch.setattr(cli, "tf_to_csv",
+                            _in_a_child(patched, os.getpid()))
+    assert run(*_COMMAND_ARGS["analyze"], "--outdir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: [run] outdir: cannot write to {out}: " in err
+    assert said.format(out=out) in err and "Traceback" not in err
+    assert _no_child_left()
+
+
+@_FORKS
+def test_fork_warning_of_other_threads_is_silenced(tmp_path, capsys,
+                                                   monkeypatch):
+    # Python 3.12 warns in the parent when a process with other threads
+    # forks (OpenBLAS's pool always runs); the run hides exactly that
+    # warning, so stderr stays empty even with warnings as errors
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning,
+                          stacklevel=2)
+        return pid
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*_COMMAND_ARGS["analyze"], "--outdir",
+                   str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == "" and _no_child_left()
+    assert (tmp_path / "out" / "tf.pgm").exists()
+
+
+@pytest.mark.parametrize("argv", [("demo", "example2"),
+                                  _COMMAND_ARGS["analyze"]],
+                         ids=["demo-example2", "analyze"])
+def test_without_fork_the_same_bytes_are_written(tmp_path, monkeypatch,
+                                                 argv):
+    assert run(*argv, "--outdir", str(tmp_path / "forked")) == 0
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert run(*argv, "--outdir", str(tmp_path / "in-process")) == 0
+    names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+    assert "tf.pgm" in names and names == sorted(
+        p.name for p in (tmp_path / "in-process").iterdir())
+    for name in names:
+        assert (tmp_path / "forked" / name).read_bytes() == \
+            (tmp_path / "in-process" / name).read_bytes(), name
 
 
 def test_reruns_are_byte_identical(demo1, tmp_path):

@@ -19,23 +19,28 @@ say): a run that warns in either tree shows both counts on its line, and
 the last line adds the totals when any run warned.  Warnings never
 change the verdict or the exit code.  The trees take each run back to
 back, the parent first, and a wall time or peak is one cold sample (the
-very first, of the parent, also pays for cold file caches).  A run whose
-two peaks differ by more than 0.5 MB gets 3 more cold samples in each
-tree, alternating which tree goes first, and its line gives each tree's
-median peak; a line before the summary names each such run whose median
-still rose.  Under each differing file it
-says how far the file moved: for a CSV with the same header and row
-count in both trees, each column's largest absolute difference and
-whether its NaN cells agree; for tf.pgm, the count of differing
-pixels.  The summary also gives each tree's ``src/`` line count (the
-newlines of its ``src/**/*.py``, as ``wc -l`` counts them), so a change's
-size comes from the same run as its byte verdict.  The inputs (the
-workloads' sample files, a width table) are generated once, by
-perfbench/workloads.py and here, and both trees read the same files.
+very first, of the parent, also pays for cold file caches).  Each run's
+environment pins glibc's mmap and trim thresholds (MALLOC_ENV), so a
+peak moves with what a run allocates, not with the code's layout, and
+both trees' ``src/`` is compiled to bytecode before the first sample, so
+no sample compiles it, even where PYTHONDONTWRITEBYTECODE is set.  A
+run whose two peaks differ by more than 0.5 MB gets 3 more cold samples
+in each tree, alternating which tree goes first, and its line gives each
+tree's median peak; a line before the summary names each such run whose
+median still rose.  Under each differing file it says how far the file
+moved: for a CSV with the same header and row count in both trees, each
+column's largest absolute difference and whether its NaN cells agree;
+for tf.pgm, the count of differing pixels.  The summary also gives each
+tree's ``src/`` line count (the newlines of its ``src/**/*.py``, as
+``wc -l`` counts them), so a change's size comes from the same run as
+its byte verdict.  The inputs (the workloads' sample files, a width
+table) are generated once, by perfbench/workloads.py and here, and both
+trees read the same files.
 """
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -146,6 +151,12 @@ WARNED = " (warning lines)"
 # that are sampled RESAMPLES more times in each tree.
 PEAK_SPREAD_MB = 0.5
 RESAMPLES = 3
+# glibc's malloc moves its mmap threshold up to the largest block freed so
+# far, and its trim threshold with it, so a cold peak moved by up to
+# 0.9 MB with the code's layout alone; every run pins both at 128 KiB,
+# glibc's default for each
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072",
+              "MALLOC_TRIM_THRESHOLD_": "131072"}
 
 
 def spawn(cmd: list[str], cwd: Path, env: dict[str, str],
@@ -167,7 +178,8 @@ def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
     output file's SHA-256 and the run's exit code, by relative name (and
     under name + WARNED its stderr lines that contain "Warning", if any),
     the run's wall time in seconds and its peak RSS in MB."""
-    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+               **MALLOC_ENV)
     argv = [a.format(out=out, inputs=inputs) for a in args]
     log = out / f"{name}.stderr"
     reply = spawn([sys.executable, "-m", "adassq.cli", *argv,
@@ -248,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         for label in ("parent", "new"):
             (work / label).mkdir()
         trees = (("parent", args.parent), ("new", args.new))
+        for _, tree in trees:   # so that no sample compiles src/
+            compileall.compile_dir(tree / "src", quiet=2)
         digests = {"parent": old, "new": new}
         resampled = []
         for name, run in runs.items():
