@@ -34,14 +34,9 @@ from .separation import (  # noqa: F401
     zones,
 )
 
-from .cwt import ScaleGrid, compute_stack  # noqa: F401
+from .cwt import ScaleGrid, compute_stack, stack_walk  # noqa: F401
 
-from .sst import (  # noqa: F401
-    SqueezeConfig,
-    phase_first,
-    phase_second,
-    squeeze,
-)
+from .sst import SqueezeConfig, walk  # noqa: F401
 
 from .bounds import (  # noqa: F401
     bounds_first,

@@ -5,7 +5,7 @@ Subcommands
 synth     write the configured signal to <outdir>/signal.csv
 analyze   run the adaptive transform and frequency reassignment; write
           tf.csv (and tf.pgm unless disabled; both from a second process
-          where os.fork exists, with the same bytes and exit codes),
+          where one can be forked, with the same bytes and exit codes),
           omega.csv, zones.csv, sigma.csv
 recover   reconstruct each component along its ground-truth ridge, compare
           against the exact component, and write report.csv with the
@@ -17,7 +17,8 @@ demo      analyze + synth + recover from one analysis, with canned
 
 One function, ``run_command``, runs every command: it computes everything
 the command writes before it writes any of it, so a command that fails
-writes nothing.
+writes nothing.  An analysis passes the memory guard, then the library's
+``sst.walk`` takes each of ``cwt.stack_walk``'s blocks as built here.
 
 Configuration is a flat ``key = value`` text file with ``[section]``
 headers.  One table, ``_KEYS``, gives each key its section, default, flag
@@ -66,22 +67,22 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .bounds import RecoveryResult, bounds_first, bounds_second, \
     normalizers, recover, report_to_csv
-from .cwt import CwtStack, ScaleGrid, compute_stack, stack_walk
+from .cwt import ScaleGrid, compute_stack, stack_walk
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
     example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
     signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
-from .sst import PHASE_FIELDS, PhasePlane, SecondOrderCells, \
-    SqueezeConfig, TfPlane, phase_first, phase_second, scatter_add, \
-    squeeze, tf_to_csv, tf_to_pgm
-from .sst import default_gamma2  # noqa: F401 (perfbench's spans read it)
+from .sst import PHASE_FIELDS, PhasePlane, SqueezeConfig, TfPlane, \
+    tf_to_csv, tf_to_pgm, walk
+from .sst import (  # noqa: F401 (perfbench's spans wrap these four)
+    default_gamma2, phase_first, phase_second, squeeze)
 from .windows import WindowModel
 
 
@@ -492,40 +493,6 @@ def _check_stack(scales: int, cfg: RunConfig, block: int, kernels: int = 0,
                 f"; [grid] voices_per_octave is {cfg.voices}")
 
 
-def _add_tops(top: dict[str, float], stack: CwtStack) -> None:
-    """Raise each top[name] to the largest |re| or |im| of stack's field,
-    nan if any cell is nan: two passes over a float view, no temporary
-    the size of a field."""
-    for name in top:
-        parts = getattr(stack, name).view(np.float64)
-        top[name] = float(np.maximum(top[name], max(
-            float(np.max(parts)), -float(np.min(parts)))))
-
-
-def _stack_defect(top: dict[str, float], cfg: RunConfig, grid: ScaleGrid,
-                  profile: SigmaProfile) -> str | None:
-    """Why a stack whose fields reach top fails the run, or None: a field
-    the variant reads is not finite or, for a second-order variant, so
-    large that the products of two fields in chirp_rate_estimate
-    overflow."""
-    bad = next((name for name in top if not math.isfinite(top[name])), None)
-    if bad is not None:
-        return f"{bad} is not finite"
-    if cfg.order == 1:
-        return None
-    bad = max(top, key=top.get)
-    dln = float(np.max(np.abs(profile.dsigma / profile.sigma)))
-    # a cell's modulus is at most sqrt(2) * top, so |numerator| and
-    # |denominator| of the chirp-rate estimate are at most
-    # 4 * top**2 * (1 + a + |sigma'/sigma|); Python floats, so an
-    # overflow is inf, not a warning
-    if math.isfinite(4.0 * top[bad] * top[bad]
-                     * (1.0 + float(grid.a[-1]) + dln)):
-        return None
-    return (f"{bad} reaches {top[bad]:g}, so the products of two fields "
-            f"in the {cfg.variant} phase transform overflow")
-
-
 def _window_inputs(cfg: RunConfig, profile: SigmaProfile) -> str:
     """The window's inputs, for a message about a non-finite result."""
     width = f"[sigma] value = {cfg.sigma_value:g}" \
@@ -547,94 +514,12 @@ class Analysis:
     tf: TfPlane
 
 
-def _walk(cfg: RunConfig, sig: SampledSignal, profile: SigmaProfile,
-          wm: WindowModel, grid: ScaleGrid, base: SqueezeConfig,
-          blocks: Iterable[tuple[slice, slice]]) -> tuple[PhasePlane, TfPlane]:
-    """(phase plane, squeezed plane) of the run, its stack taken a block
-    at a time and only in the fields the variant reads.  compute_stack is
-    given gamma1, so on the kernel-product path the finite check sees only
-    the cells the phase transforms read: a field that would overflow only
-    below gamma1 need not fail the run.
-
-    The phase transform is local to a cell, so each of the blocks gets
-    the finite check, its phase transform and its scatter-add into the
-    squeezed plane, and is dropped; a plane cell still receives its
-    column's cells in ascending scale order, so every output has the
-    bits of the whole stack's run.  A second-order plane with the default
-    gamma2 needs the median conditioning of every cell first: its blocks
-    leave their SecondOrderCells, which phase_second finishes once the
-    walk ends, and the plane is squeezed then.  Once a block fails the
-    finite check the rest are only measured, so the message names what a
-    check of the whole stack would.  So does an omega that overflows.  A
-    signal that is not zero but leaves no cell with a finite omega fails
-    the run, naming gamma1, the largest part of w the walk saw and n.
-    """
-    fields, (scales, n) = PHASE_FIELDS[cfg.order], (grid.a.size, sig.t.size)
-    hybrid = cfg.variant == "S2"
-    deferred = cfg.order == 2 and cfg.gamma2 is None
-    if deferred:
-        cells = SecondOrderCells(
-            *(np.empty((scales, n), dtype=t)
-              for t in (complex, float, float, float)))
-    else:
-        omega = np.empty((scales, n))
-        tf = TfPlane.empty(base, profile.b, scales)
-    top = dict.fromkeys(fields, 0.0)
-    for rows, cols in blocks:
-        stack = None            # the last block goes before the next is built
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            stack = compute_stack(
-                sig, SigmaProfile(b=profile.b[cols], sigma=profile.sigma[cols],
-                                  dsigma=profile.dsigma[cols],
-                                  kind=profile.kind),
-                wm, ScaleGrid(a=grid.a[rows], dlog=grid.dlog), fields=fields,
-                gamma1=cfg.gamma1)
-        _add_tops(top, stack)
-        defect = _stack_defect(top, cfg, grid, profile)
-        if defect is not None:
-            continue
-        if deferred:
-            for whole, part in zip(cells, SecondOrderCells.of(stack,
-                                                              cfg.gamma1)):
-                whole[rows, cols] = part
-            continue
-        omega[rows, cols] = phase_first(stack, cfg.gamma1).omega \
-            if cfg.order == 1 else phase_second(
-                stack, cfg.gamma1, gamma2=cfg.gamma2, hybrid=hybrid).omega
-        scatter_add(tf, omega[rows, cols], stack.w, grid.dlog, base,
-                    first=cols.start or 0)
-    if defect is None:
-        if deferred:
-            plane, w = phase_second(cells, cfg.gamma1, hybrid=hybrid), cells.w
-            del cells           # squeeze's temporaries reuse its memory
-            tf = squeeze(CwtStack(grid=grid, profile=profile, wm=wm, sig=sig,
-                                  w=w), plane, base)
-        else:
-            plane = PhasePlane(omega=omega,
-                               gamma2=cfg.gamma2 if cfg.order == 2 else None)
-        if np.isinf(plane.omega).any():
-            defect = f"the {cfg.variant} phase transform overflows"
-    if defect is not None:
-        with np.errstate(over="ignore"):
-            x_top = np.max(np.abs(sig.x))
-        raise AdmissibilityError(
-            f"transform stack: {defect}; its range is set by "
-            f"{_window_inputs(cfg, profile)} and the largest sample "
-            f"magnitude {x_top:g}")
-    # an all-zero plane is the answer only for an all-zero signal
-    if not plane.valid.any() and np.any(sig.x):
-        raise AdmissibilityError(
-            f"no cell has a finite frequency estimate, though the signal "
-            f"is not zero: the largest real or imaginary part of w is "
-            f"{top['w']:g}, against [thresholds] gamma1 = {cfg.gamma1:g}, "
-            f"over [signal] n = {n} samples")
-    return plane, tf
-
-
 def run_analysis(cfg: RunConfig) -> Analysis:
     """Execute the transform/reassignment pipeline for the configuration:
     the memory guard, then the signal, width profile, zones and scale
-    grid, then _walk's block walk, which never holds a whole stack."""
+    grid, then sst.walk over cwt.stack_walk's blocks, each built with
+    gamma1 so that on the kernel-product path the finite check sees only
+    the cells the phase transforms read: no whole stack is held."""
     _check_stack(1, cfg, cfg.n)     # before anything of size n: one row
     # an xi_bins plane has at least xi_bins bins and a lattice at least one
     # scale; counted past float range
@@ -666,9 +551,9 @@ def run_analysis(cfg: RunConfig) -> Analysis:
         raise AdmissibilityError(
             f"[window] mu = {cfg.mu:g} puts the scales at {a_min:g} to "
             f"{a_max:g}, past the float range")
+    fields = PHASE_FIELDS[cfg.order]
     scales = ScaleGrid.size(a_min, a_max, cfg.voices)
-    blocks, cells, kernels = stack_walk(sig, profile, scales,
-                                        len(PHASE_FIELDS[cfg.order]))
+    blocks, cells, kernels = stack_walk(sig, profile, scales, len(fields))
     _check_stack(scales, cfg, cells, kernels)
     grid = ScaleGrid.from_range(a_min, a_max, voices=cfg.voices)
     base = SqueezeConfig.for_grid(grid, wm.mu)
@@ -683,7 +568,31 @@ def run_analysis(cfg: RunConfig) -> Analysis:
                 f"; [grid] xi_bins is {cfg.xi_bins}")
     _check_stack(scales, cfg, cells, kernels, bins)
 
-    plane, tf = _walk(cfg, sig, profile, wm, grid, base, blocks)
+    def stacks():               # perfbench wraps cli.compute_stack
+        for rows, cols in blocks:
+            with np.errstate(over="ignore", invalid="ignore"):  # walk checks
+                stack = compute_stack(sig, profile.columns(cols), wm,
+                                      ScaleGrid(grid.a[rows], grid.dlog),
+                                      fields, gamma1=cfg.gamma1)
+            yield rows, cols, stack
+            del stack           # before the next block is built
+    try:
+        plane, tf, tops = walk(stacks(), grid, profile, base, cfg.order,
+                               cfg.gamma1, cfg.gamma2, cfg.variant == "S2")
+    except ValueError as exc:
+        with np.errstate(over="ignore"):
+            x_top = np.max(np.abs(sig.x))
+        raise AdmissibilityError(
+            f"transform stack: {exc}; its range is set by "
+            f"{_window_inputs(cfg, profile)} and the largest sample "
+            f"magnitude {x_top:g}") from None
+    # an all-zero plane is the answer only for an all-zero signal
+    if not plane.valid.any() and np.any(sig.x):
+        raise AdmissibilityError(
+            f"no cell has a finite frequency estimate, though the signal "
+            f"is not zero: the largest real or imaginary part of w is "
+            f"{tops['w']:g}, against [thresholds] gamma1 = {cfg.gamma1:g}, "
+            f"over [signal] n = {cfg.n} samples")
     return Analysis(sig=sig, wm=wm, profile=profile, zs=zs, grid=grid,
                     plane=plane, tf=tf)
 
@@ -719,18 +628,23 @@ def _writing(outdir: Path):
 @contextlib.contextmanager
 def _aside(writes: dict[str, Callable[[], None]]):
     """Run writes (file name -> writer) in a forked child while the block
-    runs and reap it after; without os.fork, run them here first."""
-    if not (writes and hasattr(os, "fork")):
+    runs and reap it after; without os.fork, or a pipe and a process to
+    spare, run them here first."""
+    pid, fds = None, ()
+    with warnings.catch_warnings(), contextlib.suppress(OSError):
+        # Python 3.12 warns on fork while other threads run, as OpenBLAS's
+        # pool does; the child runs no BLAS and takes no lock they hold
+        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+        if writes and hasattr(os, "fork"):
+            fds = read, send = os.pipe()
+            pid = os.fork()
+    if pid is None:     # no os.fork, or no descriptor or process to spare
+        for fd in fds:
+            os.close(fd)
         for write in writes.values():
             write()
         yield
         return
-    read, send = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns on fork while other threads run, as OpenBLAS's
-        # pool does; the child runs no BLAS and takes no lock they hold
-        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
-        pid = os.fork()
     if pid == 0:                # the child never returns into the caller
         try:
             for write in writes.values():

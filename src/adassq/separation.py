@@ -49,6 +49,11 @@ class SigmaProfile:
         if np.any(self.sigma <= 0.0):
             raise ValueError("sigma must be positive everywhere")
 
+    def columns(self, cols: slice) -> "SigmaProfile":
+        """The profile on the times cols selects."""
+        return SigmaProfile(self.b[cols], self.sigma[cols], self.dsigma[cols],
+                            self.kind)
+
 
 def constant_profile(b, sigma: float) -> SigmaProfile:
     b = np.asarray(b, dtype=float)

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .cwt import FIELD_NAMES, CwtStack, ScaleGrid
+from .separation import SigmaProfile
 from .signals import _CHUNK_CELLS, write_table
 
 Array = np.ndarray
@@ -314,6 +315,98 @@ def squeeze(stack: CwtStack, plane: PhasePlane,
     tf = TfPlane.empty(cfg, stack.b, stack.w.shape[0])
     scatter_add(tf, plane.omega, stack.w, stack.grid.dlog, cfg)
     return tf
+
+
+def _raise_tops(tops: dict[str, float], stack: CwtStack) -> None:
+    """Raise each tops[name] to the largest |re| or |im| of stack's field,
+    nan if any cell is nan: two passes over a float view, no temporary
+    the size of a field."""
+    for name in tops:
+        parts = getattr(stack, name).view(np.float64)
+        tops[name] = float(np.maximum(tops[name], max(
+            float(np.max(parts)), -float(np.min(parts)))))
+
+
+def _stack_defect(tops: dict[str, float], variant: str, grid: ScaleGrid,
+                  profile: SigmaProfile) -> str | None:
+    """Why a stack whose fields reach tops fails the walk, or None: a
+    field the variant reads is not finite or, for a second-order variant,
+    so large that the products of two fields in chirp_rate_estimate
+    overflow."""
+    bad = next((name for name in tops if not math.isfinite(tops[name])), None)
+    if bad is not None:
+        return f"{bad} is not finite"
+    if variant == "T1":
+        return None
+    bad = max(tops, key=tops.get)
+    dln = float(np.max(np.abs(profile.dsigma / profile.sigma)))
+    # a cell's modulus is at most sqrt(2) * top, so |numerator| and
+    # |denominator| of the chirp-rate estimate are at most
+    # 4 * top**2 * (1 + a + |sigma'/sigma|); Python floats, so an
+    # overflow is inf, not a warning
+    if math.isfinite(4.0 * tops[bad] * tops[bad]
+                     * (1.0 + float(grid.a[-1]) + dln)):
+        return None
+    return (f"{bad} reaches {tops[bad]:g}, so the products of two fields "
+            f"in the {variant} phase transform overflow")
+
+
+def walk(stacks: Iterable[tuple[slice, slice, CwtStack]], grid: ScaleGrid,
+         profile: SigmaProfile, cfg: SqueezeConfig, order: int,
+         gamma1: float, gamma2: float | None = None, hybrid: bool = False
+         ) -> tuple[PhasePlane, TfPlane, dict[str, float]]:
+    """(phase plane, squeezed plane on cfg's lattice, each field's largest
+    |re| or |im|) of the stack on grid by profile's columns, given as
+    (rows, cols, block): block is the stack's [rows, cols] in at least
+    PHASE_FIELDS[order], as cwt.stack_walk chooses and compute_stack builds
+    them.  The plane is phase_first's, or phase_second's (gamma2, hybrid).
+
+    Each block gets the finite check, its phase transform and scatter-add,
+    and is dropped: drop it too before building the next.  A plane cell
+    still receives its column's cells in ascending scale order, so both
+    planes have the whole stack's bits.  The default gamma2 waits for
+    every block's SecondOrderCells.  After a block fails the check the
+    rest are only measured, so the ValueError names what a whole stack's
+    check would: a field not finite, or too large for the second order's
+    products, or an omega that overflows.
+    """
+    fields, (scales, n) = PHASE_FIELDS[order], (grid.a.size, profile.b.size)
+    variant = "T1" if order == 1 else "S2" if hybrid else "T2"
+    deferred = order == 2 and gamma2 is None
+    if deferred:
+        cells = SecondOrderCells(*(np.empty((scales, n), dtype=t)
+                                   for t in (complex, float, float, float)))
+    else:
+        omega = np.empty((scales, n))
+        tf = TfPlane.empty(cfg, profile.b, scales)
+    tops, defect = dict.fromkeys(fields, 0.0), None
+    for rows, cols, stack in stacks:
+        _raise_tops(tops, stack)
+        defect = _stack_defect(tops, variant, grid, profile)
+        if defect is None and deferred:
+            for whole, part in zip(cells, SecondOrderCells.of(stack, gamma1)):
+                whole[rows, cols] = part
+        elif defect is None:
+            omega[rows, cols] = phase_first(stack, gamma1).omega \
+                if order == 1 else phase_second(
+                    stack, gamma1, gamma2=gamma2, hybrid=hybrid).omega
+            scatter_add(tf, omega[rows, cols], stack.w, grid.dlog, cfg,
+                        first=cols.start or 0)
+        del stack               # before the next block is built
+    if defect is None:
+        if deferred:
+            plane, w = phase_second(cells, gamma1, hybrid=hybrid), cells.w
+            del cells, whole    # the scatter's temporaries reuse their memory
+            tf = TfPlane.empty(cfg, profile.b, scales)
+            scatter_add(tf, plane.omega, w, grid.dlog, cfg)
+        else:
+            plane = PhasePlane(omega=omega,
+                               gamma2=gamma2 if order == 2 else None)
+        if np.isinf(plane.omega).any():
+            defect = f"the {variant} phase transform overflows"
+    if defect is not None:
+        raise ValueError(defect)
+    return plane, tf, tops
 
 
 def conservation_defect(stack: CwtStack, plane: PhasePlane,

@@ -20,7 +20,8 @@ What is proven here
    and the exit code do not change.
 6. The audit's two raised-threshold runs (sigma1 T1, sigma2 S2) walk a
    kernel-product stack in which some columns have no scale with
-   |w| > gamma1, some one and some two.
+   |w| > gamma1, some one and some two; its hybrid run with gamma2 given
+   walks a kernel-product stack in more than one block.
 7. The audit's two-tone recover run sums one component's window in
    chunks of columns whose last would be one column wide, the tail that
    joins the chunk before it.
@@ -30,7 +31,9 @@ What is proven here
    run whose median still rose.  A run within 0.5 MB is sampled once.
 9. The summary gives each tree's src/ line count, the newlines of its
    src/**/*.py as wc -l counts them (a last line without one is not
-   counted); the verdict and the exit code do not change.
+   counted), after one line naming each file under src/ whose count
+   changed (absent counts 0) with its two counts, a line left out where
+   none changed; the verdict and the exit code do not change.
 10. Every run's launcher request pins glibc's mmap and trim thresholds
     in the child's environment and puts the tree's src/ first on its
     path, and both trees' src/ is compiled to bytecode before the first
@@ -150,6 +153,46 @@ def test_audit_counts_each_trees_src_lines(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == ["src/ lines: 4 -> 5",
                         "1 output files of 1 runs: 1 differ"]
+
+
+def test_audit_names_each_src_file_whose_count_changed(monkeypatch, capsys,
+                                                      tmp_path):
+    files = {"parent": {"src/p/cli.py": "1\n2\n3\n", "src/p/sst.py": "4\n",
+                        "src/p/old.py": "5\n"},
+             "new": {"src/p/cli.py": "1\n", "src/p/sst.py": "4\n",
+                     "src/p/new.py": "2\n3\n"}}
+    for label, tree in files.items():
+        for name, text in tree.items():
+            (tmp_path / label / name).parent.mkdir(parents=True,
+                                                   exist_ok=True)
+            (tmp_path / label / name).write_text(text)
+    assert _fake_audit(monkeypatch, {"parent": _OLD, "new": _OLD},
+                       {"parent": 1.0, "new": 1.0},
+                       trees=(tmp_path / "parent", tmp_path / "new")) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "src/ files: p/cli.py 3 -> 1, p/new.py 0 -> 2, p/old.py 1 -> 0",
+        "src/ lines: 5 -> 4", "1 output files of 1 runs: every SHA-256 equal"]
+
+
+def test_gamma2_run_walks_a_hybrid_stack_in_blocks(monkeypatch, tmp_path):
+    # the audit's S2 run with gamma2 given takes the kernel-product path
+    # in more than one block of columns
+    widths = []
+
+    def stack(*args, **kwargs):
+        st = compute_stack(*args, **kwargs)
+        widths.append(st.w.shape)
+        return st
+
+    def analysis_only(command, cfg):
+        assert cfg.variant == "S2" and cfg.gamma2 == 1.0
+        cli.run_analysis(cfg)
+        return 0
+    monkeypatch.setattr(cli, "compute_stack", stack)
+    monkeypatch.setattr(cli, "run_command", analysis_only)
+    assert cli.main([*byte_audit.RUNS["analyze-example2-sigma2-s2-gamma2"],
+                     "--outdir", str(tmp_path)]) == 0
+    assert len(widths) > 1 and len({rows for rows, _ in widths}) == 1
 
 
 def _fake_spawn(monkeypatch, reply):

@@ -27,6 +27,12 @@ What is proven here
    the run's signal, width profile, window model and grid, sample-file
    signals get a header-only zone table and a band set by their own
    sampling rate, and the frequency-bin count follows the grid setting.
+   Blocks of 1 and 7 scales or columns give the bytes of one block of
+   the whole lattice, on both stack paths, for T1, T2 and S2, with gamma2
+   given or by default; on the same inputs the library walk (sst.walk
+   over cwt.stack_walk's blocks, each built by cwt.compute_stack) gives
+   the run's phase plane and squeezed plane bit for bit, its tracemalloc
+   peak within the memory guard's count of the run.
 4. recover: the per-cell error respects the theoretical bound on the
    interior for both running examples, a silent signal reports zero
    error everywhere, and a silent component beside a live one is
@@ -40,8 +46,10 @@ What is proven here
    ending without a report, and a directory where a file of the parent
    process goes each exit 2 naming [run] outdir and the file, with no
    traceback and no child left; Python 3.12's warning of a fork beside
-   other threads is hidden, so stderr stays empty; without os.fork,
-   demo example2 and analyze write the same bytes; a malformed sample
+   other threads is hidden, so stderr stays empty; without os.fork, or
+   where it fails for want of a process, demo example2 and analyze write
+   the same bytes from one process, exit 0 and leave no descriptor of
+   the child's pipe open; a malformed sample
    file exits 2 naming its line, before any output is written, and so
    does one whose sampling rate leaves no band to analyze; so does every
    Hypothesis mutation of a valid file (short
@@ -90,6 +98,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import os
 import re
@@ -111,9 +120,10 @@ import adassq
 from adassq import cli, cwt
 from adassq.cli import ConfigError, build_signal, load_config, main, \
     run_analysis
-from adassq.cwt import compute_stack
+from adassq.cwt import ScaleGrid, compute_stack, stack_walk
 from adassq.signals import ComponentTruth, example1_spec, example2_spec
-from adassq.sst import PhasePlane, SqueezeConfig, squeeze, tf_to_csv
+from adassq.sst import PHASE_FIELDS, PhasePlane, SqueezeConfig, squeeze, \
+    tf_to_csv, walk
 
 
 def run(*argv: str) -> int:
@@ -761,14 +771,33 @@ def test_fork_warning_of_other_threads_is_silenced(tmp_path, capsys,
     assert (tmp_path / "out" / "tf.pgm").exists()
 
 
-@pytest.mark.parametrize("argv", [("demo", "example2"),
-                                  _COMMAND_ARGS["analyze"]],
-                         ids=["demo-example2", "analyze"])
+def _fork_fails():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def _open_fds() -> int | None:
+    """This process's open descriptors, where /proc lists them."""
+    fds = Path("/proc/self/fd")
+    return len(os.listdir(fds)) if fds.is_dir() else None
+
+
+@pytest.mark.parametrize("argv, fork", [
+    (("demo", "example2"), None), (_COMMAND_ARGS["analyze"], None),
+    (_COMMAND_ARGS["analyze"], _fork_fails)],
+    ids=["demo-example2", "analyze", "analyze-fork-fails"])
 def test_without_fork_the_same_bytes_are_written(tmp_path, monkeypatch,
-                                                 argv):
+                                                 argv, fork):
+    # without os.fork, or where it fails for want of a process, this
+    # process writes every file: exit 0, the same bytes, and the pipe
+    # made for the child closed again
     assert run(*argv, "--outdir", str(tmp_path / "forked")) == 0
-    monkeypatch.delattr(os, "fork", raising=False)
+    if fork is None:
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    fds = _open_fds()
     assert run(*argv, "--outdir", str(tmp_path / "in-process")) == 0
+    assert _open_fds() == fds
     names = sorted(p.name for p in (tmp_path / "forked").iterdir())
     assert "tf.pgm" in names and names == sorted(
         p.name for p in (tmp_path / "in-process").iterdir())
@@ -1094,7 +1123,11 @@ _WALKS = [("--preset", "example1"),                     # FFT, T1
            "--gamma2", "1"),                    # columns, gamma2 given
           ("--preset", "example2", "--sigma", "sigma2", "--variant", "S2"),
           ("--components", "tone:8; chirp:20:4", "--n", "64", "--fs", "64",
-           "--variant", "T2")]                  # FFT, default gamma2
+           "--variant", "T2"),                  # FFT, default gamma2
+          # hybrid with gamma2 given: FFT, then columns
+          ("--preset", "example2", "--variant", "S2", "--gamma2", "1"),
+          ("--preset", "example2", "--sigma", "sigma2", "--variant", "S2",
+           "--gamma2", "1")]
 
 
 # widths of the walk's blocks: the whole lattice in one, then 1 and 7
@@ -1143,6 +1176,55 @@ def test_blocks_fail_with_the_whole_stacks_message(tmp_path, capsys,
         errs.append(capsys.readouterr().err)
     assert errs[1] == errs[0] == errs[2] and what in errs[0]
     assert "Traceback" not in errs[0] and not (tmp_path / "out").exists()
+
+
+def _library_walk(cfg, res):
+    """The README's library path on run_analysis's signal, profile and
+    grid: sst.walk over cwt.stack_walk's blocks, each built by
+    cwt.compute_stack."""
+    fields, grid = PHASE_FIELDS[cfg.order], res.grid
+    blocks = stack_walk(res.sig, res.profile, len(grid), len(fields))[0]
+    stacks = ((rows, cols, compute_stack(
+        res.sig, res.profile.columns(cols), res.wm,
+        ScaleGrid(grid.a[rows], grid.dlog), fields, gamma1=cfg.gamma1))
+        for rows, cols in blocks)
+    return walk(stacks, grid, res.profile,
+                SqueezeConfig.for_grid(grid, res.wm.mu), cfg.order,
+                cfg.gamma1, cfg.gamma2, hybrid=cfg.variant == "S2")
+
+
+@pytest.mark.parametrize("args", _WALKS)
+def test_library_walk_gives_run_analysis_planes(monkeypatch, args):
+    # the library walk has the command's plane and squeezed plane bit for
+    # bit, and its tracemalloc peak is at most the guard's count of the
+    # command's run, on both stack paths
+    seen, needs, check_size = [], [], cli._check_size
+
+    def recorded(need, what, hint=""):
+        if what.startswith("a transform stack"):
+            needs.append(need)
+        return check_size(need, what, hint)
+
+    def analysis_only(command, cfg):
+        seen.append((cfg, cli.run_analysis(cfg)))
+        return 0
+    monkeypatch.setattr(cli, "_check_size", recorded)
+    monkeypatch.setattr(cli, "run_command", analysis_only)
+    assert run("analyze", *args) == 0
+    (cfg, res), = seen
+    tracemalloc.start()
+    try:
+        plane, tf, _ = _library_walk(cfg, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[-1], (peak, needs[-1])
+    assert plane.gamma2 == res.plane.gamma2
+    assert plane.omega.tobytes() == res.plane.omega.tobytes()
+    assert tf.live == res.tf.live and tf.dxi == res.tf.dxi
+    for name in ("xi", "b", "slot", "mass"):
+        assert getattr(tf, name).tobytes() == \
+            getattr(res.tf, name).tobytes(), name
 
 
 def _analysis_peak(voices: int) -> tuple[int, int]:

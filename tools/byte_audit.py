@@ -32,10 +32,11 @@ moved: for a CSV with the same header and row count in both trees, each
 column's largest absolute difference and whether its NaN cells agree;
 for tf.pgm, the count of differing pixels.  The summary also gives each
 tree's ``src/`` line count (the newlines of its ``src/**/*.py``, as
-``wc -l`` counts them), so a change's size comes from the same run as
-its byte verdict.  The inputs (the workloads' sample files, a width
-table) are generated once, by perfbench/workloads.py and here, and both
-trees read the same files.
+``wc -l`` counts them), after a line naming each file under ``src/``
+whose count changed with its two counts, so a change's size comes from
+the same run as its byte verdict.  The inputs (the workloads' sample
+files, a width table) are generated once, by perfbench/workloads.py and
+here, and both trees read the same files.
 """
 from __future__ import annotations
 
@@ -129,6 +130,11 @@ RUNS = {
     "recover-example2-sigma2-s2-gamma1": ["recover", "--preset", "example2",
                                           "--sigma", "sigma2", "--variant",
                                           "S2", "--gamma1", "0.98"],
+    # hybrid S2 with gamma2 given: the walk squeezes each block of
+    # columns as it goes, where the default gamma2 waits for all of them
+    "analyze-example2-sigma2-s2-gamma2": ["analyze", "--preset", "example2",
+                                          "--sigma", "sigma2", "--variant",
+                                          "S2", "--gamma2", "1"],
 }
 
 
@@ -237,10 +243,12 @@ def moved(old: Path, new: Path) -> list[str]:
     return found
 
 
-def src_lines(tree: Path) -> int:
-    """Newlines in the tree's src/**/*.py, as wc -l counts them."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (tree / "src").rglob("*.py"))
+def src_lines(tree: Path) -> dict[str, int]:
+    """Newlines in each of the tree's src/**/*.py, as wc -l counts them,
+    by its path under src/."""
+    return {path.relative_to(tree / "src").as_posix():
+            path.read_bytes().count(b"\n")
+            for path in (tree / "src").rglob("*.py")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -313,7 +321,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{statistics.median(new_mb):.2f} MB, largest {max(old_mb):.2f} "
           f"MB -> {max(new_mb):.2f} MB; higher in "
           f"{sum(b > a for a, b in zip(old_mb, new_mb))} of {len(runs)} runs")
-    print(f"src/ lines: {src_lines(args.parent)} -> {src_lines(args.new)}")
+    lines = src_lines(args.parent), src_lines(args.new)
+    changed = [f"{name} {lines[0].get(name, 0)} -> {lines[1].get(name, 0)}"
+               for name in sorted(lines[0].keys() | lines[1].keys())
+               if lines[0].get(name) != lines[1].get(name)]
+    if changed:
+        print("src/ files: " + ", ".join(changed))
+    print(f"src/ lines: {sum(lines[0].values())} -> "
+          f"{sum(lines[1].values())}")
     files = sum(1 for key in old if not key.endswith("(exit code)"))
     totals = [sum(warned[label].values()) for label in ("parent", "new")]
     print(f"{files} output files of {len(runs)} runs: "
