@@ -38,9 +38,4 @@ from .cwt import ScaleGrid, compute_stack, stack_walk  # noqa: F401
 
 from .sst import SqueezeConfig, walk  # noqa: F401
 
-from .bounds import (  # noqa: F401
-    bounds_first,
-    bounds_second,
-    normalizers,
-    recover,
-)
+from .bounds import certify  # noqa: F401

@@ -356,6 +356,42 @@ def bounds_second(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
                        cross_mass_strict=cross_mass_strict)
 
 
+def certify(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
+            zs: ZoneSet | None, tf: TfPlane, order: int, gamma1: float,
+            gamma2: float | None = None,
+            eps3=None) -> tuple[RecoveryResult, Array]:
+    """(recovery along each true ridge against the truth, its error bound)
+    on profile.b: over c_alpha with bounds_first's bound (order 1), or over
+    c_k with bounds_second's at gamma2, over |c_k| (order 2).  eps3 None is
+    half the nearest ridge gap, or half a lone ridge's lowest frequency,
+    which keeps its window above 0 Hz.  A nan row has no certificate; an
+    infinite bound or error raises OverflowError."""
+    if order not in (1, 2) or (order == 2 and gamma2 is None):
+        raise ValueError("order must be 1, or 2 with gamma2 given")
+    t, ridge = profile.b, tracks(spec, profile.b)[0]
+    truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
+                       for c in spec.components])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if eps3 is None:
+            eps3 = np.min(np.diff(ridge, axis=0), axis=0) / 2.0 \
+                if ridge.shape[0] >= 2 else float(np.min(ridge)) / 2.0
+        if order == 1:
+            norms = normalizers(spec, wm, profile)
+            bound = bounds_first(spec, wm, profile, zs, gamma1).recovery_bound
+        else:
+            norms = normalizers(spec, wm, profile, zs=zs)
+            bound = bounds_second(spec, wm, profile, zs, gamma1, gamma2
+                                  ).recovery_bound_main / np.abs(norms.c_k)
+        result = recover(tf, norms, ridge, eps3,
+                         mode="first" if order == 1 else "second",
+                         truth=truth, real_signal=(spec.mode == "real"))
+    for what, values in (("error bound", bound),
+                         ("recovery error", result.abs_error)):
+        if np.isinf(values).any():
+            raise OverflowError(f"recovery: the {what} overflows")
+    return result, bound
+
+
 # ------------------------------------------------------ residual diagnostics
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ demo      analyze + synth + recover from one analysis, with canned
 One function, ``run_command``, runs every command: it computes everything
 the command writes before it writes any of it, so a command that fails
 writes nothing.  An analysis passes the memory guard, then the library's
-``sst.walk`` takes each of ``cwt.stack_walk``'s blocks as built here.
+``sst.walk`` takes each of ``cwt.stack_walk``'s blocks as built here; a
+recovery is the library's ``bounds.certify``, whose errors exit 3.
 
 Configuration is a flat ``key = value`` text file with ``[section]``
 headers.  One table, ``_KEYS``, gives each key its section, default, flag
@@ -71,14 +72,15 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import RecoveryResult, bounds_first, bounds_second, \
-    normalizers, recover, report_to_csv
+from .bounds import RecoveryResult, certify, report_to_csv
+from .bounds import (  # noqa: F401 (perfbench's spans wrap these four)
+    bounds_first, bounds_second, normalizers, recover)
 from .cwt import ScaleGrid, compute_stack, stack_walk
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
     profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
     example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
-    signal_from_csv, signal_to_csv, synthesize, tone, tracks, write_table
+    signal_from_csv, signal_to_csv, synthesize, tone, write_table
 from .sst import PHASE_FIELDS, PhasePlane, SqueezeConfig, TfPlane, \
     tf_to_csv, tf_to_pgm, walk
 from .sst import (  # noqa: F401 (perfbench's spans wrap these four)
@@ -603,16 +605,6 @@ def _omega_to_csv(res: Analysis, path) -> None:
                 res.plane.omega)
 
 
-def _resolve_eps3(cfg: RunConfig, ridge: np.ndarray) -> float | np.ndarray:
-    if cfg.eps3 is not None:
-        return cfg.eps3
-    if ridge.shape[0] >= 2:
-        return np.min(np.diff(ridge, axis=0), axis=0) / 2.0
-    # Single component: half its lowest instantaneous frequency keeps the
-    # collection window inside the positive-frequency half-line.
-    return float(np.min(ridge)) / 2.0
-
-
 @contextlib.contextmanager
 def _writing(outdir: Path):
     """Create outdir for the writes in the block: an OSError making the
@@ -670,39 +662,16 @@ def _aside(writes: dict[str, Callable[[], None]]):
 
 def _report(cfg: RunConfig, res: Analysis) -> tuple[RecoveryResult,
                                                    np.ndarray]:
-    """(recovery against the truth, its error bound); run_command has
-    rejected a sample file, so the source is a spec."""
-    spec, wm, profile, t = cfg.source, res.wm, res.profile, res.sig.t
-    ridge = tracks(spec, t)[0]
-    truth = np.vstack([c.evaluate(t, analytic=(spec.mode == "complex"))
-                       for c in spec.components])
+    """bounds.certify of a run whose source is a spec; its errors exit 3."""
     try:
-        # checked below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            eps3 = _resolve_eps3(cfg, ridge)
-            if cfg.order == 1:
-                norms = normalizers(spec, wm, profile)
-                rep = bounds_first(spec, wm, profile, res.zs, cfg.gamma1)
-                bound, mode = rep.recovery_bound, "first"
-            else:
-                norms = normalizers(spec, wm, profile, zs=res.zs)
-                rep = bounds_second(spec, wm, profile, res.zs, cfg.gamma1,
-                                    res.plane.gamma2)
-                bound = rep.recovery_bound_main / np.abs(norms.c_k)
-                mode = "second"
-            result = recover(res.tf, norms, ridge, eps3, mode=mode,
-                             truth=truth, real_signal=(spec.mode == "real"))
+        return certify(cfg.source, res.wm, res.profile, res.zs, res.tf,
+                       cfg.order, cfg.gamma1, res.plane.gamma2, cfg.eps3)
     except ValueError as exc:
         raise AdmissibilityError(str(exc)) from None
-    # nan marks a row whose zone is undefined (no certificate); an
-    # infinity is an overflow or a normalizer that underflowed to zero
-    for what, values in (("error bound", bound),
-                         ("recovery error", result.abs_error)):
-        if np.isinf(values).any():
-            raise AdmissibilityError(
-                f"recovery: the {what} overflows; the normalizers and "
-                f"bounds are set by {_window_inputs(cfg, profile)}")
-    return result, bound
+    except OverflowError as exc:
+        raise AdmissibilityError(
+            f"{exc}; the normalizers and bounds are set by "
+            f"{_window_inputs(cfg, res.profile)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Proof groups:
      over only the rows the windows reach, a chunk of columns at a time
      and a one-column tail joined to the chunk before it, equal to the
      whole plane's bit for bit with no temporary larger than a chunk's,
-     input validation
+     input validation; certify takes order 1, or 2 with gamma2, and a
+     lone tone's automatic window is half its frequency
   3. first-order budgets -- frozen anchors on the two-chirp preset,
      single-tone closed form, a silent tone's budget equal to the
      threshold term alone (both orders), separation plateau caps on the
@@ -46,6 +47,7 @@ from adassq.bounds import (
     _rule,
     bounds_first,
     bounds_second,
+    certify,
     normalizers,
     recover,
     report_to_csv,
@@ -387,6 +389,21 @@ def test_recover_validates_inputs():
         recover(tf, norms, ridge, eps3=5.0, mode="second")  # no chirped normalizers
     with pytest.raises(ValueError):
         recover(tf, norms, ridge, eps3=5.0, truth=np.zeros((2, 256)))
+
+
+def test_certify_takes_order_1_or_2_with_gamma2():
+    # an order certify has no budget for fails before any work; a lone
+    # tone's automatic eps3 is half its frequency
+    spec, profile, _, _, _, tf, norms = tone_pipeline()
+    zs = zones(spec, WM, profile, order=1)
+    for order, gamma2 in ((0, None), (3, 1.0), (2, None)):
+        with pytest.raises(ValueError, match="order must be 1, or 2 with"):
+            certify(spec, WM, profile, zs, tf, order, 0.01, gamma2)
+    result, bound = certify(spec, WM, profile, zs, tf, 1, 0.01)
+    direct = recover(tf, norms, np.full((1, 256), 40.0), 20.0)
+    assert result.estimate.tobytes() == direct.estimate.tobytes()
+    assert bound.tobytes() == \
+        bounds_first(spec, WM, profile, zs, 0.01).recovery_bound.tobytes()
 
 
 # ---------------------------------------------------------------------------

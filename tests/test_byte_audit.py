@@ -24,7 +24,8 @@ What is proven here
    walks a kernel-product stack in more than one block.
 7. The audit's two-tone recover run sums one component's window in
    chunks of columns whose last would be one column wide, the tail that
-   joins the chunk before it.
+   joins the chunk before it; its run with eps3 given reaches recover
+   with that half-width on every row.
 8. A run whose two peaks differ by more than 0.5 MB is sampled 3 more
    times in each tree, alternating which tree goes first; its line and
    the summary take each tree's median peak, and a line names each such
@@ -369,3 +370,18 @@ def test_two_tone_recover_run_reaches_a_one_column_tail(monkeypatch,
     assert cli.main([*byte_audit.RUNS["recover-two-tones-246"], "--outdir",
                      str(tmp_path)]) == 0
     assert any(len(w) > 1 and w[-1] == w[0] + 1 for w in widths)
+
+
+def test_given_eps3_run_reaches_recover_with_it(monkeypatch, tmp_path):
+    # the audit's one run with eps3 given collects every component's
+    # window with that half-width, not the auto rule's
+    seen, real = [], bounds.recover
+
+    def recover(tf, norms, ridge, eps3, **kwargs):
+        seen.append(np.broadcast_to(eps3, np.shape(ridge)))
+        return real(tf, norms, ridge, eps3, **kwargs)
+    monkeypatch.setattr(bounds, "recover", recover)
+    assert cli.main([*byte_audit.RUNS["recover-three-sigma1-eps3"],
+                     "--outdir", str(tmp_path)]) == 0
+    eps3, = seen
+    assert eps3.shape == (3, 256) and np.all(eps3 == 2.0)

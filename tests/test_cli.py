@@ -36,7 +36,10 @@ What is proven here
 4. recover: the per-cell error respects the theoretical bound on the
    interior for both running examples, a silent signal reports zero
    error everywhere, and a silent component beside a live one is
-   certified on the interior under T1 and S2.
+   certified on the interior under T1 and S2; the README's library flow
+   from a preset's spec, ending in bounds.certify, gives the command's
+   abs_error and bound bit for bit (demo example1 and example2, and a
+   T2 recover of example2).
 5. Contract: exit codes 0/2/3/4 distinguish success, configuration
    failures, inadmissible window widths, and recovery without ground
    truth; an outdir that is a regular file or lies below one, and an
@@ -71,9 +74,11 @@ What is proven here
    its bin count before any bin exists, and an xi_bins count past the
    float range before any stack is computed; an analysis of one scale is
    checked before the Nyquist check evaluates any phase; recover exits 3 on
-   components out of frequency order, with eps3 auto or set, and on a
-   negative amplitude, naming its component, with no output; a signal
-   that is not zero but leaves no cell with a finite frequency estimate
+   components out of frequency order, with eps3 auto or set, on a
+   negative amplitude, naming its component, and on an infinite error
+   bound or recovery error, naming the window's inputs, with no output;
+   a signal that is not zero but leaves no cell with a finite frequency
+   estimate
    (a record of 2-4 samples, a threshold above every |w|, an amplitude
    under it) exits 3 naming [thresholds] gamma1, the walk's largest w
    and n, whether or not the plane waits for its default gamma2, with
@@ -98,6 +103,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import os
@@ -117,7 +123,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adassq
-from adassq import cli, cwt
+from adassq import bounds, cli, cwt
 from adassq.cli import ConfigError, build_signal, load_config, main, \
     run_analysis
 from adassq.cwt import ScaleGrid, compute_stack, stack_walk
@@ -623,6 +629,42 @@ def test_recover_silent_component_beside_a_live_one(tmp_path, variant):
     _, inner = _interior_report(tmp_path)
     assert all(flag == "1" and err <= bound
                for _, _, err, bound, flag in inner)
+
+
+@pytest.mark.parametrize("args", [
+    ("demo", "example1"), ("demo", "example2"),
+    ("recover", "--preset", "example2", "--sigma", "sigma2", "--variant",
+     "T2")], ids=["demo-example1", "demo-example2", "recover-example2-t2"])
+def test_library_certify_gives_the_commands_report(monkeypatch, args):
+    # the README's flow from the preset's spec (stack_walk, compute_stack,
+    # walk, certify) gives the command's abs_error and bound bit for bit
+    seen = []
+
+    def report_only(command, cfg):
+        seen.append((cfg, cli._report(cfg, cli.run_analysis(cfg))))
+        return 0
+    monkeypatch.setattr(cli, "run_command", report_only)
+    assert run(*args) == 0
+    (cfg, (result, bound)), = seen
+    spec, order = cfg.source, cfg.order
+    wm = adassq.WindowModel(mu=1.0, tau0=0.05)
+    sig = adassq.synthesize(spec)
+    profile = (adassq.sigma1 if order == 1 else adassq.sigma2)(spec, wm)
+    zs = adassq.zones(spec, wm, profile, order=order)
+    grid = ScaleGrid.from_zones(zs, voices=32)
+    fields = PHASE_FIELDS[order]
+    stacks = ((rows, cols, compute_stack(sig, profile.columns(cols), wm,
+                                         ScaleGrid(grid.a[rows], grid.dlog),
+                                         fields, gamma1=0.01))
+              for rows, cols in stack_walk(sig, profile, len(grid),
+                                           len(fields))[0])
+    plane, tf, _ = walk(stacks, grid, profile,
+                        SqueezeConfig.for_grid(grid, wm.mu), order=order,
+                        gamma1=0.01, hybrid=cfg.variant == "S2")
+    got, got_bound = adassq.certify(spec, wm, profile, zs, tf, order=order,
+                                    gamma1=0.01, gamma2=plane.gamma2)
+    assert got.abs_error.tobytes() == result.abs_error.tobytes()
+    assert got_bound.tobytes() == bound.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1360,6 +1402,31 @@ def test_misordered_components_exit_3(tmp_path, capsys, comps, eps3):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("target, field, what", [
+    ("bounds_first", "recovery_bound", "the error bound"),
+    ("recover", "abs_error", "the recovery error")])
+def test_report_overflow_exits_3_naming_the_window(tmp_path, capsys,
+                                                   monkeypatch, target,
+                                                   field, what):
+    # an infinite bound or recovery error in the report step exits 3
+    # naming the window's inputs, with no output
+    real = getattr(bounds, target)
+
+    def infinite(*args, **kwargs):
+        got = real(*args, **kwargs)
+        return dataclasses.replace(
+            got, **{field: np.full_like(getattr(got, field), np.inf)})
+    monkeypatch.setattr(bounds, target, infinite)
+    out = tmp_path / "out"
+    assert run("recover", "--preset", "example1", "--sigma", "sigma1",
+               "--outdir", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"admissibility error: recovery: {what} overflows; the "
+        "normalizers and bounds are set by [window] mu = 1, sigma1 "
+        "widths 1.05741 to 1.1384\n")
+    assert not out.exists()
+
+
 def test_negative_amplitude_exits_3(tmp_path, capsys):
     assert run("recover", "--components", "tone:20; tone:40:-1",
                "--outdir", str(tmp_path / "out")) == 3
@@ -1530,7 +1597,7 @@ def test_stack_is_freed_when_run_analysis_returns(monkeypatch):
 def test_failing_demo_writes_nothing(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("no bound for this run")
-    monkeypatch.setattr(cli, "bounds_first", broken)
+    monkeypatch.setattr(bounds, "bounds_first", broken)
     out = tmp_path / "out"
     assert run("demo", "example1", "--outdir", str(out)) == 3
     assert "admissibility error: no bound for this run" in \

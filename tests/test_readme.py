@@ -32,7 +32,7 @@ ROOT_NAMES = {
     "example1_spec", "example2_spec", "synthesize", "signal_from_csv",
     "SigmaProfile", "constant_profile", "sigma1", "sigma2", "zones",
     "ScaleGrid", "compute_stack", "stack_walk", "SqueezeConfig", "walk",
-    "normalizers", "recover", "bounds_first", "bounds_second",
+    "certify",
 }
 
 
@@ -69,9 +69,9 @@ def test_readme_quick_start_stays_within_the_guards_count(monkeypatch):
 
 
 def test_root_exports_the_documented_pipeline():
-    from adassq import bounds_second, sigma2, walk  # noqa: F401
+    from adassq import certify, sigma2, walk  # noqa: F401
     public = {name for name, value in vars(adassq).items()
               if not name.startswith("_") and name != "annotations"
               and not isinstance(value, types.ModuleType)}
     assert public == ROOT_NAMES
-    assert len(ROOT_NAMES) == 24
+    assert len(ROOT_NAMES) == 21

@@ -90,6 +90,9 @@ RUNS = {
                              "sigma1"],
     "recover-three-sigma1": ["recover", "--components", _THREE, "--sigma",
                              "sigma1"],
+    # eps3 given: every other audited recover takes the auto rule
+    "recover-three-sigma1-eps3": ["recover", "--components", _THREE,
+                                  "--sigma", "sigma1", "--eps3", "2"],
     "recover-three-sigma2-s2": ["recover", "--components", _THREE,
                                 "--sigma", "sigma2", "--variant", "S2"],
     # varying sigma takes the stack in blocks of columns: with 1 MiB
