@@ -17,9 +17,10 @@ demo      analyze + synth + recover from one analysis, with canned
 
 One function, ``run_command``, runs every command: it computes everything
 the command writes before it writes any of it, so a command that fails
-writes nothing.  An analysis passes the memory guard, then the library's
-``sst.walk`` takes each of ``cwt.stack_walk``'s blocks as built here; a
-recovery is the library's ``bounds.certify``, whose errors exit 3.
+writes nothing.  An analysis passes the memory guard of ``sst.walk_nbytes``
+and ``cwt.stack_walk``'s counts, then ``sst.walk`` takes each block as
+built here; a width table is ``separation.profile_from_csv``'s (its errors
+exit 2) and a recovery ``bounds.certify``'s (exit 3).
 
 Configuration is a flat ``key = value`` text file with ``[section]``
 headers.  One table, ``_KEYS``, gives each key its section, default, flag
@@ -77,12 +78,12 @@ from .bounds import (  # noqa: F401 (perfbench's spans wrap these four)
     bounds_first, bounds_second, normalizers, recover)
 from .cwt import ScaleGrid, compute_stack, stack_walk
 from .separation import SigmaProfile, ZoneSet, constant_profile, \
-    profile_to_csv, sigma1, sigma2, zones, zones_to_csv
+    profile_from_csv, profile_to_csv, sigma1, sigma2, zones, zones_to_csv
 from .signals import ComponentTruth, SampledSignal, SignalSpec, \
-    example1_spec, example2_spec, linear_chirp, poly_phase, read_table, \
+    example1_spec, example2_spec, linear_chirp, poly_phase, \
     signal_from_csv, signal_to_csv, synthesize, tone, write_table
 from .sst import PHASE_FIELDS, PhasePlane, SqueezeConfig, TfPlane, \
-    tf_to_csv, tf_to_pgm, walk
+    tf_to_csv, tf_to_pgm, walk, walk_nbytes
 from .sst import (  # noqa: F401 (perfbench's spans wrap these four)
     default_gamma2, phase_first, phase_second, squeeze)
 from .windows import WindowModel
@@ -326,10 +327,6 @@ def _check_nyquist(spec: SignalSpec) -> None:
 # Largest array of samples, transform stack or squeezed plane a run may
 # allocate, in bytes (1 GiB); a larger one exits 3 before it is allocated.
 _STACK_LIMIT = 2 ** 30
-# By the count of fields the variant reads (3 for T1, 8 for T2 and S2),
-# bytes a block holds per cell (its fields, the transform's temporaries and
-# the phase transform's): upper bounds of tracemalloc peaks.
-_BLOCK_CELL_BYTES = {3: 128, 8: 256}
 
 
 def _check_size(need: int, what: str, hint: str = "") -> None:
@@ -424,32 +421,18 @@ def build_signal(cfg: RunConfig) -> tuple[SignalSpec | None, SampledSignal]:
     return cfg.source, sig
 
 
-def _read_sigma_table(path: Path, t: np.ndarray) -> SigmaProfile:
-    try:
-        data = read_table(path, "b,sigma,dsigma")
-    except OSError as exc:
-        raise ConfigError(f"[sigma] table: cannot read: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"[sigma] table: {exc}") from None
-    if data.shape[0] != t.size:
-        raise ConfigError(f"[sigma] table: expected {t.size} rows, one per "
-                          f"signal sample, got {data.shape[0]}")
-    for bad, what in ((np.abs(data[:, 0] - t) > 1e-9,
-                       "the b column must match the signal's time grid"),
-                      (data[:, 1] <= 0.0, "sigma must be positive")):
-        if np.any(bad):
-            raise ConfigError(f"[sigma] table: line {np.argmax(bad) + 2}: "
-                              f"{what}")
-    return SigmaProfile(b=t, sigma=data[:, 1], dsigma=data[:, 2], kind="table")
-
-
 def build_profile(cfg: RunConfig, spec: SignalSpec | None, t: np.ndarray,
                   wm: WindowModel) -> SigmaProfile:
     """Window-width profile per the [sigma] section."""
     if cfg.sigma_kind == "constant":
         return constant_profile(t, cfg.sigma_value)
     if cfg.sigma_kind == "table":
-        return _read_sigma_table(cfg.sigma_table, t)
+        try:
+            return profile_from_csv(cfg.sigma_table, t)
+        except OSError as exc:
+            raise ConfigError(f"[sigma] table: cannot read: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"[sigma] table: {exc}") from None
     if spec is None:
         raise ConfigError(f"[sigma] kind: {cfg.sigma_kind} needs a signal "
                           "with known components, not a sample file")
@@ -480,18 +463,11 @@ def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
 
 def _check_stack(scales: int, cfg: RunConfig, block: int, kernels: int = 0,
                  bins: int = 1) -> None:
-    """Exit 3 if what a run of scales by cfg.n times holds would pass
-    _STACK_LIMIT: the squeezed plane of bins frequency bins (at least one
-    until the grid gives the count), the per-cell arrays, a block of that
-    many cells with its working memory, and the kernel product's kernels.
-    The per-cell arrays are omega (8 bytes a cell) or, for a second-order
-    plane waiting for its default gamma2, SecondOrderCells and the plane
-    phase_second makes of them (52)."""
-    n, fields = cfg.n, len(PHASE_FIELDS[cfg.order])
-    cell = 52 if cfg.order == 2 and cfg.gamma2 is None else 8
-    need = TfPlane.nbytes(bins, scales, n) + cell * scales * n \
-        + _BLOCK_CELL_BYTES[fields] * block + kernels
-    _check_size(need, f"a transform stack of {scales} scales by {n} times",
+    """Exit 3 if walk_nbytes (bins at least one until the grid gives the
+    count) and the kernel product's kernels would pass _STACK_LIMIT."""
+    _check_size(walk_nbytes(cfg.order, cfg.gamma2, bins, scales, cfg.n,
+                            block) + kernels,
+                f"a transform stack of {scales} scales by {cfg.n} times",
                 f"; [grid] voices_per_octave is {cfg.voices}")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SignalSpec, check_order, tracks, write_table
+from .signals import SignalSpec, check_order, read_table, tracks, write_table
 from .windows import WindowModel
 
 Array = np.ndarray
@@ -304,6 +304,22 @@ def separation_report(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
 def profile_to_csv(profile: SigmaProfile, path) -> None:
     write_table(path, "b,sigma,dsigma", profile.b, profile.sigma,
                 profile.dsigma)
+
+
+def profile_from_csv(path, t: Array) -> SigmaProfile:
+    """The "table" profile of a b,sigma,dsigma file, one row per time of t.
+    A ValueError names a wrong row count, or the first line whose b is over
+    1e-9 off t or whose sigma is not positive; read_table's pass through."""
+    data = read_table(path, "b,sigma,dsigma")
+    if data.shape[0] != t.size:
+        raise ValueError(f"expected {t.size} rows, one per signal sample, "
+                         f"got {data.shape[0]}")
+    for bad, what in ((np.abs(data[:, 0] - t) > 1e-9,
+                       "the b column must match the signal's time grid"),
+                      (data[:, 1] <= 0.0, "sigma must be positive")):
+        if np.any(bad):
+            raise ValueError(f"line {np.argmax(bad) + 2}: {what}")
+    return SigmaProfile(b=t, sigma=data[:, 1], dsigma=data[:, 2], kind="table")
 
 
 def zones_to_csv(zs: ZoneSet | None, path) -> None:

@@ -148,8 +148,7 @@ class SecondOrderCells(NamedTuple):
                           gamma2=gamma2)
 
 
-def phase_second(stack: CwtStack | SecondOrderCells, gamma1: float,
-                 gamma2: float | None = None,
+def phase_second(stack: CwtStack, gamma1: float, gamma2: float | None = None,
                  hybrid: bool = False) -> PhasePlane:
     """Second-order adaptive phase transform (chirp-corrected).
 
@@ -158,13 +157,9 @@ def phase_second(stack: CwtStack | SecondOrderCells, gamma1: float,
     where r0 comes from chirp_rate_estimate.  Cells need |w| > gamma1 and
     conditioning above gamma2 (default: 1e-4 of the median conditioning on
     thresholded cells).  With hybrid=True, poorly conditioned cells fall
-    back to the first-order estimate instead of NaN.  stack may also be
-    the SecondOrderCells of a stack taken in blocks, whose NaNs already
-    mark gamma1's threshold.
+    back to the first-order estimate instead of NaN.
     """
-    cells = stack if isinstance(stack, SecondOrderCells) \
-        else SecondOrderCells.of(stack, gamma1)
-    return cells.plane(gamma2, hybrid)
+    return SecondOrderCells.of(stack, gamma1).plane(gamma2, hybrid)
 
 
 @dataclass(frozen=True)
@@ -351,6 +346,24 @@ def _stack_defect(tops: dict[str, float], variant: str, grid: ScaleGrid,
             f"in the {variant} phase transform overflow")
 
 
+# By the count of fields the variant reads (3 for T1, 8 for T2 and S2),
+# bytes a block holds per cell (its fields, the transform's temporaries and
+# the phase transform's): upper bounds of tracemalloc peaks.
+_BLOCK_CELL_BYTES = {3: 128, 8: 256}
+
+
+def walk_nbytes(order: int, gamma2: float | None, bins: int, scales: int,
+                times: int, block: int) -> int:
+    """Bytes walk holds for a stack of scales by times in blocks of at most
+    block cells, onto bins frequency bins: the squeezed plane, the
+    per-cell arrays (omega, 8 bytes a cell, or, while the plane waits for
+    its default gamma2, the SecondOrderCells and the plane made of them,
+    52) and a block with its working memory."""
+    cell = 52 if order == 2 and gamma2 is None else 8
+    return TfPlane.nbytes(bins, scales, times) + cell * scales * times \
+        + _BLOCK_CELL_BYTES[len(PHASE_FIELDS[order])] * block
+
+
 def walk(stacks: Iterable[tuple[slice, slice, CwtStack]], grid: ScaleGrid,
          profile: SigmaProfile, cfg: SqueezeConfig, order: int,
          gamma1: float, gamma2: float | None = None, hybrid: bool = False
@@ -395,7 +408,7 @@ def walk(stacks: Iterable[tuple[slice, slice, CwtStack]], grid: ScaleGrid,
         del stack               # before the next block is built
     if defect is None:
         if deferred:
-            plane, w = phase_second(cells, gamma1, hybrid=hybrid), cells.w
+            plane, w = cells.plane(hybrid=hybrid), cells.w
             del cells, whole    # the scatter's temporaries reuse their memory
             tf = TfPlane.empty(cfg, profile.b, scales)
             scatter_add(tf, plane.omega, w, grid.dlog, cfg)

@@ -12,9 +12,9 @@ What is proven here
 4. Each run gets one line, its SHA-256 verdict, its CLI wall time and
    its peak RSS in either tree, whether its files differ or not, and a
    summary line gives each tree's median and largest peak and the count
-   of runs whose peak rose; exit codes are as before.  A run is spawned
-   through perfbench/launcher.py, so its peak is the child's own, not
-   the size of the process running the audit.
+   of runs whose peak rose (by the rule of 8); exit codes are as before.
+   A run is spawned through perfbench/launcher.py, so its peak is the
+   child's own, not the size of the process running the audit.
 5. A run whose stderr has lines with "Warning" in either tree shows both
    counts on its line, and the last line adds both totals; the verdict
    and the exit code do not change.
@@ -28,8 +28,11 @@ What is proven here
    with that half-width on every row.
 8. A run whose two peaks differ by more than 0.5 MB is sampled 3 more
    times in each tree, alternating which tree goes first; its line and
-   the summary take each tree's median peak, and a line names each such
-   run whose median still rose.  A run within 0.5 MB is sampled once.
+   the summary take each tree's median peak.  Its peak rose only when
+   every new-tree sample is above every parent sample, and a line names
+   each such run; where the samples overlap it did not rise, however its
+   median moved.  A run within 0.5 MB is sampled once, and its peak is
+   unchanged.
 9. The summary gives each tree's src/ line count, the newlines of its
    src/**/*.py as wc -l counts them (a last line without one is not
    counted), after one line naming each file under src/ whose count
@@ -232,22 +235,24 @@ def test_audit_summarizes_each_trees_peaks(monkeypatch, capsys):
     # the new tree's peak rises on run "b" alone; a run that fails still
     # has a peak
     peaks = {("parent", "a"): 36.0, ("new", "a"): 35.0,
-             ("parent", "b"): 40.0, ("new", "b"): 40.25,
+             ("parent", "b"): 40.0, ("new", "b"): 41.0,
              ("parent", "c"): 90.0, ("new", "c"): 89.0}
     _fake_spawn(monkeypatch, lambda cmd, cwd: (
         "", peaks[cwd.name, cmd[-1].rsplit("/", 1)[-1]]))
     monkeypatch.setattr(byte_audit, "RUNS", {"a": [], "b": [], "c": []})
     assert byte_audit.main(["parent-tree", "new-tree"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[1].endswith("; peak 40.00 MB -> 40.25 MB")
-    assert out[-3] == ("peak RSS: median 40.00 MB -> 40.25 MB, largest "
+    assert out[1].endswith("; peak 40.00 MB -> 41.00 MB")
+    assert out[-3] == ("peak RSS: median 40.00 MB -> 41.00 MB, largest "
                        "90.00 MB -> 89.00 MB; higher in 1 of 3 runs")
 
 
 def test_audit_resamples_a_run_whose_peaks_differ(monkeypatch, capsys):
     # "up" reads 40.0 -> 41.0 MB first and "down" 40.0 -> 39.0 MB: each
     # is sampled 3 more times per tree, new first, then parent first,
-    # then new first; "flat" (0.5 MB apart) is sampled once
+    # then new first; "flat" (0.5 MB apart) is sampled once.  Only "up"
+    # rose: "down"'s median rose, but its samples overlap the parent's,
+    # and "flat" is unchanged
     peaks = {"parent": {"up": [40.0, 40.2, 40.1, 40.3],
                         "down": [40.0, 40.0, 39.9, 40.1],
                         "flat": [40.0]},
@@ -274,10 +279,26 @@ def test_audit_resamples_a_run_whose_peaks_differ(monkeypatch, capsys):
         "40.15 MB -> 40.55 MB", "40.00 MB -> 40.05 MB",
         "40.00 MB -> 40.50 MB"]
     assert out[3:5] == [
-        "peak higher in the median of 4 samples: up 40.15 MB -> 40.55 MB, "
-        "down 40.00 MB -> 40.05 MB",
+        "peak higher in each of 4 samples than in any of the parent's: "
+        "up 40.15 MB -> 40.55 MB",
         "peak RSS: median 40.00 MB -> 40.50 MB, largest 40.15 MB -> "
-        "40.55 MB; higher in 3 of 3 runs"]
+        "40.55 MB; higher in 1 of 3 runs"]
+
+
+def test_overlapping_resamples_do_not_count_as_higher(monkeypatch, capsys):
+    # 40.0 -> 40.8 MB at first, and the new tree's median 0.7 MB above
+    # the parent's after resampling, but its 40.3 MB sample is below the
+    # parent's 40.9: the run is not counted, and no line names it
+    peaks = {"parent": [40.0, 40.9, 40.1, 40.2],
+             "new": [40.8, 40.95, 40.3, 41.0]}
+    _fake_spawn(monkeypatch, lambda cmd, cwd: ("", peaks[cwd.name].pop(0)))
+    monkeypatch.setattr(byte_audit, "RUNS", {"noisy": []})
+    assert byte_audit.main(["parent-tree", "new-tree"]) == 0
+    assert not peaks["parent"] and not peaks["new"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("; peak 40.15 MB -> 40.88 MB")
+    assert out[1] == ("peak RSS: median 40.15 MB -> 40.88 MB, largest "
+                      "40.15 MB -> 40.88 MB; higher in 0 of 1 runs")
 
 
 def test_each_run_pins_malloc_and_finds_its_tree_compiled(monkeypatch,

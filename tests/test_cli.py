@@ -123,7 +123,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adassq
-from adassq import bounds, cli, cwt
+from adassq import bounds, cli, cwt, sst
 from adassq.cli import ConfigError, build_signal, load_config, main, \
     run_analysis
 from adassq.cwt import ScaleGrid, compute_stack, stack_walk
@@ -1066,7 +1066,7 @@ def _t1_holds(scales, times, block_cells, bins=1):
     complex values, omega, and one block's cells with their working
     memory."""
     return 4 * bins * times + 16 * (1 + min(bins, scales) * times) \
-        + 8 * scales * times + cli._BLOCK_CELL_BYTES[3] * block_cells
+        + 8 * scales * times + sst._BLOCK_CELL_BYTES[3] * block_cells
 
 
 # the cells of a block of scales by 256 times: constant sigma on the

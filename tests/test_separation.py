@@ -10,6 +10,9 @@ Proof groups:
   3. admissibility -- misordered/unseparable inputs raise (an unseparable
      pair named at a time of the requested grid), reports flag
      inadmissible widths and a pair whose discriminant is negative
+  4. width tables -- profile_from_csv reads back what profile_to_csv
+     writes bit for bit, and names the row count or the line of a b off
+     the time grid or a sigma that is not positive
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ import pytest
 from adassq.separation import (
     SigmaProfile,
     constant_profile,
+    profile_from_csv,
+    profile_to_csv,
     separation_report,
     sigma1,
     sigma2,
@@ -254,3 +259,43 @@ def test_profile_validation():
         SigmaProfile(b=b, sigma=np.ones(7), dsigma=np.zeros(8))
     with pytest.raises(ValueError):
         constant_profile(b, -1.0)
+
+
+# ---------------------------------------------------------------- group 4
+
+_SINUSOIDAL_T = np.arange(256) / 256.0
+
+_PROFILES = {
+    "example1-sigma1": lambda wm: sigma1(example1_spec(), wm),
+    "example2-sigma2": lambda wm: sigma2(example2_spec(), wm),
+    "sinusoidal": lambda wm: SigmaProfile(
+        b=_SINUSOIDAL_T, sigma=1.0 + 0.2 * np.sin(2.0 * np.pi * _SINUSOIDAL_T),
+        dsigma=0.4 * np.pi * np.cos(2.0 * np.pi * _SINUSOIDAL_T)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROFILES))
+def test_width_table_round_trips_bit_for_bit(wm, tmp_path, name):
+    prof = _PROFILES[name](wm)
+    profile_to_csv(prof, tmp_path / "sigma.csv")
+    back = profile_from_csv(tmp_path / "sigma.csv", prof.b)
+    assert back.kind == "table" and back.b is prof.b
+    assert back.sigma.tobytes() == prof.sigma.tobytes()
+    assert back.dsigma.tobytes() == prof.dsigma.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "expected 8 rows, one per signal sample, "
+                               "got 7"),
+    (lambda lines: lines[:4] + ["0.4,1,0"] + lines[5:],
+     "line 5: the b column must match the signal's time grid"),
+    (lambda lines: lines[:6] + ["0.625,-1,0"] + lines[7:],
+     "line 7: sigma must be positive"),
+], ids=["one-row-short", "shifted-b", "negative-sigma"])
+def test_width_table_names_what_is_wrong(tmp_path, edit, message):
+    t = np.arange(8) / 8.0
+    path = tmp_path / "sigma.csv"
+    profile_to_csv(constant_profile(t, 1.0), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        profile_from_csv(path, t)

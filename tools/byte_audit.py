@@ -26,11 +26,14 @@ both trees' ``src/`` is compiled to bytecode before the first sample, so
 no sample compiles it, even where PYTHONDONTWRITEBYTECODE is set.  A
 run whose two peaks differ by more than 0.5 MB gets 3 more cold samples
 in each tree, alternating which tree goes first, and its line gives each
-tree's median peak; a line before the summary names each such run whose
-median still rose.  Under each differing file it says how far the file
-moved: for a CSV with the same header and row count in both trees, each
-column's largest absolute difference and whether its NaN cells agree;
-for tf.pgm, the count of differing pixels.  The summary also gives each
+tree's median peak.  Such a run counts as higher only when every one of
+the new tree's samples is above every one of the parent's, and a line
+before the summary names each; a run within 0.5 MB counts as unchanged,
+so the summary's count of higher runs is not the noise of one sample.
+Under each differing file it says how far the file moved: for a CSV with
+the same header and row count in both trees, each column's largest
+absolute difference and whether its NaN cells agree; for tf.pgm, the
+count of differing pixels.  The summary also gives each
 tree's ``src/`` line count (the newlines of its ``src/**/*.py``, as
 ``wc -l`` counts them), after a line naming each file under ``src/``
 whose count changed with its two counts, so a change's size comes from
@@ -157,7 +160,8 @@ def write_inputs(inputs: Path) -> dict[str, list[str]]:
 WARNED = " (warning lines)"
 # A run's cold peak repeats within about 0.5 MB from sample to sample, as
 # the allocator's layout moves; two single samples further apart than
-# that are sampled RESAMPLES more times in each tree.
+# that are sampled RESAMPLES more times in each tree, and the run's peak
+# rose only if the two trees' samples do not overlap.
 PEAK_SPREAD_MB = 0.5
 RESAMPLES = 3
 # glibc's malloc moves its mmap threshold up to the largest block freed so
@@ -274,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         for _, tree in trees:   # so that no sample compiles src/
             compileall.compile_dir(tree / "src", quiet=2)
         digests = {"parent": old, "new": new}
-        resampled = []
+        higher = []
         for name, run in runs.items():
             for label, tree in trees:
                 found, wall[label][name], peak[label][name] = run_in_tree(
@@ -284,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
             if abs(peak["new"][name] - peak["parent"][name]) \
                     <= PEAK_SPREAD_MB:
                 continue
-            resampled.append(name)
             samples = {label: [peak[label][name]] for label, _ in trees}
             for k in range(RESAMPLES):
                 for label, tree in trees[::-1] if k % 2 == 0 else trees:
@@ -292,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
                         tree, name, run, inputs, work / label)[2])
             for label, _ in trees:
                 peak[label][name] = statistics.median(samples[label])
+            if min(samples["new"]) > max(samples["parent"]):
+                higher.append(name)
         differ = [key for key in sorted(old.keys() | new.keys())
                   if old.get(key) != new.get(key)]
         for name in runs:
@@ -312,18 +317,18 @@ def main(argv: list[str] | None = None) -> int:
             if key in old and key in new and "(exit code)" not in key:
                 for line in moved(work / "parent" / key, work / "new" / key):
                     print(f"    {line}")
-        rose = [name for name in resampled
-                if peak["new"][name] > peak["parent"][name]]
-        if rose:
-            print(f"peak higher in the median of {RESAMPLES + 1} samples: "
+        if higher:
+            print(f"peak higher in each of {RESAMPLES + 1} samples than in "
+                  "any of the parent's: "
                   + ", ".join(f"{name} {peak['parent'][name]:.2f} MB -> "
-                              f"{peak['new'][name]:.2f} MB" for name in rose))
+                              f"{peak['new'][name]:.2f} MB"
+                              for name in higher))
     old_mb, new_mb = (list(peak[label].values())
                       for label in ("parent", "new"))
     print(f"peak RSS: median {statistics.median(old_mb):.2f} MB -> "
           f"{statistics.median(new_mb):.2f} MB, largest {max(old_mb):.2f} "
-          f"MB -> {max(new_mb):.2f} MB; higher in "
-          f"{sum(b > a for a, b in zip(old_mb, new_mb))} of {len(runs)} runs")
+          f"MB -> {max(new_mb):.2f} MB; higher in {len(higher)} of "
+          f"{len(runs)} runs")
     lines = src_lines(args.parent), src_lines(args.new)
     changed = [f"{name} {lines[0].get(name, 0)} -> {lines[1].get(name, 0)}"
                for name in sorted(lines[0].keys() | lines[1].keys())
