@@ -131,7 +131,7 @@ def normalizers(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     zone is undefined get NaN.
     """
     sig = profile.sigma
-    if np.any(sig * wm.mu <= wm.alpha):
+    if not profile.admissible(wm).all():
         raise ValueError("sigma must exceed alpha/mu everywhere (the "
                          "integrand pole would enter the interval)")
     c_alpha = _band_normalizer(wm, sig).astype(complex)

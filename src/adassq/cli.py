@@ -23,11 +23,12 @@ built here; a width table is ``separation.profile_from_csv``'s (its errors
 exit 2) and a recovery ``bounds.certify``'s (exit 3).
 
 Configuration is a flat ``key = value`` text file with ``[section]``
-headers.  One table, ``_KEYS``, gives each key its section, default, flag
-and parser; a flag takes precedence over the file.  In the file, a ``;``
-after whitespace starts a comment, except in ``[signal] components``,
-where ``;`` separates the entries; flag values are taken whole.  Unknown
-sections or keys are rejected with the offending location spelled out.
+headers.  One table, ``_KEYS``, gives each key its section, default, flag,
+parser and ``RunConfig`` field; a flag takes precedence over the file.  In
+the file, a ``;`` after whitespace starts a comment, except in ``[signal]
+components``, where ``;`` separates the entries; flag values are taken
+whole.  Unknown sections or keys are rejected with the offending location
+spelled out.
 All output files are deterministic: the same configuration produces
 byte-identical CSVs on every run.  Floats are written with 17 significant
 digits, ``.`` decimal separator, no locale, and every line ends in LF.
@@ -67,7 +68,7 @@ import pickle
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -104,37 +105,6 @@ class MissingTruthError(Exception):
 
 # ---------------------------------------------------------------------------
 # configuration keys
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated settings for one pipeline run."""
-
-    preset: str | None
-    components: tuple[ComponentTruth, ...] | None
-    file: Path | None
-    fs: float
-    n: int
-    mode: str
-    tau0: float
-    mu: float
-    sigma_kind: str
-    sigma_value: float
-    sigma_table: Path | None
-    voices: int
-    xi_bins: int
-    gamma1: float
-    gamma2: float | None          # None means "auto"
-    eps3: float | None            # None means "auto"
-    variant: str
-    outdir: Path
-    pgm: bool
-    # not a key: load_config reads a sample file or builds the spec here
-    source: SampledSignal | SignalSpec = field(compare=False, repr=False)
-
-    @property
-    def order(self) -> int:
-        return 1 if self.variant == "T1" else 2
-
 
 # Each parser turns a raw value into its RunConfig value or raises
 # ConfigError at ``loc``, the "[section] key" being parsed.
@@ -278,6 +248,16 @@ _KEYS = (
     _Key("run", "pgm", "pgm", "yes", "--pgm", "write tf.pgm: yes or no",
          _yes_no),
 )
+
+# Each field holds what its key's parser returns (None for a key left
+# without a default), and source what load_config reads or builds: the
+# sample file's samples or the signal's spec.
+RunConfig = make_dataclass(
+    "RunConfig", [(k.field, Any) for k in _KEYS]
+    + [("source", Any, field(compare=False, repr=False))], frozen=True,
+    namespace={"__doc__": "Fully validated settings for one pipeline run.",
+               "__module__": __name__, "order": property(
+                   lambda self: 1 if self.variant == "T1" else 2)})
 
 _SECTIONS = {sec: tuple(k.key for k in _KEYS if k.section == sec)
              for sec in dict.fromkeys(k.section for k in _KEYS)}
@@ -451,16 +431,6 @@ def build_profile(cfg: RunConfig, spec: SignalSpec | None, t: np.ndarray,
     return profile
 
 
-def check_admissible(profile: SigmaProfile, wm: WindowModel) -> None:
-    """The wavelet stays analytic only while sigma > alpha/mu."""
-    smin = float(np.min(profile.sigma))
-    if smin * wm.mu <= wm.alpha:
-        raise AdmissibilityError(
-            f"window width {smin:.6g} does not exceed alpha/mu = "
-            f"{wm.alpha / wm.mu:.6g}; the spectral window would cross "
-            "zero frequency")
-
-
 def _check_stack(scales: int, cfg: RunConfig, block: int, kernels: int = 0,
                  bins: int = 1) -> None:
     """Exit 3 if walk_nbytes (bins at least one until the grid gives the
@@ -508,7 +478,11 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     spec, sig = build_signal(cfg)
     wm = WindowModel(mu=cfg.mu, tau0=cfg.tau0)
     profile = build_profile(cfg, spec, sig.t, wm)
-    check_admissible(profile, wm)
+    if not profile.admissible(wm).all():    # the wavelet stays analytic
+        raise AdmissibilityError(
+            f"window width {np.min(profile.sigma):.6g} does not exceed "
+            f"alpha/mu = {wm.alpha / wm.mu:.6g}; the spectral window would "
+            "cross zero frequency")
 
     with np.errstate(over="ignore"):    # the scale range is checked below
         zs = None if spec is None else zones(spec, wm, profile, cfg.order)

@@ -134,9 +134,6 @@ class CwtStack:
         return self.profile.b
 
 
-FIELD_NAMES = ("w", "w_tg", "w_tgp", "da_w", "db_w", "da_w_tg", "da_w_tgp",
-               "dadb_w")
-
 # Each field's kernel, from nu, gh = gauss_hat(nu), v_dg = -4*pi**2*nu,
 # ds = d(nu)/da, dln = sigma'/sigma and i2pix = i*2*pi*xi.  A kernel
 # is P(nu)*gh: P is 1, -2*pi*i*nu or 4*pi**2*nu**2 - 1, or a nu-derivative
@@ -160,6 +157,7 @@ _KERNELS = {
     "dadb_w": lambda nu, gh, v_dg, ds, dln, i2pix: ds * (i2pix * v_dg + dln * (
         v_dg + nu * (FOUR_PI2 * FOUR_PI2 * nu * nu - FOUR_PI2))) * gh,
 }
+FIELD_NAMES = tuple(_KERNELS)    # CwtStack's stack fields, in its order
 
 
 def takes_fft(sig: SampledSignal, profile: SigmaProfile) -> bool:

@@ -49,6 +49,13 @@ class SigmaProfile:
         if np.any(self.sigma <= 0.0):
             raise ValueError("sigma must be positive everywhere")
 
+    def admissible(self, wm: WindowModel) -> Array:
+        """Per time, whether sigma*mu > alpha, which keeps the window's
+        band above zero frequency; a product past float range counts as
+        admissible, a NaN sigma as not."""
+        with np.errstate(over="ignore"):
+            return self.sigma * wm.mu > wm.alpha
+
     def columns(self, cols: slice) -> "SigmaProfile":
         """The profile on the times cols selects."""
         return SigmaProfile(self.b[cols], self.sigma[cols], self.dsigma[cols],
@@ -253,7 +260,7 @@ _MARGIN_TOL = 1e-12
 class SeparationReport:
     """Admissibility and separation diagnostics for a (signal, profile) pair."""
 
-    sigma_admissible: bool      # sigma*mu - alpha > 0 everywhere
+    sigma_admissible: bool      # SigmaProfile.admissible everywhere
     freq_order_ok: bool         # strictly increasing component frequencies
     pair_condition_ok: bool     # chirp-separability of each adjacent pair
     zones_disjoint: bool        # zone margins >= 0 (order per request)
@@ -270,8 +277,7 @@ class SeparationReport:
 def separation_report(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
                       order: int = 1) -> SeparationReport:
     b = profile.b
-    sig = profile.sigma
-    admissible = sig * wm.mu - wm.alpha > 0.0
+    admissible = profile.admissible(wm)
 
     f, fpp, _ = tracks(spec, b)
     order_ok = np.all(f[1:] > f[:-1], axis=0)

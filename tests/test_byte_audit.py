@@ -42,6 +42,13 @@ What is proven here
     in the child's environment and puts the tree's src/ first on its
     path, and both trees' src/ is compiled to bytecode before the first
     run is spawned; the verdict and the exit code do not change.
+11. Under each differing CSV the audit names its class: rounding only
+    (perfbench's anchor tolerance, one NaN mask, and for tf.csv one set
+    of live rows), tie moves only (omega.csv rounding only, and every
+    omega cell that changed bin within 1e-9 Hz of a half-bin edge in
+    both trees, at least one of them), or neither, as is a file past
+    rounding in a run without omega.csv; the verdict and the exit code do not change.  Two PGMs of
+    different sizes are named by their headers.
 """
 from __future__ import annotations
 
@@ -88,6 +95,13 @@ def test_pgm_reports_its_differing_pixels(tmp_path):
     (tmp_path / "new.pgm").write_bytes(header + bytes([0, 11, 255, 7, 7, 6]))
     assert byte_audit.moved(tmp_path / "old.pgm", tmp_path / "new.pgm") == \
         ["2 of 6 pixels differ"]
+
+
+def test_pgm_of_another_size_names_both_headers(tmp_path):
+    (tmp_path / "old.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+    (tmp_path / "new.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    assert byte_audit.moved(tmp_path / "old.pgm", tmp_path / "new.pgm") == \
+        ["image header P5 3 2 255 -> P5 2 2 255"]
 
 
 def _fake_audit(monkeypatch, bodies, walls, peaks=None,
@@ -406,3 +420,106 @@ def test_given_eps3_run_reaches_recover_with_it(monkeypatch, tmp_path):
                      "--outdir", str(tmp_path)]) == 0
     eps3, = seen
     assert eps3.shape == (3, 256) and np.all(eps3 == 2.0)
+
+
+# tf.csv on a 0.25 Hz lattice: bins 120 (30 Hz) and 121 (30.25 Hz) at two
+# times, with one live cell in row `live`; omega.csv's first cell is the
+# run's tie candidate, 30.125 Hz being the edge between the two bins
+def _tf(live: int, value: str = "1") -> str:
+    rows = [f"{xi},{b},0,0,0" for xi in ("30", "30.25") for b in (0, 1)]
+    rows[live] = rows[live][:-5] + f"{value},0,{value}"
+    return "xi,b,re,im,abs\n" + "\n".join(rows) + "\n"
+
+
+def _omega(first: str) -> str:
+    return f"a,b,omega\n0.5,0,{first}\n0.5,1,30\n"
+
+
+def _classes(monkeypatch, capsys, files) -> dict[str, str]:
+    """Run main on one faked run whose tree `label` writes
+    files[label] (name -> body); return the class line under each
+    differing file, by file name.  No command starts."""
+    def run_in_tree(tree, name, args, inputs, out):
+        (out / name).mkdir(exist_ok=True)
+        found = {f"{name} (exit code)": "0"}
+        for file, body in files[out.name].items():
+            (out / name / file).write_text(body)
+            found[f"{name}/{file}"] = \
+                hashlib.sha256(body.encode()).hexdigest()
+        return found, 1.0, 36.5
+    monkeypatch.setattr(byte_audit, "run_in_tree", run_in_tree)
+    monkeypatch.setattr(byte_audit, "write_inputs", lambda inputs: {})
+    monkeypatch.setattr(byte_audit, "RUNS", {"run": []})
+    assert byte_audit.main(["parent-tree", "new-tree"]) == 1
+    found, file = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("differs: "):
+            file = line.split(":")[1].strip().split("/")[1]
+        elif line.startswith("    ") and file:
+            found[file] = line.strip()     # the last line under the file
+        else:
+            file = None
+    return found
+
+
+def test_rounding_level_moves_are_rounding_only(monkeypatch, capsys):
+    # 1e-12 Hz on 30 Hz and 1e-12 on a live cell, with the same live rows
+    files = {"parent": {"omega.csv": _omega("30.1"), "tf.csv": _tf(0)},
+             "new": {"omega.csv": _omega("30.100000000001"),
+                     "tf.csv": _tf(0, "1.000000000001")}}
+    assert _classes(monkeypatch, capsys, files) == {
+        "omega.csv": "rounding only", "tf.csv": "rounding only"}
+
+
+def test_a_cell_off_its_edge_by_1e_12_hz_is_a_tie_move(monkeypatch,
+                                                        capsys):
+    # the exact tie goes down to bin 120 in the parent; 1e-12 Hz above it
+    # goes up to bin 121, and its mass moves with it
+    files = {"parent": {"omega.csv": _omega("30.125"), "tf.csv": _tf(0)},
+             "new": {"omega.csv": _omega("30.125000000001"),
+                     "tf.csv": _tf(2)}}
+    assert _classes(monkeypatch, capsys, files) == {
+        "omega.csv": "rounding only",
+        "tf.csv": "tie moves only: 1 omega cells changed bin, each within "
+                  "1e-09 Hz of a half-bin edge"}
+
+
+def test_a_bin_change_away_from_an_edge_is_neither(monkeypatch, capsys):
+    # 2e-8 Hz either side of the edge is within omega's rounding
+    # tolerance (1e-9 of 30.125 + 30.125 Hz) but 20 times TIE_HZ from it
+    files = {"parent": {"omega.csv": _omega("30.12500002"), "tf.csv": _tf(2)},
+             "new": {"omega.csv": _omega("30.12499998"), "tf.csv": _tf(0)}}
+    assert _classes(monkeypatch, capsys, files) == {
+        "omega.csv": "rounding only",
+        "tf.csv": "neither: 1 omega cells changed bin further than 1e-09 Hz "
+                  "from a half-bin edge"}
+
+
+def test_a_file_past_rounding_without_omega_is_neither(monkeypatch,
+                                                       capsys):
+    # a recover run writes no omega.csv: nothing shows its ties, so only
+    # a rounding-level file gets a class other than neither
+    report = "k,b,bound\n1,0,{}\n"
+    files = {"parent": {"report.csv": report.format("0.5"),
+                        "signal.csv": "t,re,im\n0,0.25,0\n"},
+             "new": {"report.csv": report.format("0.75"),
+                     "signal.csv": "t,re,im\n0,0.25000000000000006,0\n"}}
+    assert _classes(monkeypatch, capsys, files) == {
+        "report.csv": "neither: the run writes no omega.csv",
+        "signal.csv": "rounding only"}
+
+
+def test_a_move_without_a_bin_change_is_neither(monkeypatch, capsys):
+    # tf.csv's mass moved though omega kept every byte: no tie explains it
+    files = {"parent": {"omega.csv": _omega("30.125"), "tf.csv": _tf(0)},
+             "new": {"omega.csv": _omega("30.125"), "tf.csv": _tf(2)}}
+    assert _classes(monkeypatch, capsys, files) == {
+        "tf.csv": "neither: no omega cell changed bin"}
+
+
+def test_omega_past_rounding_makes_every_file_neither(monkeypatch, capsys):
+    files = {"parent": {"omega.csv": _omega("30.125"), "tf.csv": _tf(0)},
+             "new": {"omega.csv": _omega("30.375"), "tf.csv": _tf(2)}}
+    assert _classes(monkeypatch, capsys, files) == {
+        "omega.csv": "neither: omega.csv moved past rounding",
+        "tf.csv": "neither: omega.csv moved past rounding"}

@@ -37,6 +37,8 @@ Proof groups:
      counted, and a one-column tail is its own block; the kernel bytes
      follow the spectrum's bin count (N/2 + 1 real, N complex); and a
      scale count past any memory comes back as counts without allocating
+  10. the field list -- FIELD_NAMES, the kernel table's keys, are
+      CwtStack's last eight fields in order
 """
 from __future__ import annotations
 
@@ -869,3 +871,12 @@ def test_walk_counts_unallocatable_scales(fft):
         assert first == (slice(None), slice(0, 1))
         assert (cells, kernel_bytes) == \
             (10 ** 17, cwt._KERNEL_BYTES[3] * 10 ** 17 * 129)
+
+
+# ---------------------------------------------------------------- group 10
+
+def test_field_names_are_the_stacks_last_fields():
+    # a kernel added to the table but not to CwtStack fails here
+    names = [f.name for f in dataclasses.fields(CwtStack)]
+    assert len(cwt.FIELD_NAMES) == 8
+    assert tuple(names[-8:]) == cwt.FIELD_NAMES

@@ -13,15 +13,23 @@ Proof groups:
   4. width tables -- profile_from_csv reads back what profile_to_csv
      writes bit for bit, and names the row count or the line of a b off
      the time grid or a sigma that is not positive
+  5. one admissibility rule -- SigmaProfile.admissible is sigma*mu > alpha
+     per time: a width whose product rounds to alpha is out and the next
+     float up is in, a product past float range is in without a warning,
+     NaN is out; normalizers raises and separation_report flags exactly
+     the profiles it rejects, and the CLI's exit 3 quotes the width
 """
 from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from adassq import cli
+from adassq.bounds import normalizers
 from adassq.separation import (
     SigmaProfile,
     constant_profile,
@@ -299,3 +307,65 @@ def test_width_table_names_what_is_wrong(tmp_path, edit, message):
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         profile_from_csv(path, t)
+
+
+# ---------------------------------------------------------------- group 5
+
+_B4 = np.arange(4) / 4.0
+
+
+def _widths(*sigma) -> SigmaProfile:
+    return SigmaProfile(b=_B4[:len(sigma)], sigma=np.array(sigma, float),
+                        dsigma=np.zeros(len(sigma)))
+
+
+def test_width_at_alpha_over_mu_is_inadmissible():
+    wm3 = WindowModel(mu=3.0)
+    edge = wm3.alpha / 3.0
+    assert edge * 3.0 == wm3.alpha      # the product rounds to alpha
+    up = np.nextafter(edge, np.inf)
+    assert _widths(edge, up).admissible(wm3).tolist() == [False, True]
+
+
+def test_overflowing_product_is_admissible_without_a_warning():
+    # a pair Hypothesis found for the CLI: sigma*mu is past float range
+    huge = WindowModel(mu=8917944116238718.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _widths(2.0158e292).admissible(huge).tolist() == [True]
+
+
+def test_nan_width_is_inadmissible(wm):
+    assert _widths(1.0, np.nan).admissible(wm).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0])
+@pytest.mark.parametrize("widths", [
+    lambda edge: (edge,) * 4,
+    lambda edge: (np.nextafter(edge, np.inf),) * 4,
+    lambda edge: (1.0, np.nan, 1.0, 1.0),
+    lambda edge: (0.3,) * 4,
+    lambda edge: (1.0,) * 4,
+    lambda edge: (1.0, edge, 1.0, 2.0),
+], ids=["edge", "next-up", "nan", "0.3", "1", "one-edge"])
+def test_normalizers_and_report_reject_what_admissible_rejects(mu, widths):
+    wm_mu = WindowModel(mu=mu)
+    prof = _widths(*widths(wm_mu.alpha / mu))
+    spec = example1_spec()
+    ok = bool(prof.admissible(wm_mu).all())
+    assert separation_report(spec, wm_mu, prof).sigma_admissible == ok
+    if ok:
+        normalizers(spec, wm_mu, prof)
+    else:
+        with pytest.raises(ValueError, match="sigma must exceed alpha/mu"):
+            normalizers(spec, wm_mu, prof)
+
+
+def test_cli_exit_3_quotes_the_inadmissible_width(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--components", "chirp:12:0.5; chirp:26:-0.5",
+                     "--sigma-value", "0.3", "--outdir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "admissibility error: window width 0.3 does not exceed alpha/mu = "
+        "0.389571; the spectral window would cross zero frequency\n")
+    assert not out.exists()

@@ -33,7 +33,11 @@ so the summary's count of higher runs is not the noise of one sample.
 Under each differing file it says how far the file moved: for a CSV with
 the same header and row count in both trees, each column's largest
 absolute difference and whether its NaN cells agree; for tf.pgm, the
-count of differing pixels.  The summary also gives each
+count of differing pixels, or both headers if its size changed.  Under
+a CSV a last line gives its class (tie_class): rounding only, tie moves
+only, or neither, with the reason; the class never changes the verdict
+or the exit code.  Files are read and hashed with perfbench/check.py's
+readers, so both tools see one table.  The summary also gives each
 tree's ``src/`` line count (the newlines of its ``src/**/*.py``, as
 ``wc -l`` counts them), after a line naming each file under ``src/``
 whose count changed with its two counts, so a change's size comes from
@@ -45,20 +49,19 @@ from __future__ import annotations
 
 import argparse
 import compileall
-import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(_PERFBENCH))
+from check import RTOL, read_csv, read_pgm, sha256  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 _EX1 = "chirp:12:0.5; chirp:26:-0.5"
@@ -204,41 +207,25 @@ def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
     if warned:
         found[name + WARNED] = str(warned)
     for path in sorted((out / name).glob("*")):
-        found[f"{name}/{path.name}"] = \
-            hashlib.sha256(path.read_bytes()).hexdigest()
+        found[f"{name}/{path.name}"] = sha256(path)
     return found, reply["wall"], reply["rss_mb"]
-
-
-def _pixels(path: Path) -> np.ndarray:
-    """The pixels of a binary PGM with a P5, size, 255 header."""
-    data = path.read_bytes().split(b"\n", 3)
-    width, height = map(int, data[1].split())
-    return np.frombuffer(data[3], np.uint8).reshape(height, width)
-
-
-def _table(path: Path) -> tuple[str, np.ndarray]:
-    """A CSV's header line and its cells, one row per line."""
-    with open(path) as fh:
-        head = fh.readline().rstrip("\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # a header-only table
-            return head, np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
 def moved(old: Path, new: Path) -> list[str]:
     """How far a differing output file moved, one line per finding."""
     if old.suffix == ".pgm":
-        a, b = _pixels(old), _pixels(new)
-        if a.shape != b.shape:
-            return [f"image size {a.shape} -> {b.shape}"]
+        (head, a), (new_head, b) = read_pgm(old), read_pgm(new)
+        if head != new_head:    # headers of three lines, shown as one
+            return ["image header " + " -> ".join(
+                " ".join(h.split()) for h in (head, new_head))]
         return [f"{np.count_nonzero(a != b)} of {a.size} pixels differ"]
     if old.suffix != ".csv":
         return []
-    (head, a), (new_head, b) = _table(old), _table(new)
+    (head, a), (new_head, b) = read_csv(old), read_csv(new)
     if head != new_head or a.shape != b.shape:
         return [f"header or row count differs: {len(a)} -> {len(b)} rows"]
     found = []
-    for name, x, y in zip(head.split(","), a.T, b.T):
+    for name, x, y in zip(head, a.T, b.T):
         nan, new_nan = np.isnan(x), np.isnan(y)
         both = ~(nan | new_nan)
         with np.errstate(invalid="ignore"):     # inf - inf
@@ -248,6 +235,60 @@ def moved(old: Path, new: Path) -> list[str]:
                      + (f"NaN cells differ in {masks} rows" if masks
                         else "NaN cells agree"))
     return found
+
+
+# An omega cell that changed bin is a tie move when it lies this close to
+# a half-bin edge in both trees (machine noise at tie cells is ~3e-14 Hz)
+TIE_HZ = 1e-9
+
+
+def _rounding_only(old: Path, new: Path) -> bool:
+    """The same header, row count and NaN mask, every cell within
+    perfbench's anchor tolerance RTOL * (|parent| + the parent column's
+    largest |value|), and for tf.csv the same live rows."""
+    (head, a), (new_head, b) = read_csv(old), read_csv(new)
+    if head != new_head or a.shape != b.shape \
+            or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    scale = np.max(np.abs(np.nan_to_num(a)), axis=0, initial=0.0)
+    with np.errstate(invalid="ignore"):         # inf - inf, nan
+        close = (a == b) | (np.abs(b - a) <= RTOL * (np.abs(a) + scale))
+    live = old.name != "tf.csv" or np.array_equal(
+        np.any(a[:, 2:] != 0.0, axis=1), np.any(b[:, 2:] != 0.0, axis=1))
+    return bool(live and np.all(close | np.isnan(a)))
+
+
+def _bins(run: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Each omega.csv cell's bin, the nearest multiple of tf.csv's xi step
+    with exact ties going down as sst.lattice_index does (NaN where omega
+    is), and its distance in Hz from the nearest half-bin edge."""
+    xi = np.unique(read_csv(run / "tf.csv")[1][:, 0])
+    step = (xi[-1] - xi[0]) / (xi.size - 1) if xi.size > 1 else np.inf
+    r = read_csv(run / "omega.csv")[1][:, 2] / step + 0.5
+    low = np.floor(r)
+    return low - (r == low), np.abs(r - np.round(r)) * step
+
+
+def tie_class(old: Path, new: Path) -> str:
+    """Which of rounding only, tie moves only or neither a differing CSV
+    is: ties are judged from the run's omega.csv and tf.csv."""
+    if _rounding_only(old, new):
+        return "rounding only"
+    runs = old.parent, new.parent
+    if not all((run / "omega.csv").exists() for run in runs):
+        return "neither: the run writes no omega.csv"
+    if not _rounding_only(*(run / "omega.csv" for run in runs)):
+        return "neither: omega.csv moved past rounding"
+    (bins, dist), (new_bins, new_dist) = map(_bins, runs)
+    changed = (bins != new_bins) & ~np.isnan(bins)
+    off = np.count_nonzero(changed & ((dist > TIE_HZ) | (new_dist > TIE_HZ)))
+    if off:
+        return (f"neither: {off} omega cells changed bin further than "
+                f"{TIE_HZ:g} Hz from a half-bin edge")
+    if not changed.any():       # then no tie explains the move
+        return "neither: no omega cell changed bin"
+    return (f"tie moves only: {np.count_nonzero(changed)} omega cells changed "
+            f"bin, each within {TIE_HZ:g} Hz of a half-bin edge")
 
 
 def src_lines(tree: Path) -> dict[str, int]:
@@ -315,8 +356,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"differs: {key}: {old.get(key, 'missing')} -> "
                   f"{new.get(key, 'missing')}")
             if key in old and key in new and "(exit code)" not in key:
-                for line in moved(work / "parent" / key, work / "new" / key):
+                paths = work / "parent" / key, work / "new" / key
+                for line in moved(*paths):
                     print(f"    {line}")
+                if key.endswith(".csv"):
+                    print(f"    {tie_class(*paths)}")
         if higher:
             print(f"peak higher in each of {RESAMPLES + 1} samples than in "
                   "any of the parent's: "
