@@ -289,9 +289,15 @@ def _signal_source(cfg: dict) -> tuple[SampledSignal | SignalSpec, str, dict]:
                       mode=cfg["mode"]), "", {}
 
 
+def _band_top(fs: float, complex_: bool) -> float:
+    """Top frequency of the band a signal sampled at fs holds: fs for
+    complex samples, fs/2 for real ones."""
+    return fs if complex_ else fs / 2.0
+
+
 def _check_nyquist(spec: SignalSpec) -> None:
     """Each component's instantaneous frequency must fit the sampled band."""
-    top = spec.fs if spec.mode == "complex" else spec.fs / 2.0
+    top = _band_top(spec.fs, spec.mode == "complex")
     t = spec.times()
     for idx, comp in enumerate(spec.components, start=1):
         with np.errstate(over="ignore", invalid="ignore"):  # fail below
@@ -491,13 +497,14 @@ def run_analysis(cfg: RunConfig) -> Analysis:
     else:
         # No valid zone cell (sample files, and synthesized signals none of
         # whose zone cells is valid): cover the band from 1 Hz up to the
-        # signal's own Nyquist with a 25% margin.
-        a_min, a_max = cfg.mu / (sig.fs / 2.0) / 1.25, cfg.mu * 1.25
+        # top of the samples' own band with a 25% margin.
+        top = _band_top(sig.fs, np.iscomplexobj(sig.x))
+        a_min, a_max = cfg.mu / top / 1.25, cfg.mu * 1.25
         if not 0.0 < a_min < a_max:
             where = "[signal] file" if cfg.file is not None else "[signal] fs"
             raise ConfigError(
                 f"{where}: sampling rate {sig.fs:.6g} Hz leaves no band "
-                "between 0.8 Hz and 1.25x Nyquist")
+                f"between 0.8 Hz and 1.25 x {top:.6g} Hz, its band's top")
     # the grid's top scale is below 2 * a_max
     if not (a_min > 0.0 and math.isfinite(2.0 * a_max / a_min)):
         raise AdmissibilityError(

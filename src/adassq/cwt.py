@@ -160,6 +160,13 @@ _KERNELS = {
 FIELD_NAMES = tuple(_KERNELS)    # CwtStack's stack fields, in its order
 
 
+def _above_gamma1(w: Array, gamma1: float) -> Array:
+    """Cells with |w| > gamma1, the threshold of the stack and every plane."""
+    if gamma1 <= 0.0:
+        raise ValueError(f"gamma1 must be positive, got {gamma1}")
+    return np.abs(w) > gamma1
+
+
 def takes_fft(sig: SampledSignal, profile: SigmaProfile) -> bool:
     """Whether compute_stack takes one inverse FFT per field: constant
     sigma and sigma' with profile.b equal to sig.t."""
@@ -223,54 +230,54 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
     a slice of the grid's scales or of the profile's columns is that slice
     of the whole stack, bit for bit.
 
-    With gamma1 set, w is still exact on every cell, and every other
-    field is exact on each cell with |w| > gamma1, the cells the phase
-    transforms read; below gamma1 its value is unspecified.  The
-    kernel-product path takes a column's other products only over its
-    scales above gamma1 (over all of them where only one is) and writes
-    0 on the rest; the inverse-FFT path ignores gamma1, so there every
-    field is exact.
+    With gamma1 set (it must be positive), w is still exact on every
+    cell, and every other field is exact on each cell with |w| > gamma1,
+    the cells the phase transforms read by the same rule; below gamma1
+    its value is unspecified.  The kernel-product path takes a column's
+    other products only over its scales above gamma1 (over all of them
+    where only one is) and writes 0 on the rest; the inverse-FFT path
+    ignores gamma1, so there every field is exact.
     """
     unknown = set(fields) - set(FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown stack fields {sorted(unknown)}")
     names = [name for name in FIELD_NAMES if name == "w" or name in fields]
     xi, coef = spectral_coefficients(sig)
+    if gamma1 is not None:      # refused on either path, though only the
+        _above_gamma1(coef[:0], gamma1)     # kernel product reads it
     shift = profile.b - float(sig.t[0])
-
     out = {name: np.empty((len(grid.a), len(profile.b)), dtype=complex)
            for name in names}
     i2pix = 1j * TWO_PI * xi
     detune = wm.mu - np.outer(grid.a, xi)
-    n = len(sig.t)
-    on_grid = takes_fft(sig, profile)
+    if takes_fft(sig, profile):
+        s = profile.sigma[0]
+        nu = s * detune
+        parts = (nu, gauss_hat(nu), -FOUR_PI2 * nu, -s * xi,
+                 profile.dsigma[0] / s, i2pix)
+        # each kernel is built as its transform needs it and freed once
+        # used, so the next one reuses its memory
+        del detune
+        for name in names:
+            np.multiply(np.fft.ifft(_KERNELS[name](*parts) * coef,
+                                    n=len(sig.t), axis=1), len(sig.t),
+                        out=out[name])
+        return CwtStack(grid=grid, profile=profile, wm=wm, sig=sig, **out)
     for i in range(len(shift)):
         s = profile.sigma[i]
         nu = s * detune
         gh = gauss_hat(nu)
-        if on_grid:
-            parts = (nu, gh, -FOUR_PI2 * nu, -s * xi,
-                     profile.dsigma[i] / s, i2pix)
-            # each kernel is built as its transform needs it and freed
-            # once used, so the next one reuses its memory
-            del detune
-            for name in names:
-                np.multiply(np.fft.ifft(_KERNELS[name](*parts) * coef, n=n,
-                                        axis=1), n, out=out[name])
-            break
-        # an (N, 1) column keeps the matrix-vector product's rounding, and
-        # so does a product over two or more of its rows, but not over
-        # one: a column with one scale above gamma1 takes all its rows
         ce = coef[:, None] * np.exp(np.outer(i2pix, shift[i:i + 1]))
         out["w"][:, i:i + 1] = gh @ ce
+        # an (N, 1) column keeps the matrix-vector product's rounding, and
+        # so does a product over two or more of its rows (or none), but not
+        # over one: a column with one scale above gamma1 takes all its rows
         rows = slice(None)
         if gamma1 is not None:
-            above = np.flatnonzero(np.abs(out["w"][:, i]) > gamma1)
+            above = np.flatnonzero(_above_gamma1(out["w"][:, i], gamma1))
             for name in names[1:]:
                 out[name][:, i] = 0.0
-            if above.size == 0:
-                continue
-            if above.size > 1:
+            if above.size != 1:
                 rows = above
         # each kernel is freed once used, so one at a time is alive
         parts = (nu[rows], gh[rows], -FOUR_PI2 * nu[rows],
@@ -278,7 +285,6 @@ def compute_stack(sig: SampledSignal, profile: SigmaProfile, wm: WindowModel,
                  profile.dsigma[i] / s, i2pix)
         for name in names[1:]:
             out[name][rows, i:i + 1] = _KERNELS[name](*parts) @ ce
-
     return CwtStack(grid=grid, profile=profile, wm=wm, sig=sig, **out)
 
 

@@ -64,8 +64,6 @@ class SigmaProfile:
 
 def constant_profile(b, sigma: float) -> SigmaProfile:
     b = np.asarray(b, dtype=float)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     return SigmaProfile(b=b, sigma=np.full_like(b, float(sigma)),
                         dsigma=np.zeros_like(b), kind="const")
 
@@ -220,15 +218,6 @@ def zones(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
                        valid=valid & (arg_u >= 0.0) & (arg_l >= 0.0))
 
 
-def zone_margins(zs: ZoneSet) -> Array:
-    """Gap upper_{k+1} ... lower_k between adjacent zones, shape (K-1, n).
-
-    Component k+1 lives at higher frequency, hence smaller scale; the margin
-    is lower_k - upper_{k+1} and separation means margin >= 0.
-    """
-    return zs.lower[:-1] - zs.upper[1:]
-
-
 def spectral_distance(spec: SignalSpec, wm: WindowModel,
                       profile: SigmaProfile) -> Array:
     """Off-component spectral argument rho_{l,k}(b), shape (K, K, n).
@@ -286,7 +275,9 @@ def separation_report(spec: SignalSpec, wm: WindowModel, profile: SigmaProfile,
     cond_ok = np.all(disc >= 0.0, axis=0)
 
     zs = zones(spec, wm, profile, order=order)
-    disjoint = np.all(zone_margins(zs) >= -_MARGIN_TOL, axis=0) \
+    # component k+1 lies at higher frequency, hence smaller scale: the
+    # zones are disjoint where lower_k - upper_{k+1} >= 0
+    disjoint = np.all(zs.lower[:-1] - zs.upper[1:] >= -_MARGIN_TOL, axis=0) \
         & np.all(zs.valid, axis=0)
 
     rho = spectral_distance(spec, wm, profile)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .cwt import FIELD_NAMES, CwtStack, ScaleGrid
+from .cwt import FIELD_NAMES, CwtStack, ScaleGrid, _above_gamma1
 from .separation import SigmaProfile
 from .signals import _CHUNK_CELLS, write_table
 
@@ -61,13 +61,6 @@ def _first_order(stack: CwtStack) -> Array:
             + (dln / (2j * np.pi)) * (1.0 + stack.w_tgp / stack.w)
 
 
-def _above_gamma1(stack: CwtStack, gamma1: float) -> Array:
-    """Cells with |w| > gamma1, the coefficient threshold of every plane."""
-    if gamma1 <= 0.0:
-        raise ValueError(f"gamma1 must be positive, got {gamma1}")
-    return np.abs(stack.w) > gamma1
-
-
 def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     """First-order adaptive phase transform.
 
@@ -76,7 +69,7 @@ def phase_first(stack: CwtStack, gamma1: float) -> PhasePlane:
     on cells with |w| > gamma1.  The two sigma' terms vanish for constant
     window width, recovering the conventional estimate.
     """
-    valid = _above_gamma1(stack, gamma1)
+    valid = _above_gamma1(stack.w, gamma1)
     return PhasePlane(omega=np.where(valid, _first_order(stack).real, np.nan))
 
 
@@ -118,7 +111,7 @@ class SecondOrderCells(NamedTuple):
 
     @classmethod
     def of(cls, stack: CwtStack, gamma1: float) -> "SecondOrderCells":
-        below = ~_above_gamma1(stack, gamma1)
+        below = ~_above_gamma1(stack.w, gamma1)
         r0, cond = chirp_rate_estimate(stack)
         a = stack.a[:, None]
         first = _first_order(stack)

@@ -49,6 +49,8 @@ What is proven here
     both trees, at least one of them), or neither, as is a file past
     rounding in a run without omega.csv; the verdict and the exit code do not change.  Two PGMs of
     different sizes are named by their headers.
+12. A differing CSV is read once per tree, however many of the findings
+    and the class read it, and no table is held once the audit is done.
 """
 from __future__ import annotations
 
@@ -523,3 +525,23 @@ def test_omega_past_rounding_makes_every_file_neither(monkeypatch, capsys):
     assert _classes(monkeypatch, capsys, files) == {
         "omega.csv": "neither: omega.csv moved past rounding",
         "tf.csv": "neither: omega.csv moved past rounding"}
+
+
+def test_each_differing_csv_is_read_once_per_tree(monkeypatch, capsys):
+    # tf.csv and omega.csv differ by a tie move: moved, the rounding
+    # checks and the bins of both files all read them, each path once
+    reads, read = [], byte_audit.read_csv
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+    monkeypatch.setattr(byte_audit, "read_csv", counted)
+    files = {"parent": {"omega.csv": _omega("30.125"), "tf.csv": _tf(0)},
+             "new": {"omega.csv": _omega("30.125000000001"),
+                     "tf.csv": _tf(2)}}
+    assert _classes(monkeypatch, capsys, files)["tf.csv"].startswith(
+        "tie moves only")
+    assert sorted((p.parent.parent.name, p.name) for p in reads) == [
+        (tree, file) for tree in ("new", "parent")
+        for file in ("omega.csv", "tf.csv")]
+    assert byte_audit._TABLES == {}

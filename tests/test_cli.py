@@ -26,7 +26,10 @@ What is proven here
    phase transform built directly from a transform stack recomputed from
    the run's signal, width profile, window model and grid, sample-file
    signals get a header-only zone table and a band set by their own
-   sampling rate, and the frequency-bin count follows the grid setting.
+   sampling rate, up to fs for complex samples (a 200 Hz tone at
+   fs = 256 Hz peaks in its own bin with at least 0.9 of the |T| it has
+   from --components), and the frequency-bin count follows the grid
+   setting.
    Blocks of 1 and 7 scales or columns give the bytes of one block of
    the whole lattice, on both stack paths, for T1, T2 and S2, with gamma2
    given or by default; on the same inputs the library walk (sst.walk
@@ -52,7 +55,11 @@ What is proven here
    other threads is hidden, so stderr stays empty; without os.fork, or
    where it fails for want of a process, demo example2 and analyze write
    the same bytes from one process, exit 0 and leave no descriptor of
-   the child's pipe open; a malformed sample
+   the child's pipe open; a config file, sample file or width table
+   that cannot be read exits 2 with its exact line, and a width rule's
+   refusal (sigma1 or sigma2 of one component, components out of order,
+   a pair too close for its chirp rates) exits 3 with its exact line,
+   neither writing output; a malformed sample
    file exits 2 naming its line, before any output is written, and so
    does one whose sampling rate leaves no band to analyze; so does every
    Hypothesis mutation of a valid file (short
@@ -579,6 +586,29 @@ def test_sample_file_band_follows_its_own_rate(tmp_path):
     assert abs(xi[np.argmax(mid.sum(axis=1))] - 300.0) <= 2.0
 
 
+def _peak_at_mid(outdir) -> tuple[float, float]:
+    """(xi, |T|) of tf.csv's largest |T| over the middle half of columns."""
+    xi, b, mag = load_tf(outdir / "tf.csv")
+    mid = mag[:, b.size // 4: 3 * b.size // 4]
+    return xi[np.unravel_index(np.argmax(mid), mid.shape)[0]], np.max(mid)
+
+
+def test_complex_sample_file_band_reaches_fs(tmp_path):
+    # a complex file's band runs up to fs, as its components' check allows:
+    # a 200 Hz tone at fs = 256 Hz gets scales of its own, not only the
+    # window tails of those below fs/2
+    src = tmp_path / "src"
+    assert run("synth", "--components", "tone:200", "--mode", "complex",
+               "--outdir", str(src)) == 0
+    assert run("analyze", "--signal-file", str(src / "signal.csv"),
+               "--pgm", "no", "--outdir", str(tmp_path / "file")) == 0
+    assert run("analyze", "--components", "tone:200", "--mode", "complex",
+               "--pgm", "no", "--outdir", str(tmp_path / "spec")) == 0
+    xi, top = _peak_at_mid(tmp_path / "file")
+    assert xi == 200.0
+    assert top >= 0.9 * _peak_at_mid(tmp_path / "spec")[1]
+
+
 def test_xi_bins_controls_bin_count(tmp_path):
     assert run("analyze", "--components", "tone:20", "--mode", "complex",
                "--fs", "64", "--n", "32", "--xi-bins", "100",
@@ -694,6 +724,51 @@ def test_exit_codes(tmp_path, capsys):
     # width rules that need component knowledge reject sample files early
     assert run("analyze", "--signal-file", str(src), "--sigma", "sigma1",
                "--outdir", str(ok)) == 2
+
+
+def _missing(path) -> str:
+    """The OSError text a read of the missing file at path gives."""
+    return str(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                 str(path)))
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--config", "{missing}"], "config error: cannot read config file: "),
+    (["--signal-file", "{missing}"],
+     "config error: [signal] file: cannot read: "),
+    (["--preset", "example1", "--sigma", "table", "--sigma-table",
+      "{missing}"], "config error: [sigma] table: cannot read: ")],
+    ids=["config", "signal-file", "sigma-table"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, args, line):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    assert run("analyze", *(a.format(missing=missing) for a in args),
+               "--outdir", str(out)) == 2
+    assert capsys.readouterr().err == line + _missing(missing) + "\n"
+    assert not out.exists()
+
+
+_TOO_FEW = ("needs at least two components; use constant_profile for "
+            "single-component signals")
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--components", "tone:20", "--sigma", "sigma1"], "sigma1 " + _TOO_FEW),
+    (["--components", "tone:20", "--sigma", "sigma2"], "sigma2 " + _TOO_FEW),
+    (["--components", "chirp:20:40; tone:30", "--sigma", "sigma1"],
+     "components must be ordered with strictly increasing instantaneous "
+     "frequency"),
+    (["--components", "chirp:20:30; chirp:26:30", "--sigma", "sigma2",
+      "--variant", "S2"],
+     "components are too close for their chirp rates near b=0.996094; no "
+     "window width separates the chirp-corrected zones")],
+    ids=["sigma1-one", "sigma2-one", "sigma1-misordered", "sigma2-close"])
+def test_width_rule_refusals_exit_3(tmp_path, capsys, args, line):
+    # build_profile maps the width rules' ValueError to exit 3
+    out = tmp_path / "out"
+    assert run("analyze", *args, "--outdir", str(out)) == 3
+    assert capsys.readouterr().err == f"admissibility error: {line}\n"
+    assert not out.exists()
 
 
 _COMMAND_ARGS = {

@@ -29,7 +29,10 @@ Proof groups:
      (a one-row product would move bits), one that leaves a column none
      (no product, zeros), and one below every |w| (the whole stack);
      column blocks of the masked stack concatenate to it, and the
-     inverse-FFT path ignores gamma1
+     inverse-FFT path ignores gamma1; a cell whose |w| is gamma1 itself,
+     two scales of its column above it, is below for the stack (its
+     fields 0) and for both phase transforms (its omega NaN), and the
+     stack refuses a nonpositive gamma1 on either path, as they do
   9. the walk -- stack_walk's blocks tile the lattice exactly once, in
      walk order: scales on the inverse-FFT path, columns on the
      kernel-product path; a block holds at most 1 MiB of fields unless one
@@ -74,6 +77,7 @@ from adassq.signals import (
     synthesize,
     tone,
 )
+from adassq.sst import phase_first, phase_second
 from adassq.windows import (
     _HAT_POLY,
     FOUR_PI2,
@@ -793,6 +797,37 @@ def test_gamma1_leaves_the_inverse_fft_stack_whole(wm):
     for name in FIELDS:
         assert getattr(masked, name).tobytes() == \
             getattr(whole, name).tobytes(), name
+
+
+@pytest.mark.parametrize("profile", ["sigma1", "table"])
+def test_a_cell_at_gamma1_is_below_for_stack_and_phase(wm, profile):
+    # gamma1 equal to one cell's |w|, two scales of its column above it:
+    # the stack and both phase transforms count that cell as below
+    sig, prof, grid = _mask_case(wm, profile)
+    whole = compute_stack(sig, prof, wm, grid)
+    mag = np.abs(whole.w)
+    col = np.argmax(np.max(mag, axis=0))
+    row = np.argsort(mag[:, col])[-3]
+    gamma1 = float(mag[row, col])
+    above = mag > gamma1
+    assert np.count_nonzero(above[:, col]) == 2 and not above[row, col]
+    masked = compute_stack(sig, prof, wm, grid, gamma1=gamma1)
+    assert masked.w.tobytes() == whole.w.tobytes()
+    for name in FIELDS[1:]:
+        got = getattr(masked, name)
+        assert got[row, col] == 0.0, name
+        assert got[above].tobytes() == getattr(whole, name)[above].tobytes()
+    for st in (masked, whole):
+        assert np.array_equal(phase_first(st, gamma1).valid, above)
+        second = phase_second(st, gamma1, hybrid=True)
+        assert np.isnan(second.omega[row, col])
+        assert not np.any(second.valid & ~above)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma1 must be positive"):
+            compute_stack(sig, prof, wm, grid, gamma1=bad)
+        with pytest.raises(ValueError, match="gamma1 must be positive"):
+            compute_stack(sig, constant_profile(sig.t, 1.1), wm, grid,
+                          gamma1=bad)
 
 
 # ---------------------------------------------------------------- group 9

@@ -37,13 +37,14 @@ count of differing pixels, or both headers if its size changed.  Under
 a CSV a last line gives its class (tie_class): rounding only, tie moves
 only, or neither, with the reason; the class never changes the verdict
 or the exit code.  Files are read and hashed with perfbench/check.py's
-readers, so both tools see one table.  The summary also gives each
-tree's ``src/`` line count (the newlines of its ``src/**/*.py``, as
-``wc -l`` counts them), after a line naming each file under ``src/``
-whose count changed with its two counts, so a change's size comes from
-the same run as its byte verdict.  The inputs (the workloads' sample
-files, a width table) are generated once, by perfbench/workloads.py and
-here, and both trees read the same files.
+readers, so both tools see one table; a differing CSV is read once per
+tree, and one run's tables at most are held at a time.  The summary also
+gives each tree's ``src/`` line count (the newlines of its
+``src/**/*.py``, as ``wc -l`` counts them), after a line naming each
+file under ``src/`` whose count changed with its two counts, so a
+change's size comes from the same run as its byte verdict.  The inputs
+(the workloads' sample files, a width table) are generated once, by
+perfbench/workloads.py and here, and both trees read the same files.
 """
 from __future__ import annotations
 
@@ -211,6 +212,20 @@ def run_in_tree(tree: Path, name: str, args: list[str], inputs: Path,
     return found, reply["wall"], reply["rss_mb"]
 
 
+# Tables read for the run being printed, by path: moved, _rounding_only
+# and _bins read a CSV from here, so each is read once per tree; main
+# clears it as it moves to the next run's lines, so it holds one run's
+# tables at most
+_TABLES: dict[Path, tuple] = {}
+
+
+def _table(path: Path) -> tuple:
+    """read_csv(path), read once until _TABLES is cleared."""
+    if path not in _TABLES:
+        _TABLES[path] = read_csv(path)
+    return _TABLES[path]
+
+
 def moved(old: Path, new: Path) -> list[str]:
     """How far a differing output file moved, one line per finding."""
     if old.suffix == ".pgm":
@@ -221,7 +236,7 @@ def moved(old: Path, new: Path) -> list[str]:
         return [f"{np.count_nonzero(a != b)} of {a.size} pixels differ"]
     if old.suffix != ".csv":
         return []
-    (head, a), (new_head, b) = read_csv(old), read_csv(new)
+    (head, a), (new_head, b) = _table(old), _table(new)
     if head != new_head or a.shape != b.shape:
         return [f"header or row count differs: {len(a)} -> {len(b)} rows"]
     found = []
@@ -246,7 +261,7 @@ def _rounding_only(old: Path, new: Path) -> bool:
     """The same header, row count and NaN mask, every cell within
     perfbench's anchor tolerance RTOL * (|parent| + the parent column's
     largest |value|), and for tf.csv the same live rows."""
-    (head, a), (new_head, b) = read_csv(old), read_csv(new)
+    (head, a), (new_head, b) = _table(old), _table(new)
     if head != new_head or a.shape != b.shape \
             or not np.array_equal(np.isnan(a), np.isnan(b)):
         return False
@@ -262,9 +277,9 @@ def _bins(run: Path) -> tuple[np.ndarray, np.ndarray]:
     """Each omega.csv cell's bin, the nearest multiple of tf.csv's xi step
     with exact ties going down as sst.lattice_index does (NaN where omega
     is), and its distance in Hz from the nearest half-bin edge."""
-    xi = np.unique(read_csv(run / "tf.csv")[1][:, 0])
+    xi = np.unique(_table(run / "tf.csv")[1][:, 0])
     step = (xi[-1] - xi[0]) / (xi.size - 1) if xi.size > 1 else np.inf
-    r = read_csv(run / "omega.csv")[1][:, 2] / step + 0.5
+    r = _table(run / "omega.csv")[1][:, 2] / step + 0.5
     low = np.floor(r)
     return low - (r == low), np.abs(r - np.round(r)) * step
 
@@ -352,7 +367,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"{peak['new'][name]:.2f} MB"
                   + ("; warning lines {} -> {}".format(*counts)
                      if any(counts) else ""))
-        for key in differ:
+        held = None             # the run whose tables _TABLES holds
+        for key in differ:      # a run's files are adjacent in this order
+            owner = key.partition("/")[0]
+            if owner != held:
+                _TABLES.clear()
+                held = owner
             print(f"differs: {key}: {old.get(key, 'missing')} -> "
                   f"{new.get(key, 'missing')}")
             if key in old and key in new and "(exit code)" not in key:
@@ -361,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"    {line}")
                 if key.endswith(".csv"):
                     print(f"    {tie_class(*paths)}")
+        _TABLES.clear()
         if higher:
             print(f"peak higher in each of {RESAMPLES + 1} samples than in "
                   "any of the parent's: "
